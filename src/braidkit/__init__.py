@@ -19,7 +19,6 @@ from .garside import (
     super_summit_set,
 )
 from .invariants import (
-    BRACKET_BACKEND,
     CrossingCapExceeded,
     alexander_polynomial,
     alexander_with_flag,
@@ -81,3 +80,6 @@ from .words import (
 )
 
 __version__ = "0.1.0"
+
+# The one bracket implementation, named for tools that record which one ran.
+BRACKET_BACKEND = "python"

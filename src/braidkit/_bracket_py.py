@@ -1,8 +1,7 @@
 """
-Pure-Python kernel for the Kauffman-bracket state sum.
+Exhaustive Kauffman-bracket state sum: the test oracle for the bracket.
 
-Semantically identical to the compiled extension ``braidkit._bracket``:
-given a braid word it enumerates every smoothing state of the closure
+Given a braid word it enumerates every smoothing state of the closure
 diagram (exactly 2^L states for L letters), counts the loops of each
 smoothed diagram with a union-find, and accumulates
 
@@ -13,20 +12,18 @@ A-smoothing, bit 1 the B-smoothing; for a positive letter the A-smoothing
 is the identity smoothing and the B-smoothing the cup-cap, for a negative
 letter the two are interchanged.
 
-The state range [start, end) lets callers partition the state space across
-threads; summing the partial tables in any order reproduces the sequential
-result exactly (integer arithmetic only).
+The work is exponential in the word length, so no production code calls
+it: :func:`braidkit.invariants.kauffman_bracket` computes the same table by
+a Temperley–Lieb transfer, and the tests check the two against each other.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-BACKEND = "python"
 
-
-def bracket_coeffs(n: int, letters, start: int, end: int) -> dict[int, int]:
-    """Partial bracket coefficient table over states ``start <= s < end``."""
+def bracket_coeffs(n: int, letters) -> dict[int, int]:
+    """Bracket coefficient table summed over all 2^L smoothing states."""
     L = len(letters)
     idx = [abs(x) - 1 for x in letters]
     neg = [1 if x < 0 else 0 for x in letters]
@@ -34,7 +31,7 @@ def bracket_coeffs(n: int, letters, start: int, end: int) -> dict[int, int]:
     binoms = [[comb(c, k) for k in range(c + 1)] for c in range(max_nodes + 1)]
     coeffs: dict[int, int] = {}
 
-    for s in range(start, end):
+    for s in range(1 << L):
         parent = list(range(max_nodes))
         cur = list(range(n))
         nodes = n

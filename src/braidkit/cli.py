@@ -35,9 +35,9 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _invariants_payload(w: BraidWord, threads: int) -> dict:
+def _invariants_payload(w: BraidWord) -> dict:
     inv = transverse.component_invariants(w)
-    jones = invariants.jones_polynomial(w, threads=threads)
+    jones = invariants.jones_polynomial(w)
     alex = invariants.alexander_with_flag(w)
     return {
         "word": words.word_to_json(w),
@@ -93,7 +93,7 @@ def _cmd_conjugate(args) -> int:
 
 def _cmd_invariants(args) -> int:
     w = _parse_word(args.word, args.n)
-    payload = _invariants_payload(w, args.threads)
+    payload = _invariants_payload(w)
     if args.json:
         _print_json(payload)
     else:
@@ -195,9 +195,7 @@ def _cmd_template(args) -> int:
             template = moves.template_from_json(json.load(fh))
     if args.seed is None:
         raise BraidSyntaxError("template check is randomized: pass --seed")
-    report = invariants.template_soundness_check(
-        template, args.trials, args.max_len, args.seed, threads=args.threads
-    )
+    report = invariants.template_soundness_check(template, args.trials, args.max_len, args.seed)
     if args.json:
         _print_json(
             {
@@ -252,7 +250,7 @@ class _Check:
     detail: str
 
 
-def verify_paper(threads: int = 1, seed: int = 0) -> list[_Check]:
+def verify_paper(seed: int = 0) -> list[_Check]:
     """Every computation in the flype-pair argument, as executable checks."""
     checks: list[_Check] = []
     tx_plus = words.parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3)
@@ -291,8 +289,8 @@ def verify_paper(threads: int = 1, seed: int = 0) -> list[_Check]:
         )
     )
 
-    jp = invariants.jones_polynomial(tx_plus, threads=threads)
-    jm = invariants.jones_polynomial(tx_minus, threads=threads)
+    jp = invariants.jones_polynomial(tx_plus)
+    jm = invariants.jones_polynomial(tx_minus)
     ap = invariants.alexander_polynomial(tx_plus)
     am = invariants.alexander_polynomial(tx_minus)
     checks.append(
@@ -402,7 +400,7 @@ def verify_paper(threads: int = 1, seed: int = 0) -> list[_Check]:
 
 def _cmd_verify_paper(args) -> int:
     t0 = time.perf_counter()
-    checks = verify_paper(threads=args.threads, seed=args.seed if args.seed is not None else 0)
+    checks = verify_paper(seed=args.seed if args.seed is not None else 0)
     elapsed = time.perf_counter() - t0
     if args.json:
         _print_json(
@@ -436,7 +434,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("-n", type=int, default=None, help="strand count for word arguments")
     common.add_argument("--json", action="store_true", help="structured JSON output")
     common.add_argument("--seed", type=int, default=None, help="seed for randomized commands")
-    common.add_argument("--threads", type=int, default=1, help="state-sum worker threads")
 
     parser = argparse.ArgumentParser(
         prog="braidkit",

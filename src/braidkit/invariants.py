@@ -8,45 +8,35 @@ template fuzzer:
 
 * the reduced Burau representation over ℤ[t, t⁻¹] and the Alexander
   polynomial of the closure via det(ψ(w) − I) / (1 + t + ⋯ + t^{n−1});
-* the Kauffman bracket by full state sum (2^L states for an L-letter
-  word) and the Jones polynomial X = (−A³)^{−writhe}·⟨·⟩ with t = A⁻⁴,
-  returned in the variable q = t^{1/2} (so q = A⁻²);
+* the Kauffman bracket by Kauffman's state model carried through the
+  Temperley–Lieb quotient of the braid group: a transfer over the letters
+  whose states are the at most Catalan(n) non-crossing matchings of 2n
+  points, so the work is polynomial in the word length;
+* the Jones polynomial X = (−A³)^{−writhe}·⟨·⟩ with t = A⁻⁴, returned in
+  the variable q = t^{1/2} (so q = A⁻²);
 * a seeded fuzzer asserting that both sides of a template close to links
   with equal component counts, Jones, and Alexander polynomials.
 
-The bracket kernel has a compiled implementation (``braidkit._bracket``,
-Cython) and a pure-Python fallback selected at import time; set
-``BRAIDKIT_PURE_BRACKET=1`` to force the fallback.  Both kernels count
-exactly 2^L states and produce identical coefficient tables.
+:func:`bracket_coeff_table` keeps the exhaustive 2^L-state sum of
+:mod:`braidkit._bracket_py` as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from math import comb
 
 from .laurent import LaurentPolynomial, PolyMatrix
 from .words import BraidWord, closure_components, exponent_sum
 
 from . import _bracket_py
 
-if os.environ.get("BRAIDKIT_PURE_BRACKET"):
-    _kernel = _bracket_py
-else:
-    try:
-        from . import _bracket as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        _kernel = _bracket_py
-
-BRACKET_BACKEND: str = _kernel.BACKEND
-
 DEFAULT_CROSSING_CAP = 24
 
 
 class CrossingCapExceeded(ValueError):
-    """The word has more crossings than the state sum is allowed to expand."""
+    """The word has more crossings than the bracket's crossing cap allows."""
 
 
 def _t(exp: int, coeff: int = 1) -> LaurentPolynomial:
@@ -130,51 +120,86 @@ def alexander_polynomial(w: BraidWord) -> LaurentPolynomial:
     return alexander_with_flag(w).polynomial
 
 
-def _merge(parts: list[dict[int, int]]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for part in parts:
-        for e, c in part.items():
-            out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c != 0}
-
-
 def bracket_coeff_table(
-    w: BraidWord, max_crossings: int = DEFAULT_CROSSING_CAP, threads: int = 1
+    w: BraidWord, max_crossings: int = DEFAULT_CROSSING_CAP
 ) -> tuple[dict[int, int], int]:
-    """Raw bracket coefficient table over the A-exponent, plus states touched.
+    """Exhaustive bracket coefficient table over the A-exponent, plus states touched.
 
-    The state sum always touches exactly 2^L states.  With ``threads > 1``
-    the state range is partitioned; partial tables are merged by integer
-    addition, so the result is identical to the sequential one.
+    This is the 2^L-state reference sum of :mod:`braidkit._bracket_py`; the
+    tests check :func:`kauffman_bracket` against it.
     """
     L = len(w.letters)
     if L > max_crossings:
         raise CrossingCapExceeded(f"{L} crossings exceeds the cap of {max_crossings}")
-    total = 1 << L
-    if threads <= 1 or total < 1 << 12:
-        return _kernel.bracket_coeffs(w.n, list(w.letters), 0, total), total
-    bounds = [total * i // threads for i in range(threads + 1)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(
-                lambda ab: _kernel.bracket_coeffs(w.n, list(w.letters), ab[0], ab[1]),
-                zip(bounds, bounds[1:]),
-            )
-        )
-    return _merge(parts), total
+    return _bracket_py.bracket_coeffs(w.n, w.letters), 1 << L
 
 
-def kauffman_bracket(
-    w: BraidWord, max_crossings: int = DEFAULT_CROSSING_CAP, threads: int = 1
-) -> LaurentPolynomial:
+def _d_power(k: int) -> dict[int, int]:
+    """(−A² − A⁻²)^k as an A-exponent table."""
+    return {2 * k - 4 * j: (-1) ** k * comb(k, j) for j in range(k + 1)}
+
+
+def _bracket_table(w: BraidWord, max_crossings: int) -> dict[int, int]:
+    """Kauffman bracket of the closure by a Temperley–Lieb transfer over the letters.
+
+    Points 0 … n−1 are the top of the braid and n … 2n−1 the current bottom;
+    a state is a non-crossing matching of them (``m[p]`` is the partner of
+    p) carrying an A-exponent table.  Each letter σᵢ^{±1} splits a state into
+    the identity smoothing, weight A^{±1}, and the cup-cap, weight A^{∓1},
+    which joins the partners of bottom points i and i+1 and matches those two
+    points with each other; if they were already matched a loop closes and
+    the table is multiplied by d = −A² − A⁻².  Equal matchings are merged.
+    The closure joins top j to bottom j; its l loops contribute d^{l−1}.
+    """
+    L = len(w.letters)
+    if L > max_crossings:
+        raise CrossingCapExceeded(f"{L} crossings exceeds the cap of {max_crossings}")
+    n = w.n
+    states = {tuple(range(n, 2 * n)) + tuple(range(n)): {0: 1}}
+    for x in w.letters:
+        p = n + abs(x) - 1
+        s = 1 if x > 0 else -1
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        for m, table in states.items():
+            a, b = m[p], m[p + 1]
+            if a == p + 1:
+                cup = m
+                terms = [(e - s + t, -c) for e, c in table.items() for t in (2, -2)]
+            else:
+                joined = list(m)
+                joined[a], joined[b], joined[p], joined[p + 1] = b, a, p + 1, p
+                cup = tuple(joined)
+                terms = [(e - s, c) for e, c in table.items()]
+            out = nxt.setdefault(m, {})
+            for e, c in table.items():
+                out[e + s] = out.get(e + s, 0) + c
+            out = nxt.setdefault(cup, {})
+            for e, c in terms:
+                out[e] = out.get(e, 0) + c
+        states = nxt
+    result: dict[int, int] = {}
+    for m, table in states.items():
+        seen = [False] * (2 * n)
+        loops = 0
+        for q in range(2 * n):
+            if not seen[q]:
+                loops += 1
+                while not seen[q]:
+                    seen[q] = seen[m[q]] = True
+                    q = (m[q] + n) % (2 * n)
+        closing = _d_power(loops - 1)
+        for e, c in table.items():
+            for f, k in closing.items():
+                result[e + f] = result.get(e + f, 0) + c * k
+    return {e: c for e, c in result.items() if c != 0}
+
+
+def kauffman_bracket(w: BraidWord, max_crossings: int = DEFAULT_CROSSING_CAP) -> LaurentPolynomial:
     """Kauffman bracket of the closure diagram, in the variable A."""
-    table, _ = bracket_coeff_table(w, max_crossings, threads)
-    return LaurentPolynomial.from_dict(table)
+    return LaurentPolynomial.from_dict(_bracket_table(w, max_crossings))
 
 
-def jones_polynomial(
-    w: BraidWord, max_crossings: int = DEFAULT_CROSSING_CAP, threads: int = 1
-) -> LaurentPolynomial:
+def jones_polynomial(w: BraidWord, max_crossings: int = DEFAULT_CROSSING_CAP) -> LaurentPolynomial:
     """Jones polynomial of the closure, in q = t^{1/2}.
 
     X = (−A³)^{−writhe}·⟨w⟩ with the writhe equal to the exponent sum; the
@@ -182,7 +207,7 @@ def jones_polynomial(
     the result is an honest integer Laurent polynomial in q.  Closures with
     an odd number of components land in even q-powers (integer t-powers).
     """
-    table, _ = bracket_coeff_table(w, max_crossings, threads)
+    table = _bracket_table(w, max_crossings)
     writhe = exponent_sum(w)
     sign = -1 if writhe % 2 else 1
     out: dict[int, int] = {}
@@ -229,7 +254,6 @@ def template_soundness_check(
     trials: int,
     max_len: int,
     seed: int,
-    threads: int = 1,
 ) -> TemplateReport:
     """Fuzz a template: both sides must close to the same link, every time.
 
@@ -256,8 +280,8 @@ def template_soundness_check(
                 TemplateFailure(trial, "components", raw, left, right, f"{cl} vs {cr}")
             )
             continue
-        jl = jones_polynomial(left, threads=threads)
-        jr = jones_polynomial(right, threads=threads)
+        jl = jones_polynomial(left)
+        jr = jones_polynomial(right)
         if jl != jr:
             failures.append(
                 TemplateFailure(trial, "jones", raw, left, right, f"{jl.text('q')} vs {jr.text('q')}")

@@ -139,12 +139,18 @@ class CrossingRecord:
 
 _TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
 
+# Most letters a parsed word may expand to; checked before the letters are
+# built, so a huge exponent is rejected without allocating it.
+MAX_PARSED_LETTERS = 10_000
+
 
 def parse_braid_word(text: str, n: int) -> BraidWord:
     """Parse a word like ``"s1^5 s2^4 s1^6 s2^-1"`` into a :class:`BraidWord`.
 
     The grammar is whitespace-separated tokens ``s<i>`` or ``s<i>^<k>`` with
     integer k ≠ 0; negative k gives inverse letters.  No reduction is applied.
+    A word that would expand to more than :data:`MAX_PARSED_LETTERS` letters
+    is rejected with :class:`BraidSyntaxError`.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"strand count must be a positive integer, got {n!r}")
@@ -159,6 +165,8 @@ def parse_braid_word(text: str, n: int) -> BraidWord:
             raise BraidSyntaxError(f"bad token {tok!r}: exponent must be nonzero")
         if i < 1 or i >= n:
             raise BraidSyntaxError(f"index {i} invalid for n={n}")
+        if len(letters) + abs(k) > MAX_PARSED_LETTERS:
+            raise BraidSyntaxError(f"word expands to more than {MAX_PARSED_LETTERS} letters")
         letters.extend([i if k > 0 else -i] * abs(k))
     return BraidWord(n, tuple(letters))
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from braidkit import words
 from braidkit.words import (
     BraidSyntaxError,
     BraidWord,
@@ -56,6 +57,17 @@ class TestParse:
     def test_bad_token(self):
         with pytest.raises(BraidSyntaxError):
             parse_braid_word("x2", 3)
+
+    def test_huge_exponent_rejected_before_expansion(self):
+        for text in ("s1^1000000000", "s1^-1000000000", f"s1^{words.MAX_PARSED_LETTERS + 1}"):
+            with pytest.raises(BraidSyntaxError):
+                parse_braid_word(text, 2)
+
+    def test_letter_total_bounded(self, monkeypatch):
+        monkeypatch.setattr(words, "MAX_PARSED_LETTERS", 4)
+        assert len(parse_braid_word("s1^2 s1^-2", 2)) == 4
+        with pytest.raises(BraidSyntaxError):
+            parse_braid_word("s1^2 s1^-2 s1", 2)
 
     def test_format_round_trip(self):
         rng = random.Random(0)
