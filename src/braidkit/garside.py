@@ -9,7 +9,11 @@ pair of strands crosses at most once) with each consecutive pair left
 weighted.  The super summit set of an element — its conjugates of maximal
 infimum k and minimal canonical length l — is a finite, computable,
 complete conjugacy invariant: two elements are conjugate iff their super
-summit sets coincide.
+summit sets coincide.  It is built from one summit element by conjugating
+each member x only by its minimal simple elements ρ_x(σᵢ), the least
+permutation braids above each generator that keep x in the set — at most
+n−1 per member rather than all n!−1 permutation braids (Franco &
+González-Meneses, J. Algebra 266, 2003).
 
 Canonical factors are represented by their permutations, never by words;
 left-weightedness and lattice meets are tested on inversion sets.  The
@@ -20,7 +24,6 @@ when p(i) > p(i+1).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .words import BraidWord, Permutation, exponent_sum, free_reduce
@@ -361,23 +364,79 @@ def _summit(nf: NormalForm, track: bool) -> tuple[NormalForm, BraidWord]:
     return cur, conj
 
 
-def _all_simples(n: int) -> list[Perm]:
-    """All nontrivial permutation braids of Bₙ, in a fixed order."""
-    return [p for p in itertools.permutations(range(1, n + 1)) if p != _identity(n)]
-
-
 DEFAULT_SSS_CAP = 10_000
 
 
+def _join(s: Perm, t: Perm) -> Perm:
+    """Least common right multiple s ∨ t of two permutation braids.
+
+    s ≼ t exactly when ∂t right-divides ∂s, so s ∨ t = ∂⁻¹(∂s ∧_R ∂t).  A
+    right meet is the meet of the reversed braids, whose permutations are
+    the inverses; the inverse of ∂s's permutation is δ then s, and
+    ∂⁻¹(m) = Δ·m⁻¹, which folds the outer inverse away.
+    """
+    delta = _delta_perm(len(s))
+    return _compose(delta, _meet(_compose(delta, s), _compose(delta, t)))
+
+
+def _least_completion(p: int, factors: list[Perm], s: Perm) -> Perm:
+    """The least simple u with τᵖ(s) ≼ x₁⋯x_r·u, one factor at a time.
+
+    The least u with a ≼ x·u is x⁻¹·(x ∨ a), and it is simple whenever a is;
+    once it is trivial it stays trivial.
+    """
+    a = _tau(s) if p % 2 else s
+    ident = _identity(len(s))
+    for x in factors:
+        if a == ident:
+            break
+        a = _compose(_inverse(x), _join(x, a))
+    return a
+
+
+def _minimal_simples(nf: NormalForm) -> list[Perm]:
+    """The distinct minimal simple elements ρ_x(σᵢ), i = 1…n−1, of x ∈ SSS.
+
+    ρ_x(a) is the least simple s ≽ a with x^s in the super summit set.  With
+    x = Δᵖ·x₁⋯x_r, inf(x^s) ≥ p exactly when τᵖ(s) ≼ x₁⋯x_r·s, and
+    sup(x^s) ≤ p + r is the same condition for x⁻¹ = Δ^{−p−r}·z₁⋯z_r,
+    z_i = τ^{p+r−i+1}(∂x_{r+1−i}).  Each least completion must divide any
+    valid conjugator above s, so joining them into s until nothing changes
+    reaches ρ_x(a) and nothing larger.
+    """
+    n, p = nf.n, nf.delta_power
+    xs = [f.images for f in nf.factors]
+    r = len(xs)
+    zs = []
+    for i in range(1, r + 1):
+        rc = _right_complement(xs[r - i])
+        zs.append(_tau(rc) if (p + r - i + 1) % 2 else rc)
+    found: list[Perm] = []
+    for i in range(1, n):
+        s = _divide_left(_identity(n), i)
+        while True:
+            grown = _join(_join(s, _least_completion(p, xs, s)), _least_completion(-p - r, zs, s))
+            if grown == s:
+                break
+            s = grown
+        if s not in found:
+            found.append(s)
+    return found
+
+
 def _summit_closure(start: NormalForm, cap: int, track: bool):
-    """Close a summit element under simple-element conjugations within its level.
+    """Close a super summit element under its minimal simple elements.
+
+    The simple elements s with x^s in the super summit set are closed under
+    meets (Franco & González-Meneses, J. Algebra 266, 2003), so every such
+    s is a product of minimal ones ρ_x(σᵢ), each step staying in the set:
+    conjugating each member by its at most n−1 distinct ρ_x(σᵢ) reaches the
+    whole set.
 
     Returns (members dict serialization -> (NormalForm, conjugator word from
     start)).  Raises :class:`SuperSummitCapError` past the cap.
     """
     n = start.n
-    level = (start.inf, start.canonical_length)
-    simples = _all_simples(n)
     empty = BraidWord(n)
     members: dict[str, tuple[NormalForm, BraidWord]] = {start.serialize(): (start, empty)}
     frontier = [start.serialize()]
@@ -385,10 +444,8 @@ def _summit_closure(start: NormalForm, cap: int, track: bool):
         new_frontier = []
         for key in frontier:
             nf, path = members[key]
-            for s in simples:
+            for s in _minimal_simples(nf):
                 cand = _conjugate_nf(nf, s)
-                if (cand.inf, cand.canonical_length) != level:
-                    continue
                 ck = cand.serialize()
                 if ck in members:
                     continue
@@ -441,11 +498,12 @@ def are_conjugate(
     if exponent_sum(u) != exponent_sum(v):
         return (False, None) if want_witness else False
     if not want_witness:
-        # The key call caches every member of u's summit set, so membership
-        # of v's summit element is a single cache probe.
+        # v is conjugate to u exactly when v's summit element lies in u's
+        # super summit set.  A serialization spells out (inf, canonical
+        # length), so an element of another level is never among the entries.
         u_key = super_summit_set(u, cap)
         sv, _ = _summit(left_normal_form(v), track=False)
-        return _key_cache.get((u.n, sv.serialize())) == u_key
+        return sv.serialize() in u_key.entries
 
     su, gu = _summit(left_normal_form(u), track=True)
     sv, gv = _summit(left_normal_form(v), track=True)

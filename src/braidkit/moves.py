@@ -19,6 +19,7 @@ exchange, flype+, flype-.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -69,13 +70,18 @@ class DestabResult:
     rotation: int
 
 
-def _simple_conjugator_words(n: int) -> list[BraidWord]:
-    """Words of the nontrivial permutation braids, shortest first."""
+@functools.lru_cache(maxsize=8)
+def _simple_conjugator_words(n: int) -> tuple[BraidWord, ...]:
+    """Words of the nontrivial permutation braids, shortest first.
+
+    The package's one enumeration of the n! − 1 simple elements; built once
+    per strand count.
+    """
     from .garside import _perm_word
 
     perms = [p for p in itertools.permutations(range(1, n + 1)) if p != tuple(range(1, n + 1))]
     words = [BraidWord(n, _perm_word(p)) for p in perms]
-    return sorted(words, key=lambda w: (len(w.letters), w.letters))
+    return tuple(sorted(words, key=lambda w: (len(w.letters), w.letters)))
 
 
 def try_destabilize(w: BraidWord, search_depth: int = 2) -> DestabResult | None:

@@ -149,18 +149,28 @@ def parse_braid_word(text: str, n: int) -> BraidWord:
 
     The grammar is whitespace-separated tokens ``s<i>`` or ``s<i>^<k>`` with
     integer k ≠ 0; negative k gives inverse letters.  No reduction is applied.
-    A word that would expand to more than :data:`MAX_PARSED_LETTERS` letters
-    is rejected with :class:`BraidSyntaxError`.
+    A word that would expand to more than :data:`MAX_PARSED_LETTERS` letters,
+    or a number with more digits than that bound, is rejected with
+    :class:`BraidSyntaxError`.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"strand count must be a positive integer, got {n!r}")
     letters: list[int] = []
+    # A number with more digits than the letter bound is out of range (no
+    # usable strand count is that large either); rejecting it by length
+    # keeps int() off arbitrarily long digit strings.
+    max_digits = len(str(MAX_PARSED_LETTERS))
     for tok in text.split():
         m = _TOKEN.match(tok)
         if m is None:
             raise BraidSyntaxError(f"bad token {tok!r}: expected s<i> or s<i>^<k>")
-        i = int(m.group(1))
-        k = int(m.group(2)) if m.group(2) is not None else 1
+        index, power = m.groups()
+        if len(index.lstrip("0")) > max_digits:
+            raise BraidSyntaxError(f"index of {len(index)} digits invalid for n={n}")
+        if power is not None and len(power.lstrip("-0")) > max_digits:
+            raise BraidSyntaxError(f"word expands to more than {MAX_PARSED_LETTERS} letters")
+        i = int(index)
+        k = int(power) if power is not None else 1
         if k == 0:
             raise BraidSyntaxError(f"bad token {tok!r}: exponent must be nonzero")
         if i < 1 or i >= n:

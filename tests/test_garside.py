@@ -2,10 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import braidkit.garside as garside_module
 from braidkit.garside import (
     SuperSummitCapError,
+    _conjugate_nf,
     _summit,
+    _summit_closure,
     are_conjugate,
     cycling,
     decycling,
@@ -19,6 +24,45 @@ def random_word(rng, n, max_len):
     length = rng.randint(0, max_len)
     alphabet = [i for i in range(1 - n, n) if i != 0]
     return BraidWord(n, tuple(rng.choice(alphabet) for _ in range(length)))
+
+
+def all_simples(n):
+    """Every nontrivial permutation braid of Bₙ, as a permutation."""
+    ident = tuple(range(1, n + 1))
+    return [p for p in itertools.permutations(ident) if p != ident]
+
+
+def exhaustive_summit_closure(start):
+    """Oracle: close a summit element under all n! − 1 simple conjugations.
+
+    Keeps the conjugates at start's (inf, canonical length); returns
+    serialization -> NormalForm.
+    """
+    level = (start.inf, start.canonical_length)
+    simples = all_simples(start.n)
+    members = {start.serialize(): start}
+    frontier = [start]
+    while frontier:
+        new_frontier = []
+        for nf in frontier:
+            for s in simples:
+                cand = _conjugate_nf(nf, s)
+                if (cand.inf, cand.canonical_length) != level or cand.serialize() in members:
+                    continue
+                members[cand.serialize()] = cand
+                new_frontier.append(cand)
+        frontier = new_frontier
+    return members
+
+
+@st.composite
+def words_and_conjugators(draw):
+    """A B3–B5 word of at most 12 letters and a conjugator of at most 6."""
+    n = draw(st.integers(3, 5))
+    letter = st.sampled_from([i for i in range(1 - n, n) if i != 0])
+    w = BraidWord(n, tuple(draw(st.lists(letter, max_size=12))))
+    g = BraidWord(n, tuple(draw(st.lists(letter, max_size=6))))
+    return w, g
 
 
 def random_rewrite(rng, w):
@@ -139,10 +183,10 @@ class TestSuperSummitSet:
     def test_generator_in_b3(self):
         # brute-force oracle: conjugate by all 6 permutation-braid words of B3
         # and close transitively, keeping minimal-length positive conjugates
-        from braidkit.garside import _all_simples, _perm_word
+        from braidkit.garside import _perm_word
 
         w = parse_braid_word("s1", 3)
-        simple_words = [BraidWord(3, _perm_word(p)) for p in _all_simples(3)]
+        simple_words = [BraidWord(3, _perm_word(p)) for p in all_simples(3)]
         seen = {left_normal_form(w).serialize(): w}
         frontier = [w]
         while frontier:
@@ -166,12 +210,51 @@ class TestSuperSummitSet:
         assert key.entries == ("D^2 |",)
 
     def test_cap_escalates(self):
-        import braidkit.garside as garside_module
-
         garside_module._key_cache.clear()  # a cached key would mask the cap
         w = parse_braid_word("s1", 3)  # summit set {s1, s2} has 2 > 1 elements
         with pytest.raises(SuperSummitCapError):
             super_summit_set(w, cap=1)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(words_and_conjugators())
+    def test_closure_matches_exhaustive_oracle(self, case):
+        w, g = case
+        summit, _ = _summit(left_normal_form(w), track=False)
+        members = _summit_closure(summit, garside_module.DEFAULT_SSS_CAP, track=True)
+        assert set(members) == set(exhaustive_summit_closure(summit))
+        for nf, conj in members.values():
+            assert left_normal_form(conjugate(summit.as_word(), conj)) == nf
+        assert super_summit_set(conjugate(w, g)) == super_summit_set(w)
+
+    def test_closure_work_bound(self, monkeypatch):
+        # at most n - 1 conjugations per member, where all n! - 1 simples are 23
+        calls = []
+
+        def counted(nf, s):
+            calls.append(s)
+            return _conjugate_nf(nf, s)
+
+        w = parse_braid_word("s1 s2^-1 s3 s2 s1^-1 s3^2 s2 s1", 4)
+        summit, _ = _summit(left_normal_form(w), track=False)
+        monkeypatch.setattr(garside_module, "_conjugate_nf", counted)
+        members = _summit_closure(summit, garside_module.DEFAULT_SSS_CAP, track=False)
+        assert len(members) > 1
+        assert len(calls) <= 3 * len(members)
+
+
+def test_join_is_least_common_multiple():
+    from braidkit.garside import _join, _meet
+
+    def divides(a, b):
+        return _meet(a, b) == a
+
+    for n in (3, 4):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for s in perms:
+            for t in perms:
+                j = _join(s, t)
+                assert divides(s, j) and divides(t, j)
+                assert all(divides(j, u) for u in perms if divides(s, u) and divides(t, u))
 
 
 class TestAreConjugate:
@@ -205,6 +288,27 @@ class TestAreConjugate:
             ok, witness = are_conjugate(w, v, want_witness=True)
             assert ok
             assert left_normal_form(conjugate(w, witness)) == left_normal_form(v)
+
+    def test_decision_ignores_key_cache(self, monkeypatch):
+        # the answer must come from u's key, not from what the key call cached
+        rng = random.Random(16)
+        pairs = []
+        for _ in range(20):
+            n = rng.randint(3, 4)
+            w = random_word(rng, n, 8)
+            pairs.append((w, conjugate(w, random_word(rng, n, 6)), True))
+        tx_plus = parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3)
+        tx_minus = parse_braid_word("s1^5 s2^-1 s1^6 s2^4", 3)
+        pairs.append((tx_plus, tx_minus, False))
+        raw = garside_module.super_summit_set
+
+        def key_then_clear(*args, **kwargs):
+            key = raw(*args, **kwargs)
+            garside_module._key_cache.clear()
+            return key
+
+        monkeypatch.setattr(garside_module, "super_summit_set", key_then_clear)
+        assert [are_conjugate(u, v) for u, v, _ in pairs] == [want for _, _, want in pairs]
 
     def test_exponent_sum_separation(self):
         rng = random.Random(15)

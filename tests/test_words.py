@@ -63,6 +63,13 @@ class TestParse:
             with pytest.raises(BraidSyntaxError):
                 parse_braid_word(text, 2)
 
+    def test_huge_number_rejected_before_int(self):
+        # int() itself refuses more than 4 300 digits with a plain ValueError
+        for text in ("s1^" + "9" * 5000, "s1^-" + "9" * 5000, "s" + "9" * 5000, "s1^" + "9" * 6):
+            with pytest.raises(BraidSyntaxError):
+                parse_braid_word(text, 2)
+        assert parse_braid_word("s001^-00002", 2).letters == (-1, -1)
+
     def test_letter_total_bounded(self, monkeypatch):
         monkeypatch.setattr(words, "MAX_PARSED_LETTERS", 4)
         assert len(parse_braid_word("s1^2 s1^-2", 2)) == 4
