@@ -222,10 +222,8 @@ def _cmd_template(args) -> int:
 
 
 def _cmd_winding(args) -> int:
-    if args.n is None:
-        raise BraidSyntaxError("a strand count is required: pass -n <strands>")
-    P = words.parse_braid_word(args.P, args.n)
-    Q = words.parse_braid_word(args.Q, args.n)
+    P = _parse_word(args.P, args.n)
+    Q = _parse_word(args.Q, args.n)
     iterates = moves.winding_iterates(P, Q, args.k)
     keys = [str(garside.super_summit_set(w)) for w in iterates]
     if args.json:

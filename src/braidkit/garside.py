@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import BraidWord, Permutation, exponent_sum, free_reduce
+from .words import BraidWord, Permutation, exponent_sum, free_reduce, invert, multiply
 
 # Permutations are handled as raw 1-based image tuples in the hot helpers.
 Perm = tuple[int, ...]
@@ -514,7 +514,5 @@ def are_conjugate(
     if hit is None:
         return False, None
     _, h = hit
-    from .words import invert, multiply
-
     g = multiply(multiply(gu, h), invert(gv))
     return True, g

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .laurent import LaurentPolynomial, PolyMatrix
+from .transverse import InternalConsistencyError
 from .words import BraidWord, closure_components, exponent_sum
 
 from . import _bracket_py
@@ -39,42 +40,38 @@ class CrossingCapExceeded(ValueError):
     """The word has more crossings than the bracket's crossing cap allows."""
 
 
-def _t(exp: int, coeff: int = 1) -> LaurentPolynomial:
-    return LaurentPolynomial.monomial(exp, coeff)
-
-
-def _burau_letter(n: int, i: int, positive: bool) -> PolyMatrix:
-    """Reduced Burau image of σᵢ^{±1} in dimension n−1."""
-    d = n - 1
-    m = [[LaurentPolynomial.one() if r == c else LaurentPolynomial.zero() for c in range(d)] for r in range(d)]
-
-    def put(r, c, poly):
-        m[r][c] = poly
-
-    j = i - 1  # 0-based row/column of the -t pivot
-    if positive:
-        put(j, j, _t(1, -1))
-        if j > 0:
-            put(j - 1, j, _t(1))
-        if j < d - 1:
-            put(j + 1, j, LaurentPolynomial.one())
-    else:
-        put(j, j, _t(-1, -1))
-        if j > 0:
-            put(j - 1, j, LaurentPolynomial.one())
-        if j < d - 1:
-            put(j + 1, j, _t(-1))
-    return PolyMatrix(tuple(tuple(r) for r in m))
-
-
 def burau_reduced(w: BraidWord) -> PolyMatrix:
-    """Product of the reduced Burau images of the letters (dimension n−1)."""
+    """Product of the reduced Burau images of the letters (dimension n−1).
+
+    Right multiplication by the image of σᵢ^{±1} changes only column
+    j = i − 1, so each letter is one column update on exponent → coefficient
+    tables: σᵢ gives t·col(j−1) − t·col(j) + col(j+1), σᵢ⁻¹ gives
+    col(j−1) − t⁻¹·col(j) + t⁻¹·col(j+1), a missing column counting as zero.
+    """
     if w.n < 2:
         raise ValueError("reduced Burau needs at least 2 strands")
-    acc = PolyMatrix.identity(w.n - 1)
+    d = w.n - 1
+    cols = [[{0: 1} if r == c else {} for r in range(d)] for c in range(d)]
+    zero = [{}] * d
     for x in w.letters:
-        acc = acc * _burau_letter(w.n, abs(x), x > 0)
-    return acc
+        j = abs(x) - 1
+        left, mid, right = (1, 1, 0) if x > 0 else (0, -1, -1)  # t-powers
+        terms = (
+            (cols[j - 1] if j > 0 else zero, left, 1),
+            (cols[j], mid, -1),
+            (cols[j + 1] if j < d - 1 else zero, right, 1),
+        )
+        new = []
+        for r in range(d):
+            entry: dict[int, int] = {}
+            for col, shift, sign in terms:
+                for e, c in col[r].items():
+                    entry[e + shift] = entry.get(e + shift, 0) + sign * c
+            new.append({e: c for e, c in entry.items() if c})
+        cols[j] = new
+    return PolyMatrix(
+        tuple(tuple(LaurentPolynomial.from_dict(cols[c][r]) for c in range(d)) for r in range(d))
+    )
 
 
 @dataclass(frozen=True)
@@ -101,8 +98,6 @@ def alexander_with_flag(w: BraidWord) -> AlexanderResult:
     try:
         quot = det.divide_exact(divisor)
     except ValueError as exc:
-        from .transverse import InternalConsistencyError
-
         raise InternalConsistencyError(f"Burau determinant not divisible: {exc}") from exc
     if closure_components(w).n_components != 1:
         return AlexanderResult(quot, False)
@@ -214,8 +209,6 @@ def jones_polynomial(w: BraidWord, max_crossings: int = DEFAULT_CROSSING_CAP) ->
     for e, c in table.items():
         shifted = e - 3 * writhe
         if shifted % 2 != 0:
-            from .transverse import InternalConsistencyError
-
             raise InternalConsistencyError("odd A-exponent after writhe correction")
         out[-shifted // 2] = out.get(-shifted // 2, 0) + sign * c
     return LaurentPolynomial.from_dict(out)

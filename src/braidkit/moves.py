@@ -21,16 +21,18 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .words import (
     BraidWord,
     conjugate,
     free_reduce,
+    json_field,
+    json_ints,
     multiply,
     rotate,
+    word_from_json,
+    word_to_json,
 )
 
 
@@ -395,15 +397,16 @@ def _diagram_to_json(d: BlockStrandDiagram) -> list:
 def _diagram_from_json(items: list, weights: tuple[int, ...], arities: dict) -> BlockStrandDiagram:
     parsed: list[Crossing | BlockSlot] = []
     for item in items:
-        if "x" in item:
-            pos, sign = item["x"]
-            parsed.append(Crossing(int(pos), int(sign)))
-        elif "b" in item:
-            entry = item["b"]
-            if isinstance(entry, str):
-                parsed.append(BlockSlot(entry, 1))
-            else:
-                parsed.append(BlockSlot(str(entry[0]), int(entry[1])))
+        if isinstance(item, dict) and "x" in item:
+            crossing = json_ints(item, "x", "crossing item")
+            if len(crossing) != 2:
+                raise ValueError(f"crossing item {item!r} must be {{'x': [pos, sign]}}")
+            parsed.append(Crossing(*crossing))
+        elif isinstance(item, dict) and "b" in item:
+            entry = [item["b"], 1] if isinstance(item["b"], str) else item["b"]
+            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], int)):
+                raise ValueError(f"block item {item!r} must be {{'b': name}} or {{'b': [name, pos]}}")
+            parsed.append(BlockSlot(str(entry[0]), entry[1]))
         else:
             raise ValueError(f"unknown template item {item!r}")
     return BlockStrandDiagram(weights, tuple(parsed), dict(arities))
@@ -423,36 +426,37 @@ def template_to_json(t: Template) -> dict:
 
 
 def template_from_json(obj: dict) -> Template:
-    arities = {str(k): int(v) for k, v in obj["blocks"].items()}
-    weights = tuple(int(x) for x in obj["weights"])
-    right_weights = tuple(int(x) for x in obj.get("right_weights", obj["weights"]))
+    """Inverse of :func:`template_to_json`; a missing or ill-typed field is a ValueError."""
+    weights = json_ints(obj, "weights", "template")
+    right_weights = json_ints(obj, "right_weights", "template") if "right_weights" in obj else weights
+    arities = json_field(obj, "blocks", dict, "template")
+    if not all(isinstance(v, int) for v in arities.values()):
+        raise ValueError("template field 'blocks' must map block names to integers")
     return Template(
-        str(obj["name"]),
-        _diagram_from_json(obj["left"], weights, arities),
-        _diagram_from_json(obj["right"], right_weights, arities),
+        json_field(obj, "name", str, "template"),
+        _diagram_from_json(json_field(obj, "left", list, "template"), weights, arities),
+        _diagram_from_json(json_field(obj, "right", list, "template"), right_weights, arities),
     )
 
 
-def destab_template(sign: int, band_weight: int = 1) -> Template:
+def destab_template(sign: int) -> Template:
     """Destabilization: remove a strand crossing the rest once with the given sign."""
     name = "destab+" if sign > 0 else "destab-"
-    left = BlockStrandDiagram(
-        (band_weight, 1, 1), (BlockSlot("P", 1), Crossing(2, sign)), {"P": 2}
-    )
-    right = BlockStrandDiagram((band_weight, 1), (BlockSlot("P", 1),), {"P": 2})
+    left = BlockStrandDiagram((1, 1, 1), (BlockSlot("P", 1), Crossing(2, sign)), {"P": 2})
+    right = BlockStrandDiagram((1, 1), (BlockSlot("P", 1),), {"P": 2})
     return Template(name, left, right)
 
 
-def exchange_template(band_weight: int = 1) -> Template:
+def exchange_template() -> Template:
     """The exchange move P·σₙ₋₁·Q·σₙ₋₁⁻¹ ↦ P·σₙ₋₁⁻¹·Q·σₙ₋₁ in template form."""
     arities = {"P": 2, "Q": 2}
     left = BlockStrandDiagram(
-        (band_weight, 1, 1),
+        (1, 1, 1),
         (BlockSlot("P", 1), Crossing(2, 1), BlockSlot("Q", 1), Crossing(2, -1)),
         arities,
     )
     right = BlockStrandDiagram(
-        (band_weight, 1, 1),
+        (1, 1, 1),
         (BlockSlot("P", 1), Crossing(2, -1), BlockSlot("Q", 1), Crossing(2, 1)),
         arities,
     )
@@ -476,22 +480,15 @@ def flype_template(eps: int) -> Template:
     return Template(name, left, right)
 
 
-_BUILTIN_FILES = {
-    "destab+": "destab_pos.json",
-    "destab-": "destab_neg.json",
-    "exchange": "exchange.json",
-    "flype+": "flype_pos.json",
-    "flype-": "flype_neg.json",
-}
-
-
 def builtin_templates() -> dict[str, Template]:
-    """The five shipped templates, loaded from their JSON wire form."""
-    out = {}
-    for name, fname in _BUILTIN_FILES.items():
-        text = resources.files("braidkit.data").joinpath(fname).read_text()
-        out[name] = template_from_json(json.loads(text))
-    return out
+    """The five shipped templates, by name."""
+    return {
+        "destab+": destab_template(1),
+        "destab-": destab_template(-1),
+        "exchange": exchange_template(),
+        "flype+": flype_template(1),
+        "flype-": flype_template(-1),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -518,26 +515,33 @@ class MoveSequence:
 
 
 def apply_move(w: BraidWord, kind: str, params: dict) -> BraidWord:
-    """Re-apply a recorded move; deterministic given the recorded parameters."""
+    """Re-apply a recorded move; deterministic given the recorded parameters.
+
+    A missing or ill-typed parameter is a ValueError naming it.
+    """
+    where = f"{kind} params"
+
+    def get(key: str) -> int:
+        return json_field(params, key, int, where)
+
     if kind == "conjugation":
-        return conjugate(w, BraidWord(w.n, tuple(params["by"])))
+        return conjugate(w, BraidWord(w.n, json_ints(params, "by", where)))
     if kind in ("stab+", "stab-"):
         return stabilize(w, 1 if kind == "stab+" else -1)
     if kind in ("destab+", "destab-"):
-        g = BraidWord(w.n, tuple(params["conjugator"]))
-        u = rotate(conjugate(w, g), params["rotation"])
+        g = BraidWord(w.n, json_ints(params, "conjugator", where))
+        u = rotate(conjugate(w, g), get("rotation"))
         top = w.n - 1
         want = top if kind == "destab+" else -top
         if not u.letters or u.letters[-1] != want or any(abs(x) == top for x in u.letters[:-1]):
             raise ValueError("recorded destabilization does not apply")
         return BraidWord(w.n - 1, u.letters[:-1])
     if kind == "exchange":
-        d = ExchangeDecomposition(params["rotation"], params["p_len"], params["sign"])
+        d = ExchangeDecomposition(get("rotation"), get("p_len"), get("sign"))
         return apply_exchange(w, d)
     if kind in ("flype+", "flype-"):
         data = FlypeData(
-            w, params["rotation"], params["p"], params["r"], params["q"],
-            1 if kind == "flype+" else -1,
+            w, get("rotation"), get("p"), get("r"), get("q"), 1 if kind == "flype+" else -1
         )
         matches = find_flype_decompositions(w)
         if not any(
@@ -561,8 +565,6 @@ def replay(seq: MoveSequence) -> BraidWord:
 
 
 def sequence_to_json(seq: MoveSequence) -> dict:
-    from .words import word_to_json
-
     return {
         "initial": word_to_json(seq.initial),
         "steps": [
@@ -573,13 +575,19 @@ def sequence_to_json(seq: MoveSequence) -> dict:
 
 
 def sequence_from_json(obj: dict) -> MoveSequence:
-    from .words import word_from_json
-
-    steps = tuple(
-        MoveStep(str(s["move"]), dict(s["params"]), word_from_json(s["result_word"]))
-        for s in obj["steps"]
-    )
-    return MoveSequence(word_from_json(obj["initial"]), steps)
+    """Inverse of :func:`sequence_to_json`; a missing or ill-typed field is a ValueError."""
+    initial = word_from_json(json_field(obj, "initial", dict, "move sequence"))
+    steps = []
+    for k, s in enumerate(json_field(obj, "steps", list, "move sequence")):
+        where = f"step {k}"
+        steps.append(
+            MoveStep(
+                json_field(s, "move", str, where),
+                dict(json_field(s, "params", dict, where)),
+                word_from_json(json_field(s, "result_word", dict, where)),
+            )
+        )
+    return MoveSequence(initial, tuple(steps))
 
 
 # ---------------------------------------------------------------------------

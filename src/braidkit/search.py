@@ -25,6 +25,7 @@ from .garside import SuperSummitCapError
 from .moves import (
     MoveSequence,
     MoveStep,
+    _simple_conjugator_words,
     apply_move,
     find_exchange_decompositions,
     find_flype_decompositions,
@@ -215,8 +216,6 @@ def scramble(
     )
     cur = w
     steps = []
-    from .moves import _simple_conjugator_words
-
     for _ in range(k):
         options = _edges(cur, bounds)
         simples = _simple_conjugator_words(cur.n)

@@ -285,5 +285,25 @@ def word_to_json(w: BraidWord) -> dict:
     return {"n": w.n, "letters": list(w.letters)}
 
 
+def json_field(obj, key: str, kind, where: str):
+    """``obj[key]`` if obj is a JSON object holding a ``kind`` there, else a ValueError
+    naming the missing or ill-typed field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise ValueError(f"{where} lacks field {key!r}")
+    if not isinstance(obj[key], kind):
+        raise ValueError(f"{where} field {key!r} must be of type {kind.__name__}")
+    return obj[key]
+
+
+def json_ints(obj, key: str, where: str) -> tuple[int, ...]:
+    """The JSON list of integers ``obj[key]`` as a tuple, else a ValueError naming the field."""
+    values = json_field(obj, key, list, where)
+    if not all(isinstance(x, int) for x in values):
+        raise ValueError(f"{where} field {key!r} must be a list of integers")
+    return tuple(values)
+
+
 def word_from_json(obj: dict) -> BraidWord:
-    return BraidWord(int(obj["n"]), tuple(int(x) for x in obj["letters"]))
+    return BraidWord(json_field(obj, "n", int, "word"), json_ints(obj, "letters", "word"))

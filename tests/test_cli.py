@@ -102,6 +102,26 @@ class TestMove:
         code, out, _ = run_capture(capsys, ["move", "--replay", str(path)])
         assert code == 0 and "replayed" in out
 
+    def test_replay_without_initial_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"steps": []}))
+        code, _, err = run_capture(capsys, ["move", "--replay", str(path)])
+        assert code == 2 and "'initial'" in err
+
+    def test_replay_step_without_result_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "seq.json"
+        step = {"move": "stab+", "params": {}}
+        path.write_text(json.dumps({"initial": {"n": 2, "letters": [1]}, "steps": [step]}))
+        code, _, err = run_capture(capsys, ["move", "--replay", str(path)])
+        assert code == 2 and "'result_word'" in err
+
+    def test_replay_destab_without_conjugator_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "seq.json"
+        step = {"move": "destab+", "params": {"rotation": 0}, "result_word": {"n": 2, "letters": [1]}}
+        path.write_text(json.dumps({"initial": {"n": 3, "letters": [1, 2]}, "steps": [step]}))
+        code, _, err = run_capture(capsys, ["move", "--replay", str(path)])
+        assert code == 2 and "'conjugator'" in err
+
 
 class TestSearch:
     def test_found_exit_zero(self, capsys):
@@ -149,6 +169,16 @@ class TestTemplate:
             ["template", "check", str(path), "--trials", "2", "--max-len", "3", "--seed", "6"],
         )
         assert code == 0
+
+    def test_check_file_without_blocks_exit_two(self, capsys, tmp_path):
+        from braidkit.moves import exchange_template, template_to_json
+
+        obj = template_to_json(exchange_template())
+        del obj["blocks"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run_capture(capsys, ["template", "check", str(path), "--seed", "1"])
+        assert code == 2 and "'blocks'" in err
 
 
 class TestWinding:

@@ -55,6 +55,36 @@ class TestBurau:
                 prod = burau_reduced(BraidWord(n, (i, -i)))
                 assert prod == PolyMatrix.identity(n - 1)
 
+    def test_burau_matches_dense_letters(self):
+        # Oracle: the dense (n−1)×(n−1) image of each letter, multiplied out.
+        # σᵢ puts −t on the diagonal at j = i−1, t above it and 1 below it;
+        # σᵢ⁻¹ puts −t⁻¹ there, 1 above and t⁻¹ below.
+        def letter(n, x):
+            d, j = n - 1, abs(x) - 1
+            entries = {(j, j): (1, -1), (j - 1, j): (1, 1), (j + 1, j): (0, 1)}
+            if x < 0:
+                entries = {(j, j): (-1, -1), (j - 1, j): (0, 1), (j + 1, j): (-1, 1)}
+            rows = [
+                [LaurentPolynomial.one() if r == c else LaurentPolynomial.zero() for c in range(d)]
+                for r in range(d)
+            ]
+            for (r, c), (e, k) in entries.items():
+                if 0 <= r < d:
+                    rows[r][c] = LaurentPolynomial.monomial(e, k)
+            return PolyMatrix(rows)
+
+        rng = random.Random(41)
+        signs = set()
+        for _ in range(120):
+            n = rng.randint(2, 7)
+            w = random_word(rng, n, 12)
+            signs.update(x > 0 for x in w.letters)
+            dense = PolyMatrix.identity(n - 1)
+            for x in w.letters:
+                dense = dense * letter(n, x)
+            assert burau_reduced(w) == dense, w
+        assert signs == {True, False}
+
 
 class TestAlexander:
     def test_unknot(self):

@@ -11,6 +11,7 @@ from braidkit.moves import (
     Crossing,
     MoveSequence,
     MoveStep,
+    Template,
     apply_exchange,
     apply_flype,
     apply_move,
@@ -342,8 +343,15 @@ class TestTemplates:
     def test_json_round_trip(self):
         for t in builtin_templates().values():
             assert template_from_json(template_to_json(t)) == t
-        wide = destab_template(1, band_weight=3)
-        assert template_from_json(template_to_json(wide)) == wide
+        # a weighted band and unequal sides, so "right_weights" is written and read back
+        wide = Template(
+            "wide-destab",
+            BlockStrandDiagram((3, 1, 1), (BlockSlot("P", 1), Crossing(2, 1)), {"P": 2}),
+            BlockStrandDiagram((3, 1), (BlockSlot("P", 1),), {"P": 2}),
+        )
+        obj = template_to_json(wide)
+        assert obj["right_weights"] == [3, 1]
+        assert template_from_json(obj) == wide
 
     def test_mismatched_blocks_rejected(self):
         from braidkit.moves import Template
