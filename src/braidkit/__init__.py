@@ -67,6 +67,7 @@ from .words import (
     ComponentPartition,
     CrossingRecord,
     Permutation,
+    ResourceLimitError,
     closure_components,
     conjugate,
     crossing_records,

@@ -5,6 +5,8 @@ These are the coefficient rings of the topological-equality oracles: the
 reduced Burau representation lives in matrices over ℤ[t, t⁻¹], and the
 Kauffman bracket / Jones polynomial are elements of ℤ[A, A⁻¹] and
 ℤ[q, q⁻¹].  Everything is exact; there is no floating point anywhere.
+Determinants use fraction-free (Bareiss) elimination, polynomial in the
+dimension; the tests keep the cofactor expansion as the oracle.
 """
 
 from __future__ import annotations
@@ -190,18 +192,34 @@ class PolyMatrix:
         )
 
     def determinant(self) -> LaurentPolynomial:
-        """Cofactor expansion; dimensions here are at most braid index − 1."""
-        d = self.dim
+        """Fraction-free (Bareiss) elimination: O(d³) exact ring operations.
+
+        Step k replaces a[i][j] by (p·a[i][j] − a[i][k]·a[k][j]) / p_prev for
+        i, j > k, where p = a[k][k] and p_prev is the previous step's pivot
+        (1 at step 0, where the division is skipped).  Sylvester's identity
+        makes every division exact, so the entries stay in ℤ[t, t⁻¹].  A zero
+        pivot is replaced by a later row (flipping the sign); a zero pivot
+        column means the determinant is 0.  The cofactor expansion is the
+        test oracle.
+        """
+        a = [list(r) for r in self.rows]
+        d = len(a)
         if d == 0:
             return LaurentPolynomial.one()
-        if d == 1:
-            return self.rows[0][0]
-        acc = LaurentPolynomial.zero()
-        for j in range(d):
-            entry = self.rows[0][j]
-            if entry.is_zero():
-                continue
-            minor = PolyMatrix(tuple(tuple(r[k] for k in range(d) if k != j) for r in self.rows[1:]))
-            term = entry * minor.determinant()
-            acc = acc + (term if j % 2 == 0 else -term)
-        return acc
+        negate = False
+        prev = None
+        for k in range(d - 1):
+            if a[k][k].is_zero():
+                swap = next((i for i in range(k + 1, d) if not a[i][k].is_zero()), None)
+                if swap is None:
+                    return LaurentPolynomial.zero()
+                a[k], a[swap] = a[swap], a[k]
+                negate = not negate
+            p = a[k][k]
+            for i in range(k + 1, d):
+                for j in range(k + 1, d):
+                    x = p * a[i][j] - a[i][k] * a[k][j]
+                    a[i][j] = x if prev is None else x.divide_exact(prev)
+            prev = p
+        det = a[d - 1][d - 1]
+        return -det if negate else det

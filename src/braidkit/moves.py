@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from .words import (
     BraidWord,
+    ResourceLimitError,
     conjugate,
     free_reduce,
     json_field,
@@ -72,13 +73,23 @@ class DestabResult:
     rotation: int
 
 
+# Largest strand count whose n! − 1 simple elements are enumerated (8! − 1 = 40 319).
+MAX_SIMPLE_STRANDS = 8
+
+
 @functools.lru_cache(maxsize=8)
 def _simple_conjugator_words(n: int) -> tuple[BraidWord, ...]:
     """Words of the nontrivial permutation braids, shortest first.
 
     The package's one enumeration of the n! − 1 simple elements; built once
-    per strand count.
+    per strand count.  Above :data:`MAX_SIMPLE_STRANDS` strands it raises
+    :class:`ResourceLimitError` before building anything.
     """
+    if n > MAX_SIMPLE_STRANDS:
+        raise ResourceLimitError(
+            f"enumerating the {n}! - 1 simple braids on {n} strands exceeds the bound of "
+            f"{MAX_SIMPLE_STRANDS} strands (MAX_SIMPLE_STRANDS)"
+        )
     from .garside import _perm_word
 
     perms = [p for p in itertools.permutations(range(1, n + 1)) if p != tuple(range(1, n + 1))]
@@ -91,7 +102,9 @@ def try_destabilize(w: BraidWord, search_depth: int = 2) -> DestabResult | None:
 
     The search is bounded: cyclic permutations always, plus conjugation by
     up to ``search_depth`` permutation braids.  An empty result is not a
-    proof that the closure cannot be destabilized.
+    proof that the closure cannot be destabilized.  Conjugating needs the
+    simple elements, so above :data:`MAX_SIMPLE_STRANDS` strands a word that
+    no cyclic permutation destabilizes raises :class:`ResourceLimitError`.
     """
     if w.n < 2:
         raise ValueError("destabilization needs at least 2 strands")
@@ -112,7 +125,7 @@ def try_destabilize(w: BraidWord, search_depth: int = 2) -> DestabResult | None:
         return found
     seen = {start.letters}
     frontier = [(start, g0)]
-    simples = _simple_conjugator_words(w.n)
+    simples = _simple_conjugator_words(w.n) if search_depth > 0 else ()
     for _ in range(search_depth):
         next_frontier: list[tuple[BraidWord, BraidWord]] = []
         for cand, g in frontier:

@@ -204,7 +204,8 @@ def scramble(
     """Apply k seeded random legal moves; returns the result and the ground truth.
 
     Conjugation counts as a move here (it is one of the closed-braid moves),
-    realized by a random permutation-braid conjugator.
+    realized by a random permutation-braid conjugator, so a word above
+    ``moves.MAX_SIMPLE_STRANDS`` strands raises ``ResourceLimitError``.
     """
     if k < 0:
         raise ValueError("k must be >= 0")

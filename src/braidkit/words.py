@@ -25,6 +25,10 @@ class BraidSyntaxError(ValueError):
     """Raised when a braid word string does not conform to the grammar."""
 
 
+class ResourceLimitError(ValueError):
+    """Raised before work whose size would exceed a documented bound."""
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A word in the Artin generators of the n-strand braid group.

@@ -80,6 +80,11 @@ class TestMove:
         code, out, _ = run_capture(capsys, ["move", "destab", "s2 s1", "-n", "3"])
         assert code == 0 and out.strip() == "s1"
 
+    def test_destab_above_simple_bound_exit_two(self, capsys):
+        # 12! − 1 simple conjugators would be enumerated; the bound stops it first.
+        code, _, err = run_capture(capsys, ["move", "destab", "s1 s2", "-n", "12"])
+        assert code == 2 and "bound of 8 strands" in err
+
     def test_replay_round_trip(self, capsys, tmp_path):
         code, out, _ = run_capture(
             capsys,

@@ -15,7 +15,15 @@ from braidkit.invariants import (
 )
 from braidkit.laurent import LaurentPolynomial, PolyMatrix
 from braidkit.moves import builtin_templates, flype_template, stabilize
-from braidkit.words import BraidWord, conjugate, mirror, multiply, parse_braid_word
+from braidkit.words import (
+    BraidWord,
+    closure_components,
+    conjugate,
+    mirror,
+    multiply,
+    parse_braid_word,
+    rotate,
+)
 
 TX_PLUS = parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3)
 TX_MINUS = parse_braid_word("s1^5 s2^-1 s1^6 s2^4", 3)
@@ -124,6 +132,21 @@ class TestAlexander:
     def test_split_link_vanishes(self):
         res = alexander_with_flag(BraidWord(2))
         assert res.polynomial.is_zero() and not res.normalized
+
+    @pytest.mark.parametrize("n,length", [(10, 120), (12, 150)])
+    def test_dense_wide_words_finish(self, n, length):
+        # The cofactor expansion needs up to (n−1)! products here; elimination
+        # is polynomial in n.
+        rng = random.Random(n)
+        alphabet = [i for i in range(1 - n, n) if i != 0]
+        w = BraidWord(n, tuple(rng.choice(alphabet) for _ in range(length)))
+        assert {abs(x) for x in w.letters} == set(range(1, n))
+        res = alexander_with_flag(w)
+        assert alexander_with_flag(rotate(w, length // 3)) == res
+        # Δ(1) is ±1 for a knot and 0 for a link of several components.
+        knot = closure_components(w).n_components == 1
+        assert res.normalized == knot
+        assert sum(c for _, c in res.polynomial.terms) in ((1, -1) if knot else (0,))
 
 
 class TestBracketJones:

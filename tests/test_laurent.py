@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from braidkit.invariants import burau_reduced
 from braidkit.laurent import LaurentPolynomial, PolyMatrix
+from braidkit.words import BraidWord
 
 
 def L(coeffs):
@@ -11,6 +13,34 @@ def L(coeffs):
 
 def random_poly(rng, span=4, terms=4):
     return L({rng.randint(-span, span): rng.randint(-5, 5) for _ in range(terms)})
+
+
+def random_word(rng, n, max_len):
+    alphabet = [i for i in range(1 - n, n) if i != 0]
+    return BraidWord(n, tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_len))))
+
+
+def cofactor_determinant(m):
+    """Oracle: Laplace expansion along the first row, O(d!) ring operations."""
+    d = m.dim
+    if d == 0:
+        return LaurentPolynomial.one()
+    if d == 1:
+        return m.rows[0][0]
+    acc = LaurentPolynomial.zero()
+    for j in range(d):
+        entry = m.rows[0][j]
+        if entry.is_zero():
+            continue
+        minor = PolyMatrix(tuple(tuple(r[k] for k in range(d) if k != j) for r in m.rows[1:]))
+        term = entry * cofactor_determinant(minor)
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
+def permutation_sign(perm):
+    inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+    return -1 if inversions % 2 else 1
 
 
 class TestArithmetic:
@@ -122,3 +152,70 @@ class TestPolyMatrix:
             a = PolyMatrix(tuple(tuple(random_poly(rng, 1, 2) for _ in range(3)) for _ in range(3)))
             b = PolyMatrix(tuple(tuple(random_poly(rng, 1, 2) for _ in range(3)) for _ in range(3)))
             assert (a * b).determinant() == a.determinant() * b.determinant()
+
+    def test_determinant_matches_cofactor_on_burau(self):
+        rng = random.Random(36)
+        empty = [BraidWord(n) for n in range(2, 10)]  # ψ = I, so det 0
+        for w in empty + [random_word(rng, rng.randint(2, 9), 30) for _ in range(200)]:
+            m = burau_reduced(w) - PolyMatrix.identity(w.n - 1)
+            assert m.determinant() == cofactor_determinant(m), w
+
+    def test_determinant_matches_cofactor_on_every_pivot_path(self):
+        # Each kind forces one path of the elimination: a zero leading entry
+        # (row swap, sign flip), a zero pivot later on (a leading 2×2 minor
+        # that vanishes), a zero pivot column, equal rows, and permutations.
+        rng = random.Random(37)
+        zero = LaurentPolynomial.zero()
+
+        def sparse_poly():
+            return zero if rng.random() < 0.3 else random_poly(rng, 2, 2)
+
+        for d in range(7):
+            for kind in ("random", "zero_lead", "zero_minor", "zero_column", "equal_rows", "perm"):
+                for _ in range(4):
+                    rows = [[sparse_poly() for _ in range(d)] for _ in range(d)]
+                    if kind == "zero_lead" and d:
+                        rows[0][0] = zero
+                    elif kind == "zero_minor" and d >= 2:
+                        c = random_poly(rng, 1, 2)
+                        rows[1][0], rows[1][1] = c * rows[0][0], c * rows[0][1]
+                    elif kind == "zero_column" and d:
+                        col = rng.randrange(d)
+                        for r in rows:
+                            r[col] = zero
+                    elif kind == "equal_rows" and d >= 2:
+                        i, j = rng.sample(range(d), 2)
+                        rows[j] = list(rows[i])
+                    elif kind == "perm":
+                        perm = list(range(d))
+                        rng.shuffle(perm)
+                        rows = [
+                            [LaurentPolynomial.one() if c == perm[r] else zero for c in range(d)]
+                            for r in range(d)
+                        ]
+                    m = PolyMatrix(tuple(tuple(r) for r in rows))
+                    det = m.determinant()
+                    assert det == cofactor_determinant(m), (kind, m)
+                    if kind == "perm":
+                        assert det == LaurentPolynomial.monomial(0, permutation_sign(perm))
+                    elif kind in ("zero_column", "equal_rows") and d >= 2:
+                        assert det.is_zero()
+
+    def test_determinant_matches_sympy_berkowitz(self):
+        # An independent algorithm: multiply the matrix by t^k so that every
+        # entry is an ordinary polynomial, then det scales by t^(k·d).
+        import sympy
+
+        t = sympy.Symbol("t")
+        rng = random.Random(38)
+        for _ in range(30):
+            w = random_word(rng, rng.randint(3, 7), 20)
+            m = burau_reduced(w) - PolyMatrix.identity(w.n - 1)
+            d = m.dim
+            k = max([0] + [-p.min_exp for r in m.rows for p in r if not p.is_zero()])
+            sym = sympy.Matrix(
+                d, d, lambda i, j: sum(c * t ** (e + k) for e, c in m.rows[i][j].terms)
+            )
+            expected = sympy.Poly(sym.det(method="berkowitz"), t)
+            got = {e + k * d: c for e, c in m.determinant().terms}
+            assert got == {e: int(c) for (e,), c in expected.terms() if c}, w

@@ -5,6 +5,7 @@ import pytest
 
 from braidkit.garside import are_conjugate, super_summit_set
 from braidkit.invariants import jones_polynomial
+from braidkit import moves
 from braidkit.moves import (
     BlockSlot,
     BlockStrandDiagram,
@@ -36,6 +37,7 @@ from braidkit.moves import (
 from braidkit.transverse import self_linking
 from braidkit.words import (
     BraidWord,
+    ResourceLimitError,
     closure_components,
     exponent_sum,
     parse_braid_word,
@@ -88,6 +90,19 @@ class TestDestabilize:
     def test_trivial_strand(self):
         found = try_destabilize(BraidWord(2, (1,)))
         assert found is not None and found.word == BraidWord(1)
+
+    def test_simple_enumeration_bounded(self, monkeypatch):
+        # Lowering the bound to 3 strands checks it without allocating n! words.
+        monkeypatch.setattr(moves, "MAX_SIMPLE_STRANDS", 3)
+        moves._simple_conjugator_words.cache_clear()
+        assert len(moves._simple_conjugator_words(3)) == 5
+        with pytest.raises(ResourceLimitError, match="bound of 3 strands"):
+            moves._simple_conjugator_words(4)
+        with pytest.raises(ResourceLimitError):
+            try_destabilize(BraidWord(4, (1,)))
+        # a cyclic permutation finds this one without conjugating
+        assert try_destabilize(BraidWord(4, (1, 3))).word == BraidWord(3, (1,))
+        assert try_destabilize(BraidWord(4, (1,)), search_depth=0) is None
 
     def test_witness_replays(self):
         rng = random.Random(51)

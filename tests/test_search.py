@@ -3,6 +3,7 @@ import random
 import pytest
 
 from braidkit.garside import are_conjugate
+from braidkit import moves
 from braidkit.moves import replay
 from braidkit.search import (
     TRANSVERSE,
@@ -11,7 +12,7 @@ from braidkit.search import (
     scramble,
 )
 from braidkit.transverse import self_linking
-from braidkit.words import BraidWord, parse_braid_word
+from braidkit.words import BraidWord, ResourceLimitError, parse_braid_word
 
 BOUNDS = SearchBounds(max_strands=5, max_word_length=24, max_nodes=10_000)
 
@@ -93,6 +94,12 @@ class TestScramble:
             w = random_word(rng, rng.randint(2, 4), 8)
             out, seq = scramble(w, 5, rng.randrange(1 << 30), move_set=TRANSVERSE)
             assert self_linking(out) == self_linking(w)
+
+    def test_simple_enumeration_bounded(self, monkeypatch):
+        monkeypatch.setattr(moves, "MAX_SIMPLE_STRANDS", 3)
+        moves._simple_conjugator_words.cache_clear()
+        with pytest.raises(ResourceLimitError, match="bound of 3 strands"):
+            scramble(BraidWord(4, (1, 2, 1, 2)), 1, 0)
 
     def test_deterministic_for_seed(self):
         w = BraidWord(3, (1, 2, -1))
