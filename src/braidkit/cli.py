@@ -127,9 +127,10 @@ def _cmd_move(args) -> int:
     if kind in ("stab+", "stab-"):
         result = moves.stabilize(w, 1 if kind == "stab+" else -1)
     elif kind == "destab":
-        found = moves.try_destabilize(w, search_depth=args.depth)
+        found = moves.try_destabilize(w)
         if found is None:
-            print("no destabilization found within the search depth", file=sys.stderr)
+            print(f"no destabilization: no single s{w.n - 1} once cyclically reduced",
+                  file=sys.stderr)
             return 1
         result = found.word
     elif kind == "exchange":
@@ -137,6 +138,9 @@ def _cmd_move(args) -> int:
         if not decs:
             print("no exchange decomposition", file=sys.stderr)
             return 1
+        if not 0 <= args.index < len(decs):
+            raise BraidSyntaxError(f"--index must be in 0..{len(decs) - 1}: the word has "
+                                   f"{len(decs)} exchange decompositions")
         result = moves.apply_exchange(w, decs[args.index])
     elif kind == "flype":
         data = moves.match_flype_3braid(w)
@@ -457,7 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", nargs="?", choices=["stab+", "stab-", "destab", "exchange", "flype"])
     p.add_argument("word", nargs="?")
     p.add_argument("--replay", metavar="FILE", help="replay a MoveSequence JSON file")
-    p.add_argument("--depth", type=int, default=2, help="destabilization search depth")
     p.add_argument("--index", type=int, default=0, help="which exchange decomposition")
     p.set_defaults(func=_cmd_move)
 

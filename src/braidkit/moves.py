@@ -19,7 +19,6 @@ exchange, flype+, flype-.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -30,7 +29,6 @@ from .words import (
     free_reduce,
     json_field,
     json_ints,
-    multiply,
     rotate,
     word_from_json,
     word_to_json,
@@ -49,19 +47,21 @@ def stabilize(w: BraidWord, sign: int) -> BraidWord:
 
 
 def cyclic_free_reduce(w: BraidWord) -> tuple[BraidWord, BraidWord]:
-    """Freely and cyclically reduce; returns (reduced word, conjugator used)."""
-    u = BraidWord(w.n, free_reduce(w.letters))
-    g = BraidWord(w.n)
-    while u.letters and u.letters[0] == -u.letters[-1]:
-        step = BraidWord(w.n, (u.letters[0],))
-        u = conjugate(u, step)
-        g = multiply(g, step)
-    return u, g
+    """Freely and cyclically reduce; returns (reduced word u, conjugator g).
+
+    With r = free_reduce(w) and k the number of end pairs r[i] = −r[−1−i]
+    stripped, u = r[k:len−k] and g = r[:k], so ``conjugate(w, g) == u``.
+    """
+    r = free_reduce(w.letters)
+    k = 0
+    while k < len(r) - 1 - k and r[k] == -r[-1 - k]:
+        k += 1
+    return BraidWord(w.n, r[k : len(r) - k]), BraidWord(w.n, r[:k])
 
 
 @dataclass(frozen=True)
 class DestabResult:
-    """A destabilization found by bounded search.
+    """A destabilization of a word.
 
     ``rotate(conjugate(input, conjugator), rotation)`` equals
     ``word + σₙ₋₁^{sign}`` letter for letter.
@@ -73,74 +73,27 @@ class DestabResult:
     rotation: int
 
 
-# Largest strand count whose n! − 1 simple elements are enumerated (8! − 1 = 40 319).
-MAX_SIMPLE_STRANDS = 8
+def try_destabilize(w: BraidWord) -> DestabResult | None:
+    """Read w as P·σₙ₋₁^{±1}, P on n−1 strands, up to cyclic reduction.
 
-
-@functools.lru_cache(maxsize=8)
-def _simple_conjugator_words(n: int) -> tuple[BraidWord, ...]:
-    """Words of the nontrivial permutation braids, shortest first.
-
-    The package's one enumeration of the n! − 1 simple elements; built once
-    per strand count.  Above :data:`MAX_SIMPLE_STRANDS` strands it raises
-    :class:`ResourceLimitError` before building anything.
-    """
-    if n > MAX_SIMPLE_STRANDS:
-        raise ResourceLimitError(
-            f"enumerating the {n}! - 1 simple braids on {n} strands exceeds the bound of "
-            f"{MAX_SIMPLE_STRANDS} strands (MAX_SIMPLE_STRANDS)"
-        )
-    from .garside import _perm_word
-
-    perms = [p for p in itertools.permutations(range(1, n + 1)) if p != tuple(range(1, n + 1))]
-    words = [BraidWord(n, _perm_word(p)) for p in perms]
-    return tuple(sorted(words, key=lambda w: (len(w.letters), w.letters)))
-
-
-def try_destabilize(w: BraidWord, search_depth: int = 2) -> DestabResult | None:
-    """Search conjugates of w for the form P·σₙ₋₁^{±1} with P on n−1 strands.
-
-    The search is bounded: cyclic permutations always, plus conjugation by
-    up to ``search_depth`` permutation braids.  An empty result is not a
-    proof that the closure cannot be destabilized.  Conjugating needs the
-    simple elements, so above :data:`MAX_SIMPLE_STRANDS` strands a word that
-    no cyclic permutation destabilizes raises :class:`ResourceLimitError`.
+    The rule: w destabilizes exactly when its cyclic reduction u has one
+    σₙ₋₁^{±1} letter; the result is the rotation of u ending in it.  Words
+    are only freely reduced, never rewritten by braid relations, and in a
+    free group a cyclically reduced conjugate of a cyclically reduced word
+    is a rotation of it (Lyndon & Schupp, Ch. I), which keeps that letter
+    count: conjugating first finds nothing more.  So ``None`` is no proof
+    that the closure cannot be destabilized.
     """
     if w.n < 2:
         raise ValueError("destabilization needs at least 2 strands")
-    top = w.n - 1
-
-    def check(u: BraidWord, g: BraidWord) -> DestabResult | None:
-        hits = [j for j, x in enumerate(u.letters) if abs(x) == top]
-        if len(hits) != 1:
-            return None
-        r = (hits[0] + 1) % len(u.letters)
-        u_rot = rotate(u, r)
-        sign = 1 if u_rot.letters[-1] > 0 else -1
-        return DestabResult(BraidWord(w.n - 1, u_rot.letters[:-1]), sign, g, r)
-
-    start, g0 = cyclic_free_reduce(w)
-    found = check(start, g0)
-    if found is not None:
-        return found
-    seen = {start.letters}
-    frontier = [(start, g0)]
-    simples = _simple_conjugator_words(w.n) if search_depth > 0 else ()
-    for _ in range(search_depth):
-        next_frontier: list[tuple[BraidWord, BraidWord]] = []
-        for cand, g in frontier:
-            for s in simples:
-                u, g_red = cyclic_free_reduce(conjugate(cand, s))
-                if u.letters in seen:
-                    continue
-                seen.add(u.letters)
-                g_total = multiply(multiply(g, s), g_red)
-                found = check(u, g_total)
-                if found is not None:
-                    return found
-                next_frontier.append((u, g_total))
-        frontier = next_frontier
-    return None
+    u, g = cyclic_free_reduce(w)
+    hits = [j for j, x in enumerate(u.letters) if abs(x) == w.n - 1]
+    if len(hits) != 1:
+        return None
+    r = (hits[0] + 1) % len(u.letters)
+    u = rotate(u, r)
+    sign = 1 if u.letters[-1] > 0 else -1
+    return DestabResult(BraidWord(w.n - 1, u.letters[:-1]), sign, g, r)
 
 
 @dataclass(frozen=True)
@@ -607,6 +560,10 @@ def sequence_from_json(obj: dict) -> MoveSequence:
 # Exchange-move winding
 
 
+# Most block words V a winding step tries per sign (criterion 10 needs 85).
+MAX_WINDING_BLOCK_WORDS = 10_000
+
+
 def _block_words(n: int, max_len: int):
     """All words on n strands of length ≤ max_len, by (length, letters)."""
     alphabet = [i for i in range(1 - n, n) if i != 0]
@@ -630,7 +587,8 @@ def winding_iterates(
     max of the two block lengths), and applies the exchange whose result
     leaves every class seen so far; when no fresh class is exposed it falls
     back to a plain toggle.  Each step is a conjugation followed by one
-    exchange move, so every iterate closes to the same link.
+    exchange move, so every iterate closes to the same link.  More than
+    :data:`MAX_WINDING_BLOCK_WORDS` blocks V raise :class:`ResourceLimitError`.
     """
     if P.n != Q.n:
         raise ValueError("P and Q must live in the same braid group")
@@ -641,6 +599,14 @@ def winding_iterates(
     n = P.n + 1
     top = n - 1
     vmax = block_search_len if block_search_len is not None else max(len(P), len(Q), 1)
+    blocks, layer = 0, 1
+    for _ in range(vmax + 1):
+        blocks, layer = blocks + layer, layer * (2 * P.n - 2)
+        if blocks > MAX_WINDING_BLOCK_WORDS:
+            raise ResourceLimitError(
+                f"blocks of up to {vmax} letters on {P.n} strands are more than "
+                f"{MAX_WINDING_BLOCK_WORDS} block words (MAX_WINDING_BLOCK_WORDS)"
+            )
     w0 = BraidWord(n, free_reduce(P.letters + (top,) + Q.letters + (-top,)))
     out = [w0]
     if not w0.letters:

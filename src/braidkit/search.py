@@ -17,6 +17,8 @@ evidence, never a disproof.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -25,13 +27,12 @@ from .garside import SuperSummitCapError
 from .moves import (
     MoveSequence,
     MoveStep,
-    _simple_conjugator_words,
     apply_move,
     find_exchange_decompositions,
     find_flype_decompositions,
     try_destabilize,
 )
-from .words import BraidWord, free_reduce
+from .words import BraidWord, ResourceLimitError, free_reduce
 
 TOPOLOGICAL = "topological"
 TRANSVERSE = "transverse"
@@ -194,6 +195,28 @@ def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> Searc
     return SearchResult("exhausted", stats)
 
 
+# Largest strand count whose n! − 1 simple elements are enumerated (8! − 1 = 40 319).
+MAX_SIMPLE_STRANDS = 8
+
+
+@functools.lru_cache(maxsize=8)
+def _simple_conjugator_words(n: int) -> tuple[BraidWord, ...]:
+    """Words of the n! − 1 nontrivial permutation braids, shortest first.
+
+    The conjugators :func:`scramble` draws from, built once per strand
+    count; above :data:`MAX_SIMPLE_STRANDS` strands it raises
+    :class:`ResourceLimitError` before building anything.
+    """
+    if n > MAX_SIMPLE_STRANDS:
+        raise ResourceLimitError(
+            f"enumerating the {n}! - 1 simple braids on {n} strands exceeds the bound of "
+            f"{MAX_SIMPLE_STRANDS} strands (MAX_SIMPLE_STRANDS)"
+        )
+    perms = [p for p in itertools.permutations(range(1, n + 1)) if p != tuple(range(1, n + 1))]
+    words = [BraidWord(n, garside._perm_word(p)) for p in perms]
+    return tuple(sorted(words, key=lambda w: (len(w.letters), w.letters)))
+
+
 def scramble(
     w: BraidWord,
     k: int,
@@ -205,7 +228,7 @@ def scramble(
 
     Conjugation counts as a move here (it is one of the closed-braid moves),
     realized by a random permutation-braid conjugator, so a word above
-    ``moves.MAX_SIMPLE_STRANDS`` strands raises ``ResourceLimitError``.
+    ``search.MAX_SIMPLE_STRANDS`` strands raises ``ResourceLimitError``.
     """
     if k < 0:
         raise ValueError("k must be >= 0")

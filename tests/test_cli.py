@@ -80,10 +80,23 @@ class TestMove:
         code, out, _ = run_capture(capsys, ["move", "destab", "s2 s1", "-n", "3"])
         assert code == 0 and out.strip() == "s1"
 
-    def test_destab_above_simple_bound_exit_two(self, capsys):
-        # 12! − 1 simple conjugators would be enumerated; the bound stops it first.
-        code, _, err = run_capture(capsys, ["move", "destab", "s1 s2", "-n", "12"])
-        assert code == 2 and "bound of 8 strands" in err
+    def test_destab_above_simple_bound(self, capsys):
+        # Destabilizing enumerates no simple conjugators, so 12 strands is fine.
+        code, _, _ = run_capture(capsys, ["move", "destab", "s1 s2", "-n", "12"])
+        assert code == 1
+        code, out, _ = run_capture(capsys, ["move", "destab", "s1 s11", "-n", "12"])
+        assert code == 0 and out.strip() == "s1"
+
+    def test_exchange_index_out_of_range_exit_two(self, capsys):
+        for index in ("5", "-1"):
+            code, _, err = run_capture(
+                capsys, ["move", "exchange", "s1 s2 s1 s2^-1", "-n", "3", "--index", index]
+            )
+            assert code == 2 and "has 2 exchange decompositions" in err
+
+    def test_depth_option_removed_exit_two(self, capsys):
+        code, _, _ = run_capture(capsys, ["move", "destab", "s2 s1", "-n", "3", "--depth", "2"])
+        assert code == 2
 
     def test_replay_round_trip(self, capsys, tmp_path):
         code, out, _ = run_capture(
@@ -190,6 +203,11 @@ class TestWinding:
     def test_distinct_classes_reported(self, capsys):
         code, out, _ = run_capture(capsys, ["winding", "s1", "s1", "1", "-n", "3"])
         assert code == 0 and "distinct conjugacy classes" in out
+
+    def test_long_block_exit_two(self, capsys):
+        # about 4^20 block words; rejected before any is built
+        code, _, err = run_capture(capsys, ["winding", "s1 s2^-1 " * 10, "s1", "1", "-n", "3"])
+        assert code == 2 and "MAX_WINDING_BLOCK_WORDS" in err
 
 
 class TestNormalFormJson:

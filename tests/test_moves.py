@@ -2,14 +2,17 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidkit.garside import are_conjugate, super_summit_set
+from braidkit.garside import are_conjugate, left_normal_form, super_summit_set
 from braidkit.invariants import jones_polynomial
-from braidkit import moves
+from braidkit import moves, search
 from braidkit.moves import (
     BlockSlot,
     BlockStrandDiagram,
     Crossing,
+    DestabResult,
     MoveSequence,
     MoveStep,
     Template,
@@ -17,6 +20,7 @@ from braidkit.moves import (
     apply_flype,
     apply_move,
     builtin_templates,
+    cyclic_free_reduce,
     destab_template,
     exchange_template,
     expand_weights,
@@ -39,7 +43,10 @@ from braidkit.words import (
     BraidWord,
     ResourceLimitError,
     closure_components,
+    conjugate,
     exponent_sum,
+    free_reduce,
+    multiply,
     parse_braid_word,
     rotate,
     underlying_permutation,
@@ -78,6 +85,81 @@ class TestStabilize:
                 assert (exponent_sum(s) - exponent_sum(w), s.n - w.n) == (sign, 1)
 
 
+def depth_search_oracle(w: BraidWord) -> DestabResult | None:
+    """The former breadth-first destabilization search: cyclic permutations,
+    then conjugation by up to two permutation braids."""
+    top = w.n - 1
+
+    def check(u: BraidWord, g: BraidWord) -> DestabResult | None:
+        hits = [j for j, x in enumerate(u.letters) if abs(x) == top]
+        if len(hits) != 1:
+            return None
+        r = (hits[0] + 1) % len(u.letters)
+        u_rot = rotate(u, r)
+        sign = 1 if u_rot.letters[-1] > 0 else -1
+        return DestabResult(BraidWord(w.n - 1, u_rot.letters[:-1]), sign, g, r)
+
+    start, g0 = cyclic_free_reduce(w)
+    found = check(start, g0)
+    if found is not None:
+        return found
+    seen = {start.letters}
+    frontier = [(start, g0)]
+    simples = search._simple_conjugator_words(w.n)
+    for _ in range(2):
+        next_frontier = []
+        for cand, g in frontier:
+            for s in simples:
+                u, g_red = cyclic_free_reduce(conjugate(cand, s))
+                if u.letters in seen:
+                    continue
+                seen.add(u.letters)
+                g_total = multiply(multiply(g, s), g_red)
+                found = check(u, g_total)
+                if found is not None:
+                    return found
+                next_frontier.append((u, g_total))
+        frontier = next_frontier
+    return None
+
+
+def is_cyclically_reduced(u: BraidWord) -> bool:
+    ls = u.letters
+    return free_reduce(ls) == ls and (len(ls) < 2 or ls[0] != -ls[-1])
+
+
+@st.composite
+def words_and_conjugators(draw):
+    n = draw(st.integers(2, 5))
+    letter = st.sampled_from([i for i in range(1 - n, n) if i != 0])
+    u = BraidWord(n, tuple(draw(st.lists(letter, max_size=12))))
+    g = BraidWord(n, tuple(draw(st.lists(letter, max_size=8))))
+    return u, g
+
+
+class TestCyclicFreeReduce:
+    def test_reduces_by_a_prefix_conjugator(self):
+        rng = random.Random(53)
+        for _ in range(500):
+            w = random_word(rng, rng.randint(2, 5), 16)
+            if rng.random() < 0.5:
+                g = random_word(rng, w.n, 5)
+                w = BraidWord(w.n, tuple(-x for x in reversed(g.letters)) + w.letters + g.letters)
+            u, g = cyclic_free_reduce(w)
+            assert conjugate(w, g) == u
+            assert is_cyclically_reduced(u)
+            assert free_reduce(w.letters)[: len(g)] == g.letters
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(words_and_conjugators())
+    def test_conjugate_of_reduced_word_is_a_rotation(self, pair):
+        # Free-group lemma: a cyclically reduced conjugate of a cyclically
+        # reduced word is a cyclic permutation of it.
+        u, _ = cyclic_free_reduce(pair[0])
+        v, _ = cyclic_free_reduce(conjugate(u, pair[1]))
+        assert v in {rotate(u, r) for r in range(max(len(u), 1))}
+
+
 class TestDestabilize:
     def test_literal_match(self):
         found = try_destabilize(BraidWord(3, (1, 2)))
@@ -92,17 +174,30 @@ class TestDestabilize:
         assert found is not None and found.word == BraidWord(1)
 
     def test_simple_enumeration_bounded(self, monkeypatch):
-        # Lowering the bound to 3 strands checks it without allocating n! words.
-        monkeypatch.setattr(moves, "MAX_SIMPLE_STRANDS", 3)
-        moves._simple_conjugator_words.cache_clear()
-        assert len(moves._simple_conjugator_words(3)) == 5
-        with pytest.raises(ResourceLimitError, match="bound of 3 strands"):
-            moves._simple_conjugator_words(4)
-        with pytest.raises(ResourceLimitError):
-            try_destabilize(BraidWord(4, (1,)))
-        # a cyclic permutation finds this one without conjugating
-        assert try_destabilize(BraidWord(4, (1, 3))).word == BraidWord(3, (1,))
-        assert try_destabilize(BraidWord(4, (1,)), search_depth=0) is None
+        # Destabilizing never enumerates simple elements, so no strand bound applies.
+        def no_simples(n):
+            raise AssertionError("try_destabilize built the simple elements")
+
+        monkeypatch.setattr(search, "_simple_conjugator_words", no_simples)
+        assert try_destabilize(BraidWord(12, (1, 2))) is None
+        assert try_destabilize(BraidWord(12, (1, 11))).word == BraidWord(11, (1,))
+
+    def test_matches_depth_search_oracle(self):
+        rng = random.Random(52)
+        corpus = [random_word(rng, rng.randint(2, 5), 12) for _ in range(250)]
+        for _ in range(250):
+            w = stabilize(random_word(rng, rng.randint(1, 4), 10), rng.choice([1, -1]))
+            g = random_word(rng, w.n, 4)
+            w = conjugate(w, g)
+            if rng.random() < 0.5:
+                w = left_normal_form(w).as_word()
+            corpus.append(w)
+        found = 0
+        for w in corpus:
+            got = try_destabilize(w)
+            assert got == depth_search_oracle(w)
+            found += got is not None
+        assert found >= 100
 
     def test_witness_replays(self):
         rng = random.Random(51)
@@ -250,7 +345,7 @@ class TestMovePreservation:
             n_comp = closure_components(w).n_components
             assert closure_components(stabilize(w, 1)).n_components == n_comp
             assert closure_components(stabilize(w, -1)).n_components == n_comp
-            found = try_destabilize(w, search_depth=1)
+            found = try_destabilize(w)
             if found is not None:
                 assert closure_components(found.word).n_components == n_comp
             for d in find_exchange_decompositions(w):
@@ -417,6 +512,18 @@ class TestWinding:
         assert all(w.n == 4 for w in iterates)
         assert len({exponent_sum(w) for w in iterates}) == 1
         assert len({self_linking(w) for w in iterates}) == 1
+
+    def test_block_enumeration_bounded(self, monkeypatch):
+        # Criterion 10's blocks (3 letters on B3) are 85 words per sign.
+        monkeypatch.setattr(moves, "MAX_WINDING_BLOCK_WORDS", 84)
+        P = BraidWord(3, (-1, -1, -2))
+        Q = BraidWord(3, (-1, -2, -2))
+        with pytest.raises(ResourceLimitError, match="more than 84 block words"):
+            winding_iterates(P, Q, 1)
+        with pytest.raises(ResourceLimitError):
+            winding_iterates(BraidWord(3, (1, 2) * 10), Q, 1)
+        monkeypatch.setattr(moves, "MAX_WINDING_BLOCK_WORDS", 85)
+        assert len(winding_iterates(P, Q, 0)) == 1
 
     def test_pinned_sample_reaches_three_classes(self):
         P = BraidWord(3, (-1, -1, -2))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from braidkit.garside import are_conjugate
-from braidkit import moves
+from braidkit import search
 from braidkit.moves import replay
 from braidkit.search import (
     TRANSVERSE,
@@ -96,8 +96,8 @@ class TestScramble:
             assert self_linking(out) == self_linking(w)
 
     def test_simple_enumeration_bounded(self, monkeypatch):
-        monkeypatch.setattr(moves, "MAX_SIMPLE_STRANDS", 3)
-        moves._simple_conjugator_words.cache_clear()
+        monkeypatch.setattr(search, "MAX_SIMPLE_STRANDS", 3)
+        search._simple_conjugator_words.cache_clear()
         with pytest.raises(ResourceLimitError, match="bound of 3 strands"):
             scramble(BraidWord(4, (1, 2, 1, 2)), 1, 0)
 
@@ -106,6 +106,15 @@ class TestScramble:
         a = scramble(w, 4, 1234)
         b = scramble(w, 4, 1234)
         assert a == b
+
+
+def test_simple_conjugator_enumeration_bounded(monkeypatch):
+    # Lowering the bound to 3 strands checks it without allocating n! words.
+    monkeypatch.setattr(search, "MAX_SIMPLE_STRANDS", 3)
+    search._simple_conjugator_words.cache_clear()
+    assert len(search._simple_conjugator_words(3)) == 5
+    with pytest.raises(ResourceLimitError, match="bound of 3 strands"):
+        search._simple_conjugator_words(4)
 
 
 def test_dedup_statistics_accumulate():
