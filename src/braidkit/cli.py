@@ -431,6 +431,27 @@ def _cmd_verify_paper(args) -> int:
     return 0 if all(c.passed for c in checks) else 3
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand parser that lets options sit between its positionals.
+
+    A plain parse fills every optional positional from the first run of
+    positionals, so ``move exchange --index 0 -n 3 WORD`` would leave the word
+    unclaimed.  Intermixed parsing reads the options first, then the
+    positionals; it calls back into ``parse_known_args``, hence the guard.
+    """
+
+    _intermixed = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._intermixed:
+            return super().parse_known_args(args, namespace)
+        self._intermixed = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._intermixed = False
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-n", type=int, default=None, help="strand count for word arguments")
@@ -442,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="closed braids: Garside conjugacy, Markov-move templates, "
         "transverse invariants, and polynomial oracles",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("normalize", parents=[common], help="Garside left normal form")
     p.add_argument("word")

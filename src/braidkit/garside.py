@@ -20,16 +20,28 @@ left-weightedness and lattice meets are tested on inversion sets.  The
 convention for a permutation braid's permutation: the strand starting at
 position i ends at position p(i), and σᵢ is a left divisor of A exactly
 when p(i) > p(i+1).
+
+The outermost lattice steps (renormalizing a factor pair, a
+least-completion step, join, right complement, τ) and the factor objects
+are memo tables keyed by permutation, each bounded by ``_TABLE_SIZE``
+entries (about 9 MB when all are full on B8 words); no answer depends on
+what they hold.  Cycling trajectories and summit closures key normal forms
+by value and serialize only what they hand out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .words import BraidWord, Permutation, exponent_sum, free_reduce, invert, multiply
 
 # Permutations are handled as raw 1-based image tuples in the hot helpers.
 Perm = tuple[int, ...]
+
+# Entries per lattice table.  Every argument pair of B2–B4 fits
+# (24² + 6² + 2² = 616); past the bound the least recently used entry goes.
+_TABLE_SIZE = 4096
 
 
 class SuperSummitCapError(RuntimeError):
@@ -56,6 +68,7 @@ def _inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
+@lru_cache(maxsize=_TABLE_SIZE)
 def _tau(p: Perm) -> Perm:
     """Conjugation by Δ: i ↦ n+1 − p(n+1−i)."""
     n = len(p)
@@ -94,6 +107,7 @@ def _meet(u: Perm, v: Perm) -> Perm:
     return m
 
 
+@lru_cache(maxsize=_TABLE_SIZE)
 def _right_complement(p: Perm) -> Perm:
     """The permutation braid X with p·X = Δ."""
     return _compose(_inverse(p), _delta_perm(len(p)))
@@ -198,12 +212,19 @@ class ConjugacyKey:
         return f"B{self.n}{{" + " ; ".join(self.entries) + "}"
 
 
-def _renorm_pair(a: Perm, b: Perm, ident: Perm) -> tuple[Perm, Perm] | None:
+@lru_cache(maxsize=_TABLE_SIZE)
+def _renorm_pair(a: Perm, b: Perm) -> tuple[Perm, Perm] | None:
     """Move the largest left-divisor of b absorbable by a; None when weighted."""
     c = _meet(_right_complement(a), b)
-    if c == ident:
+    if c == _identity(len(a)):
         return None
     return _compose(a, c), _compose(_inverse(c), b)
+
+
+@lru_cache(maxsize=_TABLE_SIZE)
+def _factor(images: Perm) -> Permutation:
+    """The factor for an image tuple; only a table miss builds and validates one."""
+    return Permutation(images)
 
 
 def _normalize(n: int, k: int, factors: list[Perm]) -> tuple[int, tuple[Perm, ...]]:
@@ -218,12 +239,12 @@ def _normalize(n: int, k: int, factors: list[Perm]) -> tuple[int, tuple[Perm, ..
     delta = _delta_perm(n)
     factors = [f for f in factors if f != ident]
     for i in range(len(factors) - 1):
-        moved = _renorm_pair(factors[i], factors[i + 1], ident)
+        moved = _renorm_pair(factors[i], factors[i + 1])
         if moved is None:
             continue
         factors[i], factors[i + 1] = moved
         for j in range(i - 1, -1, -1):
-            moved = _renorm_pair(factors[j], factors[j + 1], ident)
+            moved = _renorm_pair(factors[j], factors[j + 1])
             if moved is None:
                 break
             factors[j], factors[j + 1] = moved
@@ -259,13 +280,12 @@ def left_normal_form(w: BraidWord) -> NormalForm:
         factors.append(f if behind % 2 == 0 else _tau(f))
         behind += -s
     factors.reverse()
-    k2, weighted = _normalize(n, k, factors)
-    return NormalForm(n, k2, tuple(Permutation(f) for f in weighted))
+    return _renormalize(n, k, factors)
 
 
 def _renormalize(nf_n: int, k: int, factors: list[Perm]) -> NormalForm:
     k2, weighted = _normalize(nf_n, k, factors)
-    return NormalForm(nf_n, k2, tuple(Permutation(f) for f in weighted))
+    return NormalForm(nf_n, k2, tuple(_factor(f) for f in weighted))
 
 
 def _cycling_step(nf: NormalForm) -> tuple[NormalForm, BraidWord | None]:
@@ -340,7 +360,7 @@ def _summit(nf: NormalForm, track: bool) -> tuple[NormalForm, BraidWord]:
     while improved:
         improved = False
         for phase in (_cycling_step, _decycling_step):
-            seen = {cur.serialize()}
+            seen = {cur}
             probe, pending = cur, BraidWord(n)
             while True:
                 nxt, mover = phase(probe)
@@ -354,19 +374,19 @@ def _summit(nf: NormalForm, track: bool) -> tuple[NormalForm, BraidWord]:
                     if track:
                         conj = BraidWord(n, free_reduce(conj.letters + pending.letters))
                     pending = BraidWord(n)
-                    seen = {cur.serialize()}
+                    seen = {cur}
                     improved = True
                     continue
-                key = probe.serialize()
-                if key in seen:
+                if probe in seen:
                     break
-                seen.add(key)
+                seen.add(probe)
     return cur, conj
 
 
 DEFAULT_SSS_CAP = 10_000
 
 
+@lru_cache(maxsize=_TABLE_SIZE)
 def _join(s: Perm, t: Perm) -> Perm:
     """Least common right multiple s ∨ t of two permutation braids.
 
@@ -379,18 +399,23 @@ def _join(s: Perm, t: Perm) -> Perm:
     return _compose(delta, _meet(_compose(delta, s), _compose(delta, t)))
 
 
+@lru_cache(maxsize=_TABLE_SIZE)
+def _completion_step(x: Perm, a: Perm) -> Perm:
+    """The least u with a ≼ x·u: x⁻¹·(x ∨ a), simple whenever a is."""
+    return _compose(_inverse(x), _join(x, a))
+
+
 def _least_completion(p: int, factors: list[Perm], s: Perm) -> Perm:
     """The least simple u with τᵖ(s) ≼ x₁⋯x_r·u, one factor at a time.
 
-    The least u with a ≼ x·u is x⁻¹·(x ∨ a), and it is simple whenever a is;
-    once it is trivial it stays trivial.
+    Once the completion is trivial it stays trivial.
     """
     a = _tau(s) if p % 2 else s
     ident = _identity(len(s))
     for x in factors:
         if a == ident:
             break
-        a = _compose(_inverse(x), _join(x, a))
+        a = _completion_step(x, a)
     return a
 
 
@@ -438,29 +463,27 @@ def _summit_closure(start: NormalForm, cap: int, track: bool):
     """
     n = start.n
     empty = BraidWord(n)
-    members: dict[str, tuple[NormalForm, BraidWord]] = {start.serialize(): (start, empty)}
-    frontier = [start.serialize()]
+    paths: dict[NormalForm, BraidWord] = {start: empty}
+    frontier = [start]
     while frontier:
         new_frontier = []
-        for key in frontier:
-            nf, path = members[key]
+        for nf in frontier:
+            path = paths[nf]
             for s in _minimal_simples(nf):
                 cand = _conjugate_nf(nf, s)
-                ck = cand.serialize()
-                if ck in members:
+                if cand in paths:
                     continue
                 if track:
-                    step = BraidWord(n, free_reduce(path.letters + _perm_word(s)))
+                    paths[cand] = BraidWord(n, free_reduce(path.letters + _perm_word(s)))
                 else:
-                    step = empty
-                members[ck] = (cand, step)
-                new_frontier.append(ck)
-                if len(members) > cap:
+                    paths[cand] = empty
+                new_frontier.append(cand)
+                if len(paths) > cap:
                     raise SuperSummitCapError(
                         f"super summit set exceeds cap of {cap} elements"
                     )
         frontier = new_frontier
-    return members
+    return {nf.serialize(): (nf, path) for nf, path in paths.items()}
 
 
 # Cache: normal-form serialization of a summit element -> ConjugacyKey of its class.
@@ -474,8 +497,8 @@ def super_summit_set(w: BraidWord, cap: int = DEFAULT_SSS_CAP) -> ConjugacyKey:
     if cached is not None:
         return cached
     members = _summit_closure(summit, cap, track=False)
-    ordered = sorted((nf for nf, _ in members.values()), key=NormalForm.sort_key)
-    key = ConjugacyKey(w.n, tuple(nf.serialize() for nf in ordered))
+    ordered = sorted(members, key=lambda serial: members[serial][0].sort_key())
+    key = ConjugacyKey(w.n, tuple(ordered))
     for serial in members:
         _key_cache[(w.n, serial)] = key
     return key

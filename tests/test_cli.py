@@ -1,6 +1,6 @@
 import json
 
-from braidkit.cli import run
+from braidkit.cli import run, verify_paper
 from braidkit.laurent import LaurentPolynomial
 from braidkit.moves import sequence_from_json
 from braidkit.words import word_from_json
@@ -93,6 +93,15 @@ class TestMove:
                 capsys, ["move", "exchange", "s1 s2 s1 s2^-1", "-n", "3", "--index", index]
             )
             assert code == 2 and "has 2 exchange decompositions" in err
+
+    def test_options_before_word(self, capsys):
+        word = "s1 s2 s1 s2^-1"
+        for opts in (["--index", "1", "-n", "3"], ["-n", "3", "--json"]):
+            after = run_capture(capsys, ["move", "exchange", word, *opts])
+            before = run_capture(capsys, ["move", "exchange", *opts, word])
+            first = run_capture(capsys, ["move", *opts, "exchange", word])
+            assert after[0] == 0 and after[1]
+            assert before == after == first
 
     def test_depth_option_removed_exit_two(self, capsys):
         code, _, _ = run_capture(capsys, ["move", "destab", "s2 s1", "-n", "3", "--depth", "2"])
@@ -236,3 +245,25 @@ def test_verify_paper_json(capsys):
     payload = json.loads(out)
     assert payload["all_passed"] is True
     assert len(payload["checks"]) == 9
+
+
+PAPER_CHECKS = [
+    ("(a) exponent sums and braid index", "e = 14, 14; n = 3, 3", True),
+    ("(b) self-linking of both words", "beta = 11, 11", True),
+    ("(c) negative flype maps one word to the other", "got s1^5 s2^-1 s1^6 s2^4", True),
+    ("(d) topological-equality oracles agree", "jones equal: True; alexander equal: True", True),
+    ("(e) the two words are not conjugate in B3", "are_conjugate = False", True),
+    (
+        "(f) the 2-component link obstruction",
+        "pre (-1, -3) lk (((1, 2), 1),); post (-3, -1) lk (((1, 2), 1),)",
+        True,
+    ),
+    ("(g) beta invariance under transverse moves", "0 failures", True),
+    ("(h) negative stabilization drops beta by 2", "0 failures; flype word drop (11, 9)", True),
+    ("(i) bounded transverse search exhausts", "exhausted after 2 expansions", True),
+]
+
+
+def test_verify_paper_golden():
+    for seed in (0, 7):
+        assert [(c.label, c.detail, c.passed) for c in verify_paper(seed=seed)] == PAPER_CHECKS

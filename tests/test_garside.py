@@ -257,6 +257,95 @@ def test_join_is_least_common_multiple():
                 assert all(divides(j, u) for u in perms if divides(s, u) and divides(t, u))
 
 
+class TestKernelAgainstInversionSets:
+    """The lattice kernel against definitions on inversion sets.
+
+    A permutation braid is determined by which pairs of strands cross,
+    labelled by start position: inv(p) = {(i, j) : i < j, p(i) > p(j)}.
+    a ≼ b iff inv(a) ⊆ inv(b); a product a·c is simple iff the crossing
+    counts add; a·∂a = Δ; τ is conjugation by Δ.  Nothing here calls a
+    helper of ``garside``.
+    """
+
+    @staticmethod
+    def lattice(n):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        inv = {p: frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                            if p[i - 1] > p[j - 1]) for p in perms}
+        return perms, inv
+
+    @staticmethod
+    def then(p, q):
+        return tuple(q[v - 1] for v in p)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_kernel_matches_definitions(self, n):
+        from braidkit.garside import _join, _meet, _renorm_pair, _right_complement, _tau
+
+        perms, inv = self.lattice(n)
+        ident, delta = perms[0], perms[-1]
+        assert inv[ident] == frozenset() and len(inv[delta]) == n * (n - 1) // 2
+
+        def divides(a, b):
+            return inv[a] <= inv[b]
+
+        def simple_product(a, c):
+            return len(inv[self.then(a, c)]) == len(inv[a]) + len(inv[c])
+
+        def greatest(cands):
+            (top,) = [c for c in cands if all(divides(d, c) for d in cands)]
+            return top
+
+        def least(cands):
+            (bottom,) = [c for c in cands if all(divides(c, d) for d in cands)]
+            return bottom
+
+        for a in perms:
+            (rc,) = [x for x in perms if self.then(a, x) == delta]
+            assert simple_product(a, rc) and _right_complement(a) == rc
+            assert _tau(a) == self.then(self.then(delta, a), delta)
+            for b in perms:
+                assert _meet(a, b) == greatest([d for d in perms if divides(d, a) and divides(d, b)])
+                assert _join(a, b) == least([u for u in perms if divides(a, u) and divides(b, u)])
+                c = greatest([d for d in perms if divides(d, b) and simple_product(a, d)])
+                if c == ident:
+                    assert _renorm_pair(a, b) is None
+                    continue
+                c_inv = tuple(sorted(range(1, n + 1), key=lambda i: c[i - 1]))
+                left, right = self.then(a, c), self.then(c_inv, b)
+                assert _renorm_pair(a, b) == (left, right)
+                assert not any(divides(d, right) and simple_product(left, d)
+                               for d in perms if d != ident)
+
+
+def test_answers_do_not_depend_on_cache_state():
+    # every memo table in garside: the functions carrying an lru_cache
+    tables = {name: f for name, f in vars(garside_module).items() if hasattr(f, "cache_info")}
+    assert {"_renorm_pair", "_completion_step", "_join", "_right_complement", "_tau",
+            "_factor"} <= set(tables)
+    for name, table in tables.items():
+        assert table.cache_info().maxsize is not None, name
+
+    rng = random.Random(17)
+    cases = []
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        w = random_word(rng, n, 10)
+        cases.append((w, conjugate(w, random_word(rng, n, 4))))
+
+    def answers():
+        return [(super_summit_set(w).entries, are_conjugate(w, v, want_witness=True))
+                for w, v in cases]
+
+    first = answers()  # with whatever earlier work left in the caches
+    for table in tables.values():
+        table.cache_clear()
+    garside_module._key_cache.clear()
+    cold = answers()
+    assert first == cold
+    assert answers() == cold  # every class now comes from the key cache
+
+
 class TestAreConjugate:
     def test_rotation_pair_with_witness(self):
         u, v = parse_braid_word("s1 s2", 3), parse_braid_word("s2 s1", 3)

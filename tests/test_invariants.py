@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from braidkit.invariants import (
     CrossingCapExceeded,
@@ -236,6 +238,29 @@ def _eval_jones_at_minus_one(p):
             im -= c
     assert im == 0
     return re
+
+
+@st.composite
+def short_words(draw):
+    """A B2–B5 word of at most 12 letters."""
+    n = draw(st.integers(2, 5))
+    letter = st.sampled_from([i for i in range(1 - n, n) if i != 0])
+    return BraidWord(n, tuple(draw(st.lists(letter, max_size=12))))
+
+
+class TestValuesAtOne:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(short_words())
+    def test_jones_at_one(self, w):
+        # V(1) = (−2)^{c−1}; t = 1 is q = 1 in the q = t^{1/2} form
+        c = closure_components(w).n_components
+        assert sum(coeff for _, coeff in jones_polynomial(w).terms) == (-2) ** (c - 1)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(short_words())
+    def test_alexander_at_one_for_knots(self, w):
+        assume(closure_components(w).n_components == 1)
+        assert sum(coeff for _, coeff in alexander_polynomial(w).terms) in (1, -1)
 
 
 class TestCrossRouteConsistency:
