@@ -3,7 +3,8 @@ Command-line surface for the library.
 
 Exit codes: 0 success (or an affirmative answer), 1 a negative answer
 (not conjugate, search exhausted, no matching move, fuzz failures),
-2 usage error, 3 internal consistency failure.
+2 usage error or a documented resource bound hit (``ResourceLimitError``,
+such as the super summit set cap), 3 internal consistency failure.
 
 ``verify-paper`` re-runs, end to end, every computation in the published
 argument that the two transverse 3-braids σ₁⁵σ₂⁴σ₁⁶σ₂⁻¹ and
@@ -20,7 +21,6 @@ import time
 from dataclasses import dataclass
 
 from . import garside, invariants, moves, search, transverse, words
-from .garside import SuperSummitCapError
 from .transverse import InternalConsistencyError
 from .words import BraidSyntaxError, BraidWord
 
@@ -526,7 +526,7 @@ def run(argv: list[str] | None = None) -> int:
     except (BraidSyntaxError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InternalConsistencyError, SuperSummitCapError) as exc:
+    except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

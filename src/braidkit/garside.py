@@ -27,6 +27,11 @@ are memo tables keyed by permutation, each bounded by ``_TABLE_SIZE``
 entries (about 9 MB when all are full on B8 words); no answer depends on
 what they hold.  Cycling trajectories and summit closures key normal forms
 by value and serialize only what they hand out.
+
+Conjugators stay simple elements: a cycling or decycling step yields the
+signed simple factor it conjugates by, and a summit closure records each
+member's parent and the simple element s leading from it.  Words are built
+only for a witness of ``are_conjugate`` and for ``NormalForm.as_word``.
 """
 
 from __future__ import annotations
@@ -34,17 +39,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import BraidWord, Permutation, exponent_sum, free_reduce, invert, multiply
+from .words import BraidWord, Permutation, ResourceLimitError, exponent_sum, free_reduce
 
 # Permutations are handled as raw 1-based image tuples in the hot helpers.
 Perm = tuple[int, ...]
+# A signed simple factor: (p, 1) is the permutation braid of p, (p, -1) its inverse.
+Factor = tuple[Perm, int]
 
 # Entries per lattice table.  Every argument pair of B2–B4 fits
 # (24² + 6² + 2² = 616); past the bound the least recently used entry goes.
 _TABLE_SIZE = 4096
 
 
-class SuperSummitCapError(RuntimeError):
+class SuperSummitCapError(ResourceLimitError):
     """The super summit set grew past the configured bound."""
 
 
@@ -101,9 +108,7 @@ def _meet(u: Perm, v: Perm) -> Perm:
                 changed = True
     m = _identity(n)
     for i in reversed(letters):
-        q = list(m)
-        q[i - 1], q[i] = q[i], q[i - 1]
-        m = tuple(q)
+        m = _divide_left(m, i)
     return m
 
 
@@ -130,11 +135,13 @@ def _perm_word(p: Perm) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _delta_word(n: int) -> tuple[int, ...]:
-    out = []
-    for k in range(1, n):
-        out.extend(range(k, 0, -1))
-    return tuple(out)
+def _factors_word(n: int, factors: list[Factor]) -> BraidWord:
+    """The freely reduced word of a product of signed simple factors."""
+    letters: list[int] = []
+    for p, sign in factors:
+        word = _perm_word(p)
+        letters.extend(word if sign > 0 else (-x for x in reversed(word)))
+    return BraidWord(n, free_reduce(letters))
 
 
 @dataclass(frozen=True)
@@ -186,15 +193,9 @@ class NormalForm:
 
     def as_word(self) -> BraidWord:
         """A word representing the same group element."""
-        letters: list[int] = []
-        dw = _delta_word(self.n)
-        if self.delta_power >= 0:
-            letters.extend(dw * self.delta_power)
-        else:
-            letters.extend(tuple(-x for x in reversed(dw)) * (-self.delta_power))
-        for f in self.factors:
-            letters.extend(_perm_word(f.images))
-        return BraidWord(self.n, free_reduce(letters))
+        k = self.delta_power
+        delta = [(_delta_perm(self.n), 1 if k >= 0 else -1)] * abs(k)
+        return _factors_word(self.n, delta + [(f.images, 1) for f in self.factors])
 
 
 @dataclass(frozen=True)
@@ -288,25 +289,24 @@ def _renormalize(nf_n: int, k: int, factors: list[Perm]) -> NormalForm:
     return NormalForm(nf_n, k2, tuple(_factor(f) for f in weighted))
 
 
-def _cycling_step(nf: NormalForm) -> tuple[NormalForm, BraidWord | None]:
-    """Cycling plus the conjugator word realizing it (None when l = 0)."""
+def _cycling_step(nf: NormalForm) -> tuple[NormalForm, Factor | None]:
+    """Cycling plus the signed simple factor conjugating by it (None when l = 0)."""
     if not nf.factors:
         return nf, None
     a1 = nf.factors[0].images
     moved = a1 if nf.delta_power % 2 == 0 else _tau(a1)
     rest = [f.images for f in nf.factors[1:]] + [moved]
-    return _renormalize(nf.n, nf.delta_power, rest), BraidWord(nf.n, _perm_word(moved))
+    return _renormalize(nf.n, nf.delta_power, rest), (moved, 1)
 
 
-def _decycling_step(nf: NormalForm) -> tuple[NormalForm, BraidWord | None]:
-    """Decycling plus the conjugator word realizing it (None when l = 0)."""
+def _decycling_step(nf: NormalForm) -> tuple[NormalForm, Factor | None]:
+    """Decycling plus the signed simple factor conjugating by it (None when l = 0)."""
     if not nf.factors:
         return nf, None
     al = nf.factors[-1].images
     moved = al if nf.delta_power % 2 == 0 else _tau(al)
     rest = [moved] + [f.images for f in nf.factors[:-1]]
-    conj = BraidWord(nf.n, tuple(-x for x in reversed(_perm_word(al))))
-    return _renormalize(nf.n, nf.delta_power, rest), conj
+    return _renormalize(nf.n, nf.delta_power, rest), (al, -1)
 
 
 def cycling(nf: NormalForm) -> NormalForm:
@@ -340,18 +340,17 @@ def _conjugate_nf(nf: NormalForm, s: Perm) -> NormalForm:
     return _renormalize(nf.n, k - 1, factors)
 
 
-def _summit(nf: NormalForm, track: bool) -> tuple[NormalForm, BraidWord]:
+def _summit(nf: NormalForm) -> tuple[NormalForm, list[Factor]]:
     """Cycle/decycle to an element of maximal inf and minimal canonical length.
 
-    Returns the summit element and (when tracked) a conjugator g with
-    g⁻¹·nf·g equal to it.  Both cycling and decycling renormalize products
-    of positive factors, so neither can decrease the infimum; each phase
-    follows its trajectory until it revisits a form without improving the
-    pair (inf, -length), which by the summit-reachability of iterated
+    Returns the summit element and the signed simple factors whose product
+    g has g⁻¹·nf·g equal to it.  Both cycling and decycling renormalize
+    products of positive factors, so neither can decrease the infimum; each
+    phase follows its trajectory until it revisits a form without improving
+    the pair (inf, -length), which by the summit-reachability of iterated
     cycling/decycling means the optimum for that phase was reached.
     """
-    n = nf.n
-    cur, conj = nf, BraidWord(n)
+    cur, conj = nf, []
 
     def level(f: NormalForm):
         return (f.inf, -f.canonical_length)
@@ -361,19 +360,16 @@ def _summit(nf: NormalForm, track: bool) -> tuple[NormalForm, BraidWord]:
         improved = False
         for phase in (_cycling_step, _decycling_step):
             seen = {cur}
-            probe, pending = cur, BraidWord(n)
+            probe, pending = cur, []
             while True:
-                nxt, mover = phase(probe)
+                probe, mover = phase(probe)
                 if mover is None:
                     break
-                if track:
-                    pending = BraidWord(n, free_reduce(pending.letters + mover.letters))
-                probe = nxt
+                pending.append(mover)
                 if level(probe) > level(cur):
                     cur = probe
-                    if track:
-                        conj = BraidWord(n, free_reduce(conj.letters + pending.letters))
-                    pending = BraidWord(n)
+                    conj += pending
+                    pending = []
                     seen = {cur}
                     improved = True
                     continue
@@ -449,7 +445,7 @@ def _minimal_simples(nf: NormalForm) -> list[Perm]:
     return found
 
 
-def _summit_closure(start: NormalForm, cap: int, track: bool):
+def _summit_closure(start: NormalForm, cap: int):
     """Close a super summit element under its minimal simple elements.
 
     The simple elements s with x^s in the super summit set are closed under
@@ -458,32 +454,24 @@ def _summit_closure(start: NormalForm, cap: int, track: bool):
     conjugating each member by its at most n−1 distinct ρ_x(σᵢ) reaches the
     whole set.
 
-    Returns (members dict serialization -> (NormalForm, conjugator word from
-    start)).  Raises :class:`SuperSummitCapError` past the cap.
+    Returns a dict member -> (parent, s) with member = s⁻¹·parent·s, and
+    (None, None) for start.  Raises :class:`SuperSummitCapError` past the cap.
     """
-    n = start.n
-    empty = BraidWord(n)
-    paths: dict[NormalForm, BraidWord] = {start: empty}
+    members: dict[NormalForm, tuple[NormalForm | None, Perm | None]] = {start: (None, None)}
     frontier = [start]
     while frontier:
         new_frontier = []
         for nf in frontier:
-            path = paths[nf]
             for s in _minimal_simples(nf):
                 cand = _conjugate_nf(nf, s)
-                if cand in paths:
+                if cand in members:
                     continue
-                if track:
-                    paths[cand] = BraidWord(n, free_reduce(path.letters + _perm_word(s)))
-                else:
-                    paths[cand] = empty
+                members[cand] = (nf, s)
                 new_frontier.append(cand)
-                if len(paths) > cap:
-                    raise SuperSummitCapError(
-                        f"super summit set exceeds cap of {cap} elements"
-                    )
+                if len(members) > cap:
+                    raise SuperSummitCapError(f"super summit set exceeds cap of {cap} elements")
         frontier = new_frontier
-    return {nf.serialize(): (nf, path) for nf, path in paths.items()}
+    return members
 
 
 # Cache: normal-form serialization of a summit element -> ConjugacyKey of its class.
@@ -492,14 +480,16 @@ _key_cache: dict[tuple[int, str], ConjugacyKey] = {}
 
 def super_summit_set(w: BraidWord, cap: int = DEFAULT_SSS_CAP) -> ConjugacyKey:
     """The complete super summit set of w, as a deterministic sorted key."""
-    summit, _ = _summit(left_normal_form(w), track=False)
+    summit, _ = _summit(left_normal_form(w))
     cached = _key_cache.get((w.n, summit.serialize()))
     if cached is not None:
+        if len(cached.entries) > cap:
+            raise SuperSummitCapError(f"super summit set exceeds cap of {cap} elements")
         return cached
-    members = _summit_closure(summit, cap, track=False)
-    ordered = sorted(members, key=lambda serial: members[serial][0].sort_key())
-    key = ConjugacyKey(w.n, tuple(ordered))
-    for serial in members:
+    members = _summit_closure(summit, cap)
+    ordered = sorted(members, key=NormalForm.sort_key)
+    key = ConjugacyKey(w.n, tuple(nf.serialize() for nf in ordered))
+    for serial in key.entries:
         _key_cache[(w.n, serial)] = key
     return key
 
@@ -525,17 +515,21 @@ def are_conjugate(
         # super summit set.  A serialization spells out (inf, canonical
         # length), so an element of another level is never among the entries.
         u_key = super_summit_set(u, cap)
-        sv, _ = _summit(left_normal_form(v), track=False)
+        sv, _ = _summit(left_normal_form(v))
         return sv.serialize() in u_key.entries
 
-    su, gu = _summit(left_normal_form(u), track=True)
-    sv, gv = _summit(left_normal_form(v), track=True)
+    su, gu = _summit(left_normal_form(u))
+    sv, gv = _summit(left_normal_form(v))
     if (su.inf, su.canonical_length) != (sv.inf, sv.canonical_length):
         return False, None
-    members = _summit_closure(su, cap, track=True)
-    hit = members.get(sv.serialize())
-    if hit is None:
+    members = _summit_closure(su, cap)
+    if sv not in members:
         return False, None
-    _, h = hit
-    g = multiply(multiply(gu, h), invert(gv))
-    return True, g
+    # g = gu · (the closure steps from su to sv) · gv⁻¹
+    path = []
+    parent, s = members[sv]
+    while parent is not None:
+        path.append((s, 1))
+        parent, s = members[parent]
+    factors = gu + path[::-1] + [(p, -sign) for p, sign in reversed(gv)]
+    return True, _factors_word(u.n, factors)

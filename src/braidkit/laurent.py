@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .words import json_field
+
 
 @dataclass(frozen=True)
 class LaurentPolynomial:
@@ -142,7 +144,13 @@ class LaurentPolynomial:
 
     @staticmethod
     def from_json(obj: dict) -> "LaurentPolynomial":
-        return LaurentPolynomial(tuple((int(e), int(c)) for e, c in obj["terms"]))
+        terms = json_field(obj, "terms", list, "polynomial")
+        for t in terms:
+            if not (isinstance(t, list) and len(t) == 2 and all(type(x) is int for x in t)):
+                raise ValueError(
+                    "polynomial field 'terms' must hold [exponent, coefficient] integer pairs"
+                )
+        return LaurentPolynomial(terms)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 
+from braidkit import garside
 from braidkit.cli import run, verify_paper
 from braidkit.laurent import LaurentPolynomial
 from braidkit.moves import sequence_from_json
@@ -39,6 +40,14 @@ class TestConjugate:
     def test_false_exit_one(self, capsys):
         code, out, _ = run_capture(capsys, ["conjugate", "-n", "2", "s1", "s1^-1"])
         assert code == 1 and "not conjugate" in out
+
+    def test_summit_cap_exit_two(self, capsys, monkeypatch):
+        def capped(*args, **kwargs):
+            raise garside.SuperSummitCapError("super summit set exceeds cap of 1 elements")
+
+        monkeypatch.setattr(garside, "are_conjugate", capped)
+        code, _, err = run_capture(capsys, ["conjugate", "-n", "3", "s1", "s2"])
+        assert code == 2 and "cap" in err and "internal" not in err
 
 
 class TestInvariants:

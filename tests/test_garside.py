@@ -143,7 +143,8 @@ class TestCyclingDecycling:
 
         w = parse_braid_word("s1", 3)
         nf = left_normal_form(w)
-        cycled, mover = _cycling_step(nf)
+        cycled, factor = _cycling_step(nf)
+        mover = None if factor is None else garside_module._factors_word(3, [factor])
         assert mover is not None
         assert cycling(nf) == cycled == left_normal_form(conjugate(w, mover))
 
@@ -162,7 +163,7 @@ class TestCyclingDecycling:
                 nf = left_normal_form(conjugate(w, BraidWord(3, gl)))
                 level = (nf.delta_power, -nf.canonical_length)
                 best = level if best is None else max(best, level)
-        summit, _ = _summit(left_normal_form(w), track=False)
+        summit, _ = _summit(left_normal_form(w))
         assert (summit.delta_power, -summit.canonical_length) == best
 
     def test_cycling_never_decreases_inf(self):
@@ -209,6 +210,14 @@ class TestSuperSummitSet:
         key = super_summit_set(parse_braid_word("s1 s2 s1 s1 s2 s1", 3))
         assert key.entries == ("D^2 |",)
 
+    def test_cap_holds_on_a_cached_key(self):
+        w = parse_braid_word("s1", 3)
+        super_summit_set(w)  # caches the 2-member key of {s1, s2}
+        with pytest.raises(SuperSummitCapError):
+            super_summit_set(w, cap=1)
+        with pytest.raises(SuperSummitCapError):
+            are_conjugate(w, parse_braid_word("s2", 3), cap=1)
+
     def test_cap_escalates(self):
         garside_module._key_cache.clear()  # a cached key would mask the cap
         w = parse_braid_word("s1", 3)  # summit set {s1, s2} has 2 > 1 elements
@@ -219,8 +228,15 @@ class TestSuperSummitSet:
     @given(words_and_conjugators())
     def test_closure_matches_exhaustive_oracle(self, case):
         w, g = case
-        summit, _ = _summit(left_normal_form(w), track=False)
-        members = _summit_closure(summit, garside_module.DEFAULT_SSS_CAP, track=True)
+        summit, _ = _summit(left_normal_form(w))
+        closure = _summit_closure(summit, garside_module.DEFAULT_SSS_CAP)
+        members = {}  # serialization -> (member, conjugator word from summit)
+        for nf, (parent, s) in closure.items():
+            conj = BraidWord(summit.n)
+            while parent is not None:
+                conj = multiply(BraidWord(summit.n, garside_module._perm_word(s)), conj)
+                parent, s = closure[parent]
+            members[nf.serialize()] = (nf, conj)
         assert set(members) == set(exhaustive_summit_closure(summit))
         for nf, conj in members.values():
             assert left_normal_form(conjugate(summit.as_word(), conj)) == nf
@@ -235,9 +251,9 @@ class TestSuperSummitSet:
             return _conjugate_nf(nf, s)
 
         w = parse_braid_word("s1 s2^-1 s3 s2 s1^-1 s3^2 s2 s1", 4)
-        summit, _ = _summit(left_normal_form(w), track=False)
+        summit, _ = _summit(left_normal_form(w))
         monkeypatch.setattr(garside_module, "_conjugate_nf", counted)
-        members = _summit_closure(summit, garside_module.DEFAULT_SSS_CAP, track=False)
+        members = _summit_closure(summit, garside_module.DEFAULT_SSS_CAP)
         assert len(members) > 1
         assert len(calls) <= 3 * len(members)
 
@@ -433,3 +449,106 @@ def test_key_sorting_deterministic():
     k2 = super_summit_set(conjugate(w, parse_braid_word("s2 s1 s2", 3)))
     assert k1 == k2
     assert list(k1.entries) == sorted(k1.entries)
+
+
+# (n, u, v, witness, u's as_word(), v's as_word()) as letter tuples: v is a
+# seeded conjugate of u, the witness is are_conjugate(u, v, want_witness=True)'s
+# word and as_word() is taken of each left normal form.  Free reduction has a
+# unique result, so any correct refactor of the conjugator bookkeeping keeps
+# these letter for letter.
+PINNED_WITNESSES = [(2, (-1, -1, -1, 1, -1), (-1, -1, -1), (), (-1, -1, -1), (-1, -1, -1)),
+ (3, (2, -1, -1, 2, 1, -1, 1, -1), (-1, -1, 2, 2), (2,),
+  (-1, -2, -1, -1, -2, -1, 2, 2, 1, 1, 2, 2), (-1, -2, -1, -1, -2, -1, 2, 1, 1, 2, 2, 2)),
+ (4, (-1, 2, 1, 1), (-3, 2, -1, 2, 1, 1, -2, 3),
+  (2, 1, 3, 2, 1, 1, 2, 3, -1, -2, -3, -2, -1, -3, -1, -2), (-1, 2, 1, 1),
+  (-1, -2, -3, -1, -2, -1, -1, -2, -3, -1, -2, -1, 2, 1, 3, 1, 2, 3, 2, 1, 1, 2, 2, 2, 1,
+   3)),
+ (5, (-1,), (-2, -1, 2), (2, 1, 3, 2, 4, 3, -1, -2, -3, -4, -1, -2, -3, -1), (-1,),
+  (-1, -2, -3, -4, -1, 4, 3, 2, 2)),
+ (2, (1,), (1,), (), (1,), (1,)),
+ (3, (-1, -2, -2, 2, -1, -1), (-2, -1, -2, -1, -1, 2), (1, -2, -1), (-1, -2, -1, -1),
+  (-1, -2, -1, -1, -2, -1, -1, -2, -1, 2, 1, 1, 2, 2)),
+ (4, (-2, 1, 3, -1), (-3, 1, -2, 1, 3, -1, -1, 3), (2, 3, -2, -1),
+  (-1, -2, -3, -1, 3, 2, 1, 3), (-1, -2, -3, -1, -2, -1, 2, 3, 2, 2, 3, 3)),
+ (5, (3, -1, -1, -1, 2, 2, 1), (1, 3, 3, -1, -1, -1, 2, 2, 1, -3, -1),
+  (2, 1, 3, 2, 1, 4, 3, 2, 1, 1, 2, 1, 3, 2, 1, 4, 3, 2, 2, 1, 3, 2, 1, 4, 3, 2, 1, 1, 2, 1,
+   3, 2, 1, 4, 2, 1, 3, 4, 3, 2, 1, 2, 3, 4, 3, 2, 3, -1, -2, -3, -4, -3, -1, -2, -4, -2,
+   -3, -2, -1, -1, -2, -3, -4, -2, -3, -2, -2, -3, -4, -1, -2, -3, -1, -2, -1, -1, -2, -3,
+   -4, -1, -2, -3, -1, -2),
+  (-1, -2, -3, -4, -1, -2, -3, -1, -2, -1, -1, -2, -3, -4, -1, -2, -3, -1, -2, -1, -1, 2, 1,
+   3, 2, 1, 4, 3, 2, 1, 1, 2, 1, 3, 2, 1, 4, 3, 2, 3, 2, 2, 1),
+  (-1, -2, -3, -4, -1, -2, -3, -1, -2, -1, -1, -2, -3, -4, -1, -2, -3, -1, -2, -1, 2, 1, 3,
+   2, 1, 4, 3, 2, 1, 1, 2, 1, 3, 2, 1, 4, 2, 3, 3, 3, 2)),
+ (2, (-1, 1, -1), (-1,), (), (-1,), (-1,)),
+ (3, (1, -2, -2, 1, -1), (2, 1, -2, 1, -2, -1, -2), (1, 1, 2, 1),
+  (-1, -2, -1, -1, -2, 1, 2, 2, 1), (-1, -2, -1, -1, -2, -1, 2, 1, 1, 2, 2)),
+ (4, (-1, -3, 1, -2), (3, -1, -1, -3, 1, -2, 1, -3), (1, 2, 3, -2, -3, -2),
+  (-1, -2, -3, -1, -2, -1, 2, 3, 2, 1), (-1, -2, -3, 1)),
+ (5, (4, -4, 2, -1, -2, -3, 4), (-3, 4, 2, -1, -2),
+  (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 3), (-1, -2, -3, 1, 4),
+  (-1, -2, -3, -4, -1, -2, -3, -1, 3, 2, 1, 4, 3, 1, 4)),
+ (2, (1, 1, 1, -1), (1, 1), (), (1, 1), (1, 1)),
+ (3, (-2, 1, 2, 2, 1, -1, 2, 2), (1, 2, 2, 2), (1, 2, 2, 1, 1, -2, -1),
+  (-1, -2, -1, 2, 1, 1, 2, 2, 2, 2), (1, 2, 2, 2)),
+ (4, (2, -1, -1, -1), (1, 3, 2, -1, -1, -1, -3, -1), (2, 3, -2, -3, -2, -1),
+  (-1, -2, -3, -1, -2, -1, -1, -2, -3, -1, -2, -1, -1, -2, 1, 2, 3, 2, 1, 1, 2, 3, 2, 1, 1,
+   2),
+  (-1, -2, -3, -1, -2, -1, -1, -2, -3, -1, -2, -1, -1, -2, -3, -1, -2, -1, -1, -2, -3, -1,
+   3, 2, 2, 1, 3, 2, 1, 1, 2, 1, 3, 2, 2, 1, 3, 2, 2, 1, 3, 2)),
+ (5, (-2, 1, -2), (-2, -4, -3, -1, -2, 1, -2, 1, 3, 4, 2),
+  (3, 4, 1, 2, 3, 4, 1, 2, -4, -1, -2, -3, -1),
+  (-1, -2, -3, -4, -1, -2, -3, -1, -2, -1, -1, -2, -3, -4, -1, -2, -3, -1, 3, 2, 1, 4, 3, 2,
+   1, 1, 2, 1, 3, 2, 4, 3, 2, 2, 1),
+  (-1, -2, -3, -4, -1, -2, -3, -1, -2, -1, -1, -2, -3, -4, -1, -2, -3, -1, -2, 3, 2, 1, 4,
+   1, 2, 1, 3, 2, 4, 3, 2, 2, 1, 3, 4, 1, 2)),
+ (2, (-1, -1, -1, 1, 1), (-1,), (), (-1,), (-1,)),
+ (3, (-2, -1, 2, 1, -2), (1, 1, -2, -1, 2, 1, -2, -1, -1), (-1, -1),
+  (-1, -2, -1, -1, -2, 1, 2, 2, 1),
+  (-1, -2, -1, -1, -2, -1, -1, -2, -1, 2, 2, 2, 2, 1, 1, 1, 2)),
+ (4, (3, -2, 1, -2), (2, -1, 3, -2, 1, -2, 1, -2), (1, -2),
+  (-1, -2, -3, -1, -2, -1, -1, -2, -3, -1, 3, 2, 2, 1, 3, 1, 2, 3, 2, 1),
+  (-1, -2, -3, -1, -2, -1, -1, -2, -3, -1, -2, -1, -1, -2, -3, 1, 2, 1, 3, 1, 2, 3, 2, 1, 1,
+   2, 3, 2, 2, 1)),
+ (5, (4, 2, -1, 1), (-4, -1, 4, 2, 1, 4), (1, 2, 3, 4, -1, -2, -3, -4, -1, -2, -3, -1, -2),
+  (2, 4), (-1, 2, 1, 4)),
+ (2, (1, -1, -1, 1), (), (), (), ()),
+ (3, (1, -1, -2, -1, 1), (-2, 1, -2, -1, 2), (1, -2, -1), (-1, -2, -1, 2, 1),
+  (-1, -2, -1, -1, 2, 2, 2)),
+ (4, (2, -3, -3, -3, 2, -2), (1, 2, -3, -3, -3, -1), (1, 2, 3, 3, 2),
+  (-1, -2, -3, -1, -2, -1, -1, -2, -3, -1, -2, -1, -1, -2, -3, -1, -2, -1, 2, 3, 2, 1, 1, 2,
+   3, 2, 1, 1, 2, 3, 2, 1, 3, 2),
+  (-1, -2, -3, -1, -2, -1, -1, -2, -3, -1, -2, -1, -1, -2, -3, -1, -2, -1, 2, 3, 2, 2, 1, 3,
+   2, 1, 2, 1, 3, 2, 2, 1, 3, 2)),
+ (5, (4,), (3, 3, 3, 3, 4, -3, -3, -3, -3),
+  (-1, -2, -3, -4, -1, -2, -3, -2, -1, -3, -4, -1, -2, -3, -1, -2, -1, -1, -2, -3, -4, -1,
+   -2, -3, -1, -3, -4, -1, -2, -3, -1, -2, -1),
+  (4,),
+  (-1, -2, -3, -4, -1, -2, -3, -1, -2, -1, -1, -2, -3, -4, -1, -2, -3, -1, -2, -1, -1, -2,
+   -3, -4, -1, -2, -3, -1, -2, -1, -1, -2, 1, 3, 2, 1, 4, 3, 2, 1, 1, 2, 1, 3, 2, 1, 4, 3,
+   1, 2, 3, 2, 1, 4, 3, 2, 1, 4, 3, 3, 4, 4, 3, 3, 4)),
+ (2, (1,), (1,), (), (1,), (1,)),
+ (3, (-1, 1, -2, 1, 1), (-1, -1, -2, -2, 1, 1, 2, 1, 1), (1, 2, 1, 1, 2, -1, -2),
+  (-1, -2, -1, 2, 1, 1, 1), (-1, -2, -1, -1, -2, -1, 2, 1, 1, 1, 2, 2, 1)),
+ (4, (-1, -2, -3), (-3, 1, -2, -1, -2, -3, 2, -1, 3), (3, -1, -2, -1), (-1, -2, -3),
+  (-1, -2, -3, -1, -2, -1, -1, -2, -3, 2, 1, 3, 1, 2, 3)),
+ (5, (1, 2, 2, 1, 1, 2, 3, -4), (3, -2, -4, 1, 1, 2, 2, 1, 1, 2, 3, -4, -1, 4, 2, -3),
+  (-1, -2, -3, -4, -1, -2, -3, -1, -2, -4, -2, -3, -1, -2, -3, -4, -2, -3, -2, -1),
+  (-1, -2, -3, -4, -1, -2, -3, -1, -2, -1, 2, 3, 2, 4, 3, 2, 2, 3, 3, 2, 2, 1, 3, 2, 4, 3),
+  (-1, -2, -3, -4, -1, -2, -3, -1, -2, -1, -1, -2, -3, -4, -1, -2, -3, -1, 3, 2, 4, 3, 2, 1,
+   3, 2, 4, 2, 1, 3, 2, 4, 3, 2, 1, 1, 2, 2, 1, 3, 1, 2)),
+ (2, (-1, 1, 1, -1, 1), (1,), (), (1,), (1,)),
+ (3, (1, -2), (-2, 1), (1,), (-1, -2, -1, 2, 2, 1), (-1, -2, -1, 2, 1, 1)),
+ (4, (1, -3, 3, -1, -1), (3, 1, 2, -1, -2, -1, -3), (-2, -3, -2, -1), (-1,),
+  (-1, -2, -3, -1, -2, 3, 2, 1, 2)),
+ (5, (-1, -4, 3), (-2, -1, -4, 3, 2), (2,),
+  (-1, -2, -3, -4, -1, -2, -3, -1, -2, -1, 2, 1, 3, 2, 1, 4, 3, 2, 3),
+  (-1, -2, -3, -4, -1, -2, -3, -1, -2, -1, 2, 1, 3, 2, 4, 3, 2, 3, 2))]
+
+
+def test_witness_and_word_letters_are_pinned():
+    for n, u, v, witness, u_word, v_word in PINNED_WITNESSES:
+        u, v = BraidWord(n, u), BraidWord(n, v)
+        ok, g = are_conjugate(u, v, want_witness=True)
+        assert ok and g.letters == witness
+        assert left_normal_form(u).as_word().letters == u_word
+        assert left_normal_form(v).as_word().letters == v_word

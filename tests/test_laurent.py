@@ -124,6 +124,21 @@ class TestText:
             p = random_poly(rng)
             assert LaurentPolynomial.from_json(p.to_json()) == p
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"terms": [[0, 3.7], ["2", "1"]]},
+            {"terms": [[0, 3.7]]},
+            {"terms": [["2", "1"]]},
+            {"terms": [[0, 1, 2]]},
+            {"terms": [[True, 1]]},
+            {"variable": "t"},
+        ],
+    )
+    def test_json_rejects_non_integer_terms(self, obj):
+        with pytest.raises(ValueError, match="'terms'"):
+            LaurentPolynomial.from_json(obj)
+
 
 class TestPolyMatrix:
     def test_identity_multiplication(self):
