@@ -10,7 +10,6 @@ that moves preserve link type.
 from .garside import (
     ConjugacyKey,
     NormalForm,
-    PermutationBraid,
     SuperSummitCapError,
     are_conjugate,
     cycling,

@@ -63,7 +63,7 @@ def _cmd_normalize(args) -> int:
             {
                 "n": nf.n,
                 "delta_power": nf.delta_power,
-                "factors": [list(f.images) for f in nf.factors],
+                "factors": [list(f) for f in nf.factors],
                 "serialized": nf.serialize(),
             }
         )
@@ -533,3 +533,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -21,12 +21,13 @@ convention for a permutation braid's permutation: the strand starting at
 position i ends at position p(i), and σᵢ is a left divisor of A exactly
 when p(i) > p(i+1).
 
-The outermost lattice steps (renormalizing a factor pair, a
-least-completion step, join, right complement, τ) and the factor objects
-are memo tables keyed by permutation, each bounded by ``_TABLE_SIZE``
-entries (about 9 MB when all are full on B8 words); no answer depends on
-what they hold.  Cycling trajectories and summit closures key normal forms
-by value and serialize only what they hand out.
+A canonical factor is its permutation's image tuple everywhere: in the
+lattice helpers, in ``NormalForm.factors`` and so in the keys of the key
+cache.  The outermost lattice steps (renormalizing a factor pair, a
+least-completion step, join, right complement, τ) are memo tables keyed by
+permutation, each bounded by ``_TABLE_SIZE`` entries; no answer depends on
+what they hold.  Cycling trajectories, summit closures and the key cache
+key normal forms by value and serialize only what they hand out.
 
 Conjugators stay simple elements: a cycling or decycling step yields the
 signed simple factor it conjugates by, and a summit closure records each
@@ -39,9 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import BraidWord, Permutation, ResourceLimitError, exponent_sum, free_reduce
+from .words import BraidWord, ResourceLimitError, exponent_sum, free_reduce
 
-# Permutations are handled as raw 1-based image tuples in the hot helpers.
+# A permutation is the tuple of 1-based images of 1 … n.
 Perm = tuple[int, ...]
 # A signed simple factor: (p, 1) is the permutation braid of p, (p, -1) its inverse.
 Factor = tuple[Perm, int]
@@ -145,30 +146,12 @@ def _factors_word(n: int, factors: list[Factor]) -> BraidWord:
 
 
 @dataclass(frozen=True)
-class PermutationBraid:
-    """A positive braid in which each pair of strands crosses at most once."""
-
-    permutation: Permutation
-
-    @property
-    def n(self) -> int:
-        return self.permutation.n
-
-    def word(self) -> BraidWord:
-        return BraidWord(self.n, _perm_word(self.permutation.images))
-
-    def crossings(self) -> int:
-        p = self.permutation.images
-        return sum(1 for a in range(len(p)) for b in range(a + 1, len(p)) if p[a] > p[b])
-
-
-@dataclass(frozen=True)
 class NormalForm:
     """Left normal form Δᵏ·A₁⋯A_l with left-weighted permutation-braid factors."""
 
     n: int
     delta_power: int
-    factors: tuple[Permutation, ...]
+    factors: tuple[Perm, ...]
 
     @property
     def inf(self) -> int:
@@ -186,21 +169,24 @@ class NormalForm:
         """Stable text form ``D^k | p1 | p2 | ...`` (one-line factor permutations)."""
         if not self.factors:
             return f"D^{self.delta_power} |"
-        return f"D^{self.delta_power} | " + " | ".join(f.one_line() for f in self.factors)
-
-    def sort_key(self):
-        return (self.delta_power, len(self.factors), tuple(f.images for f in self.factors))
+        text = " | ".join(" ".join(map(str, f)) for f in self.factors)
+        return f"D^{self.delta_power} | {text}"
 
     def as_word(self) -> BraidWord:
         """A word representing the same group element."""
         k = self.delta_power
         delta = [(_delta_perm(self.n), 1 if k >= 0 else -1)] * abs(k)
-        return _factors_word(self.n, delta + [(f.images, 1) for f in self.factors])
+        return _factors_word(self.n, delta + [(f, 1) for f in self.factors])
 
 
 @dataclass(frozen=True)
 class ConjugacyKey:
-    """The full super summit set, as a sorted tuple of normal-form serializations.
+    """The full super summit set, as the normal-form serializations of its members.
+
+    Members share inf and canonical length, and the entries are ordered by
+    the members' factor tuples (image tuples compared as integers); that is
+    also string order below 10 strands, but not from B10 on, where an image
+    10 sorts after 9.
 
     Equal for conjugate inputs, unequal otherwise; safe to use as a
     dictionary key in the move-graph search.
@@ -222,14 +208,9 @@ def _renorm_pair(a: Perm, b: Perm) -> tuple[Perm, Perm] | None:
     return _compose(a, c), _compose(_inverse(c), b)
 
 
-@lru_cache(maxsize=_TABLE_SIZE)
-def _factor(images: Perm) -> Permutation:
-    """The factor for an image tuple; only a table miss builds and validates one."""
-    return Permutation(images)
-
-
-def _normalize(n: int, k: int, factors: list[Perm]) -> tuple[int, tuple[Perm, ...]]:
-    """Left-weight a factor sequence, absorbing Δ's and dropping identities.
+def _normalize(n: int, k: int, factors: list[Perm]) -> NormalForm:
+    """The normal form of Δᵏ times a factor sequence: left-weight it, absorbing
+    Δ's and dropping identities.
 
     One forward pass with backward combing suffices: after position i is
     processed, the prefix is left-weighted; Δ factors bubble to the front
@@ -254,7 +235,7 @@ def _normalize(n: int, k: int, factors: list[Perm]) -> tuple[int, tuple[Perm, ..
         lo += 1
     while lo < hi and factors[hi - 1] == ident:
         hi -= 1
-    return k + lo, tuple(factors[lo:hi])
+    return NormalForm(n, k + lo, tuple(factors[lo:hi]))
 
 
 def left_normal_form(w: BraidWord) -> NormalForm:
@@ -281,32 +262,25 @@ def left_normal_form(w: BraidWord) -> NormalForm:
         factors.append(f if behind % 2 == 0 else _tau(f))
         behind += -s
     factors.reverse()
-    return _renormalize(n, k, factors)
-
-
-def _renormalize(nf_n: int, k: int, factors: list[Perm]) -> NormalForm:
-    k2, weighted = _normalize(nf_n, k, factors)
-    return NormalForm(nf_n, k2, tuple(_factor(f) for f in weighted))
+    return _normalize(n, k, factors)
 
 
 def _cycling_step(nf: NormalForm) -> tuple[NormalForm, Factor | None]:
     """Cycling plus the signed simple factor conjugating by it (None when l = 0)."""
     if not nf.factors:
         return nf, None
-    a1 = nf.factors[0].images
+    a1 = nf.factors[0]
     moved = a1 if nf.delta_power % 2 == 0 else _tau(a1)
-    rest = [f.images for f in nf.factors[1:]] + [moved]
-    return _renormalize(nf.n, nf.delta_power, rest), (moved, 1)
+    return _normalize(nf.n, nf.delta_power, [*nf.factors[1:], moved]), (moved, 1)
 
 
 def _decycling_step(nf: NormalForm) -> tuple[NormalForm, Factor | None]:
     """Decycling plus the signed simple factor conjugating by it (None when l = 0)."""
     if not nf.factors:
         return nf, None
-    al = nf.factors[-1].images
+    al = nf.factors[-1]
     moved = al if nf.delta_power % 2 == 0 else _tau(al)
-    rest = [moved] + [f.images for f in nf.factors[:-1]]
-    return _renormalize(nf.n, nf.delta_power, rest), (al, -1)
+    return _normalize(nf.n, nf.delta_power, [moved, *nf.factors[:-1]]), (al, -1)
 
 
 def cycling(nf: NormalForm) -> NormalForm:
@@ -336,8 +310,7 @@ def _conjugate_nf(nf: NormalForm, s: Perm) -> NormalForm:
     k = nf.delta_power
     rc = _right_complement(s)
     lead = _tau(rc) if (k + 1) % 2 else rc
-    factors = [lead] + [f.images for f in nf.factors] + [s]
-    return _renormalize(nf.n, k - 1, factors)
+    return _normalize(nf.n, k - 1, [lead, *nf.factors, s])
 
 
 def _summit(nf: NormalForm) -> tuple[NormalForm, list[Factor]]:
@@ -426,7 +399,7 @@ def _minimal_simples(nf: NormalForm) -> list[Perm]:
     reaches ρ_x(a) and nothing larger.
     """
     n, p = nf.n, nf.delta_power
-    xs = [f.images for f in nf.factors]
+    xs = nf.factors
     r = len(xs)
     zs = []
     for i in range(1, r + 1):
@@ -474,23 +447,24 @@ def _summit_closure(start: NormalForm, cap: int):
     return members
 
 
-# Cache: normal-form serialization of a summit element -> ConjugacyKey of its class.
-_key_cache: dict[tuple[int, str], ConjugacyKey] = {}
+# Cache: each super summit element -> ConjugacyKey of its class.
+_key_cache: dict[NormalForm, ConjugacyKey] = {}
 
 
 def super_summit_set(w: BraidWord, cap: int = DEFAULT_SSS_CAP) -> ConjugacyKey:
     """The complete super summit set of w, as a deterministic sorted key."""
     summit, _ = _summit(left_normal_form(w))
-    cached = _key_cache.get((w.n, summit.serialize()))
+    cached = _key_cache.get(summit)
     if cached is not None:
         if len(cached.entries) > cap:
             raise SuperSummitCapError(f"super summit set exceeds cap of {cap} elements")
         return cached
     members = _summit_closure(summit, cap)
-    ordered = sorted(members, key=NormalForm.sort_key)
+    # members share inf and canonical length, so their factors order them
+    ordered = sorted(members, key=lambda nf: nf.factors)
     key = ConjugacyKey(w.n, tuple(nf.serialize() for nf in ordered))
-    for serial in key.entries:
-        _key_cache[(w.n, serial)] = key
+    for nf in members:
+        _key_cache[nf] = key
     return key
 
 

@@ -396,7 +396,7 @@ def template_from_json(obj: dict) -> Template:
     weights = json_ints(obj, "weights", "template")
     right_weights = json_ints(obj, "right_weights", "template") if "right_weights" in obj else weights
     arities = json_field(obj, "blocks", dict, "template")
-    if not all(isinstance(v, int) for v in arities.values()):
+    if not all(type(v) is int for v in arities.values()):
         raise ValueError("template field 'blocks' must map block names to integers")
     return Template(
         json_field(obj, "name", str, "template"),

@@ -32,6 +32,7 @@ from .moves import (
     find_flype_decompositions,
     try_destabilize,
 )
+from .transverse import TRANSVERSE_MOVE_KINDS
 from .words import BraidWord, ResourceLimitError, free_reduce
 
 TOPOLOGICAL = "topological"
@@ -80,12 +81,16 @@ def _class_key(w: BraidWord) -> tuple[str, bool]:
 
 
 def _edges(w: BraidWord, bounds: SearchBounds):
-    """Deterministically ordered (kind, params) moves available at w."""
+    """Deterministically ordered (kind, params) moves available at w.
+
+    The transverse move set keeps the kinds in ``TRANSVERSE_MOVE_KINDS``.
+    That set holds no flype, so the flype finder is not run for it.
+    """
     transverse = bounds.move_set == TRANSVERSE
     out: list[tuple[str, dict]] = []
     if w.n >= 2:
         found = try_destabilize(w)
-        if found is not None and not (transverse and found.sign < 0):
+        if found is not None:
             out.append(
                 (
                     "destab+" if found.sign > 0 else "destab-",
@@ -104,8 +109,9 @@ def _edges(w: BraidWord, bounds: SearchBounds):
             )
     if w.n < bounds.max_strands and len(w.letters) + 1 <= bounds.max_word_length:
         out.append(("stab+", {}))
-        if not transverse:
-            out.append(("stab-", {}))
+        out.append(("stab-", {}))
+    if transverse:
+        return [(kind, params) for kind, params in out if kind in TRANSVERSE_MOVE_KINDS]
     return out
 
 

@@ -110,9 +110,6 @@ class Permutation:
             out.append(tuple(cyc))
         return tuple(out)
 
-    def one_line(self) -> str:
-        return " ".join(str(v) for v in self.images)
-
 
 @dataclass(frozen=True)
 class ComponentPartition:
@@ -291,20 +288,21 @@ def word_to_json(w: BraidWord) -> dict:
 
 def json_field(obj, key: str, kind, where: str):
     """``obj[key]`` if obj is a JSON object holding a ``kind`` there, else a ValueError
-    naming the missing or ill-typed field."""
+    naming the missing or ill-typed field.  A JSON boolean is not an int."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object")
     if key not in obj:
         raise ValueError(f"{where} lacks field {key!r}")
-    if not isinstance(obj[key], kind):
+    value = obj[key]
+    if not (type(value) is int if kind is int else isinstance(value, kind)):
         raise ValueError(f"{where} field {key!r} must be of type {kind.__name__}")
-    return obj[key]
+    return value
 
 
 def json_ints(obj, key: str, where: str) -> tuple[int, ...]:
     """The JSON list of integers ``obj[key]`` as a tuple, else a ValueError naming the field."""
     values = json_field(obj, key, list, where)
-    if not all(isinstance(x, int) for x in values):
+    if not all(type(x) is int for x in values):
         raise ValueError(f"{where} field {key!r} must be a list of integers")
     return tuple(values)
 

@@ -158,6 +158,12 @@ class TestMove:
         code, _, err = run_capture(capsys, ["move", "--replay", str(path)])
         assert code == 2 and "'conjugator'" in err
 
+    def test_replay_boolean_letter_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"initial": {"n": 3, "letters": [True, -2]}, "steps": []}))
+        code, _, err = run_capture(capsys, ["move", "--replay", str(path)])
+        assert code == 2 and "'letters'" in err
+
 
 class TestSearch:
     def test_found_exit_zero(self, capsys):
@@ -236,6 +242,25 @@ class TestNormalFormJson:
         assert payload["delta_power"] == -1
         assert payload["factors"] == [[3, 1, 2]]
         assert payload["serialized"].startswith("D^-1 | ")
+
+
+def test_runs_as_a_module():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import braidkit
+
+    env = dict(os.environ, PYTHONPATH=str(Path(braidkit.__file__).parents[1]))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "braidkit.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    done = cli("normalize", "-n", "2", "s1")
+    assert done.returncode == 0 and done.stdout.strip() == "D^1 |"
+    assert cli("normalize", "-n", "2", "s9").returncode == 2
 
 
 def test_usage_error_exit_two(capsys):

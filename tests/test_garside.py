@@ -109,7 +109,7 @@ class TestLeftNormalForm:
 
         assert nf.delta_power == -1
         assert len(nf.factors) == 1
-        assert nf.factors[0] == underlying_permutation(factor_word)
+        assert nf.factors[0] == underlying_permutation(factor_word).images
 
     def test_reconstruction_is_group_equal(self):
         rng = random.Random(10)
@@ -337,8 +337,7 @@ class TestKernelAgainstInversionSets:
 def test_answers_do_not_depend_on_cache_state():
     # every memo table in garside: the functions carrying an lru_cache
     tables = {name: f for name, f in vars(garside_module).items() if hasattr(f, "cache_info")}
-    assert {"_renorm_pair", "_completion_step", "_join", "_right_complement", "_tau",
-            "_factor"} <= set(tables)
+    assert {"_renorm_pair", "_completion_step", "_join", "_right_complement", "_tau"} <= set(tables)
     for name, table in tables.items():
         assert table.cache_info().maxsize is not None, name
 
@@ -432,13 +431,13 @@ class TestAreConjugate:
 def test_permutation_braid_word_length_is_inversions():
     import itertools
 
-    from braidkit.garside import PermutationBraid
-    from braidkit.words import Permutation, underlying_permutation
+    from braidkit.garside import _perm_word
+    from braidkit.words import underlying_permutation
 
     for images in itertools.permutations(range(1, 5)):
-        pb = PermutationBraid(Permutation(images))
-        w = pb.word()
-        assert len(w) == pb.crossings()
+        w = BraidWord(4, _perm_word(images))
+        inversions = sum(1 for a in range(4) for b in range(a + 1, 4) if images[a] > images[b])
+        assert len(w) == inversions
         assert all(x > 0 for x in w.letters)
         assert underlying_permutation(w).images == images
 
@@ -449,6 +448,18 @@ def test_key_sorting_deterministic():
     k2 = super_summit_set(conjugate(w, parse_braid_word("s2 s1 s2", 3)))
     assert k1 == k2
     assert list(k1.entries) == sorted(k1.entries)
+
+
+def test_key_entries_follow_factor_tuples():
+    # from B10 on an image 10 sorts before 9 as text, so factor-tuple order
+    # and string order part ways
+    w = parse_braid_word("s9 s8", 10)
+    members = _summit_closure(_summit(left_normal_form(w))[0], garside_module.DEFAULT_SSS_CAP)
+    ordered = sorted(members, key=lambda nf: nf.factors)
+    key = super_summit_set(w)
+    assert key.entries == tuple(nf.serialize() for nf in ordered)
+    assert len(key.entries) == 16
+    assert list(key.entries) != sorted(key.entries)
 
 
 # (n, u, v, witness, u's as_word(), v's as_word()) as letter tuples: v is a

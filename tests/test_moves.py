@@ -463,6 +463,14 @@ class TestTemplates:
         assert obj["right_weights"] == [3, 1]
         assert template_from_json(obj) == wide
 
+    def test_json_booleans_rejected(self):
+        obj = template_to_json(exchange_template())
+        assert obj["weights"] == [1, 1, 1]
+        with pytest.raises(ValueError, match="'weights'"):
+            template_from_json({**obj, "weights": [True, 1, 1]})
+        with pytest.raises(ValueError, match="'blocks'"):
+            template_from_json({**obj, "blocks": {"P": 2, "Q": True}})
+
     def test_mismatched_blocks_rejected(self):
         from braidkit.moves import Template
 

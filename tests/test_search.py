@@ -126,3 +126,18 @@ def test_dedup_statistics_accumulate():
 def test_move_set_validation():
     with pytest.raises(ValueError):
         SearchBounds(move_set="sideways")
+
+
+def test_transverse_edges_are_the_transverse_kinds_of_all_edges():
+    from braidkit.transverse import TRANSVERSE_MOVE_KINDS
+
+    rng = random.Random(21)
+    words = [random_word(rng, rng.randint(2, 4), 12) for _ in range(300)]
+    words.append(parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3))  # a flype word
+    kinds = set()
+    for w in words:
+        every = search._edges(w, SearchBounds())
+        kinds |= {kind for kind, _ in every}
+        transverse = search._edges(w, SearchBounds(move_set=TRANSVERSE))
+        assert transverse == [(k, p) for k, p in every if k in TRANSVERSE_MOVE_KINDS]
+    assert {"destab+", "destab-", "exchange", "flype-", "stab+", "stab-"} <= kinds

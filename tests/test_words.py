@@ -206,3 +206,9 @@ def test_json_round_trip():
     for _ in range(30):
         w = random_word(rng, rng.randint(1, 5), 10)
         assert word_from_json(word_to_json(w)) == w
+
+
+@pytest.mark.parametrize("obj", [{"n": True, "letters": []}, {"n": 3, "letters": [True, -2]}])
+def test_json_booleans_are_not_integers(obj):
+    with pytest.raises(ValueError):
+        word_from_json(obj)
