@@ -51,9 +51,12 @@ Factor = tuple[Perm, int]
 # (24² + 6² + 2² = 616); past the bound the least recently used entry goes.
 _TABLE_SIZE = 4096
 
+# Most members a super summit set may have; read at call time.
+MAX_SUMMIT_SET = 10_000
+
 
 class SuperSummitCapError(ResourceLimitError):
-    """The super summit set grew past the configured bound."""
+    """The super summit set has more than :data:`MAX_SUMMIT_SET` members."""
 
 
 def _identity(n: int) -> Perm:
@@ -352,9 +355,6 @@ def _summit(nf: NormalForm) -> tuple[NormalForm, list[Factor]]:
     return cur, conj
 
 
-DEFAULT_SSS_CAP = 10_000
-
-
 @lru_cache(maxsize=_TABLE_SIZE)
 def _join(s: Perm, t: Perm) -> Perm:
     """Least common right multiple s ∨ t of two permutation braids.
@@ -418,7 +418,7 @@ def _minimal_simples(nf: NormalForm) -> list[Perm]:
     return found
 
 
-def _summit_closure(start: NormalForm, cap: int):
+def _summit_closure(start: NormalForm):
     """Close a super summit element under its minimal simple elements.
 
     The simple elements s with x^s in the super summit set are closed under
@@ -428,7 +428,8 @@ def _summit_closure(start: NormalForm, cap: int):
     whole set.
 
     Returns a dict member -> (parent, s) with member = s⁻¹·parent·s, and
-    (None, None) for start.  Raises :class:`SuperSummitCapError` past the cap.
+    (None, None) for start.  Raises :class:`SuperSummitCapError` once the set
+    has more than :data:`MAX_SUMMIT_SET` members.
     """
     members: dict[NormalForm, tuple[NormalForm | None, Perm | None]] = {start: (None, None)}
     frontier = [start]
@@ -441,25 +442,26 @@ def _summit_closure(start: NormalForm, cap: int):
                     continue
                 members[cand] = (nf, s)
                 new_frontier.append(cand)
-                if len(members) > cap:
-                    raise SuperSummitCapError(f"super summit set exceeds cap of {cap} elements")
+                if len(members) > MAX_SUMMIT_SET:
+                    raise SuperSummitCapError(
+                        f"super summit set exceeds {MAX_SUMMIT_SET} members (MAX_SUMMIT_SET)"
+                    )
         frontier = new_frontier
     return members
 
 
-# Cache: each super summit element -> ConjugacyKey of its class.
+# Cache: each super summit element -> ConjugacyKey of its class.  A class
+# enters only after closing within MAX_SUMMIT_SET members, so no key exceeds it.
 _key_cache: dict[NormalForm, ConjugacyKey] = {}
 
 
-def super_summit_set(w: BraidWord, cap: int = DEFAULT_SSS_CAP) -> ConjugacyKey:
+def super_summit_set(w: BraidWord) -> ConjugacyKey:
     """The complete super summit set of w, as a deterministic sorted key."""
     summit, _ = _summit(left_normal_form(w))
     cached = _key_cache.get(summit)
     if cached is not None:
-        if len(cached.entries) > cap:
-            raise SuperSummitCapError(f"super summit set exceeds cap of {cap} elements")
         return cached
-    members = _summit_closure(summit, cap)
+    members = _summit_closure(summit)
     # members share inf and canonical length, so their factors order them
     ordered = sorted(members, key=lambda nf: nf.factors)
     key = ConjugacyKey(w.n, tuple(nf.serialize() for nf in ordered))
@@ -468,12 +470,7 @@ def super_summit_set(w: BraidWord, cap: int = DEFAULT_SSS_CAP) -> ConjugacyKey:
     return key
 
 
-def are_conjugate(
-    u: BraidWord,
-    v: BraidWord,
-    want_witness: bool = False,
-    cap: int = DEFAULT_SSS_CAP,
-):
+def are_conjugate(u: BraidWord, v: BraidWord, want_witness: bool = False):
     """Decide conjugacy in Bₙ via super summit sets.
 
     Returns a bool, or with ``want_witness`` a pair ``(bool, g)`` where the
@@ -488,7 +485,7 @@ def are_conjugate(
         # v is conjugate to u exactly when v's summit element lies in u's
         # super summit set.  A serialization spells out (inf, canonical
         # length), so an element of another level is never among the entries.
-        u_key = super_summit_set(u, cap)
+        u_key = super_summit_set(u)
         sv, _ = _summit(left_normal_form(v))
         return sv.serialize() in u_key.entries
 
@@ -496,7 +493,7 @@ def are_conjugate(
     sv, gv = _summit(left_normal_form(v))
     if (su.inf, su.canonical_length) != (sv.inf, sv.canonical_length):
         return False, None
-    members = _summit_closure(su, cap)
+    members = _summit_closure(su)
     if sv not in members:
         return False, None
     # g = gu · (the closure steps from su to sv) · gv⁻¹

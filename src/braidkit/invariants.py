@@ -10,8 +10,9 @@ template fuzzer:
   polynomial of the closure via det(ψ(w) − I) / (1 + t + ⋯ + t^{n−1});
 * the Kauffman bracket by Kauffman's state model carried through the
   Temperley–Lieb quotient of the braid group: a transfer over the letters
-  whose states are the at most Catalan(n) non-crossing matchings of 2n
-  points, so the work is polynomial in the word length;
+  whose states are the at most min(Catalan(n), 2^L) non-crossing matchings
+  of 2n points, so the work is polynomial in the word length, and bounded
+  by :data:`MAX_BRACKET_WORK` before any step is taken;
 * the Jones polynomial X = (−A³)^{−writhe}·⟨·⟩ with t = A⁻⁴, returned in
   the variable q = t^{1/2} (so q = A⁻²);
 * a seeded fuzzer asserting that both sides of a template close to links
@@ -29,15 +30,19 @@ from math import comb
 
 from .laurent import LaurentPolynomial, PolyMatrix
 from .transverse import InternalConsistencyError
-from .words import BraidWord, closure_components, exponent_sum
+from .words import BraidWord, ResourceLimitError, closure_components, exponent_sum
 
 from . import _bracket_py
 
-DEFAULT_CROSSING_CAP = 24
+# Most work units min(Catalan(n), 2^L)·(L·(L+1) + n²) a bracket may take for
+# L letters on n strands: a 100-letter B8 word is 1.5·10⁷ units, 2.9 s with
+# Python 3.11 on a 2-CPU Xeon, and the empty B4000 word 1.6·10⁷, 1.3 s.
+MAX_BRACKET_WORK = 20_000_000
+MAX_STATE_SUM_LETTERS = 24  # letters of the exhaustive 2^L test oracle
 
 
-class CrossingCapExceeded(ValueError):
-    """The word has more crossings than the bracket's crossing cap allows."""
+class CrossingCapExceeded(ResourceLimitError):
+    """The bracket of the word would cost more than its documented bound."""
 
 
 def burau_reduced(w: BraidWord) -> PolyMatrix:
@@ -48,8 +53,6 @@ def burau_reduced(w: BraidWord) -> PolyMatrix:
     tables: σᵢ gives t·col(j−1) − t·col(j) + col(j+1), σᵢ⁻¹ gives
     col(j−1) − t⁻¹·col(j) + t⁻¹·col(j+1), a missing column counting as zero.
     """
-    if w.n < 2:
-        raise ValueError("reduced Burau needs at least 2 strands")
     d = w.n - 1
     cols = [[{0: 1} if r == c else {} for r in range(d)] for c in range(d)]
     zero = [{}] * d
@@ -90,8 +93,6 @@ def alexander_with_flag(w: BraidWord) -> AlexanderResult:
     (``normalized=False``); compare those with
     :meth:`LaurentPolynomial.equals_up_to_units`.
     """
-    if w.n < 2:
-        raise ValueError("Alexander via reduced Burau needs at least 2 strands")
     mat = burau_reduced(w) - PolyMatrix.identity(w.n - 1)
     det = mat.determinant()
     divisor = LaurentPolynomial(tuple((e, 1) for e in range(w.n)))
@@ -115,17 +116,16 @@ def alexander_polynomial(w: BraidWord) -> LaurentPolynomial:
     return alexander_with_flag(w).polynomial
 
 
-def bracket_coeff_table(
-    w: BraidWord, max_crossings: int = DEFAULT_CROSSING_CAP
-) -> tuple[dict[int, int], int]:
+def bracket_coeff_table(w: BraidWord) -> tuple[dict[int, int], int]:
     """Exhaustive bracket coefficient table over the A-exponent, plus states touched.
 
     This is the 2^L-state reference sum of :mod:`braidkit._bracket_py`; the
-    tests check :func:`kauffman_bracket` against it.
+    tests check :func:`kauffman_bracket` against it.  More than
+    :data:`MAX_STATE_SUM_LETTERS` letters raise :class:`CrossingCapExceeded`.
     """
     L = len(w.letters)
-    if L > max_crossings:
-        raise CrossingCapExceeded(f"{L} crossings exceeds the cap of {max_crossings}")
+    if L > MAX_STATE_SUM_LETTERS:
+        raise CrossingCapExceeded(f"{L} letters > MAX_STATE_SUM_LETTERS = {MAX_STATE_SUM_LETTERS}")
     return _bracket_py.bracket_coeffs(w.n, w.letters), 1 << L
 
 
@@ -134,7 +134,7 @@ def _d_power(k: int) -> dict[int, int]:
     return {2 * k - 4 * j: (-1) ** k * comb(k, j) for j in range(k + 1)}
 
 
-def _bracket_table(w: BraidWord, max_crossings: int) -> dict[int, int]:
+def _bracket_table(w: BraidWord) -> dict[int, int]:
     """Kauffman bracket of the closure by a Temperley–Lieb transfer over the letters.
 
     Points 0 … n−1 are the top of the braid and n … 2n−1 the current bottom;
@@ -146,10 +146,15 @@ def _bracket_table(w: BraidWord, max_crossings: int) -> dict[int, int]:
     the table is multiplied by d = −A² − A⁻².  Equal matchings are merged.
     The closure joins top j to bottom j; its l loops contribute d^{l−1}.
     """
-    L = len(w.letters)
-    if L > max_crossings:
-        raise CrossingCapExceeded(f"{L} crossings exceeds the cap of {max_crossings}")
-    n = w.n
+    n, L = w.n, len(w.letters)
+    # At most min(Catalan(n), 2^L) states (Catalan(n) ≥ 2^(n−1) ≥ 2^L once
+    # n > L), each with a table of ≤ L + 1 exponents per letter; at the
+    # closure each walks 2n points and expands d^{l−1}, l ≤ n.
+    peak = min(1 << L, comb(2 * n, n) // (n + 1)) if n <= L else 1 << L
+    if peak * (L * (L + 1) + n * n) > MAX_BRACKET_WORK:
+        raise CrossingCapExceeded(
+            f"bracket of {L} letters on {n} strands exceeds MAX_BRACKET_WORK = {MAX_BRACKET_WORK}"
+        )
     states = {tuple(range(n, 2 * n)) + tuple(range(n)): {0: 1}}
     for x in w.letters:
         p = n + abs(x) - 1
@@ -189,20 +194,23 @@ def _bracket_table(w: BraidWord, max_crossings: int) -> dict[int, int]:
     return {e: c for e, c in result.items() if c != 0}
 
 
-def kauffman_bracket(w: BraidWord, max_crossings: int = DEFAULT_CROSSING_CAP) -> LaurentPolynomial:
-    """Kauffman bracket of the closure diagram, in the variable A."""
-    return LaurentPolynomial.from_dict(_bracket_table(w, max_crossings))
+def kauffman_bracket(w: BraidWord) -> LaurentPolynomial:
+    """Kauffman bracket of the closure diagram, in the variable A (bounded as Jones is)."""
+    return LaurentPolynomial.from_dict(_bracket_table(w))
 
 
-def jones_polynomial(w: BraidWord, max_crossings: int = DEFAULT_CROSSING_CAP) -> LaurentPolynomial:
+def jones_polynomial(w: BraidWord) -> LaurentPolynomial:
     """Jones polynomial of the closure, in q = t^{1/2}.
 
     X = (−A³)^{−writhe}·⟨w⟩ with the writhe equal to the exponent sum; the
     substitution t = A⁻⁴ makes q = A⁻², and every exponent of X is even, so
     the result is an honest integer Laurent polynomial in q.  Closures with
     an odd number of components land in even q-powers (integer t-powers).
+    A bracket costing more than :data:`MAX_BRACKET_WORK` units of
+    min(Catalan(n), 2^L)·(L·(L+1) + n²) raises :class:`CrossingCapExceeded`,
+    a :class:`ResourceLimitError`, before any work.
     """
-    table = _bracket_table(w, max_crossings)
+    table = _bracket_table(w)
     writhe = exponent_sum(w)
     sign = -1 if writhe % 2 else 1
     out: dict[int, int] = {}

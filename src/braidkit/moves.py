@@ -255,10 +255,6 @@ class BlockStrandDiagram:
                 if not 1 <= item.pos <= k - arity + 1:
                     raise ValueError(f"block {item.block!r} does not fit at {item.pos}")
 
-    @property
-    def total_strands(self) -> int:
-        return sum(self.strand_weights)
-
 
 @dataclass(frozen=True)
 class Template:
@@ -370,9 +366,9 @@ def _diagram_from_json(items: list, weights: tuple[int, ...], arities: dict) -> 
             parsed.append(Crossing(*crossing))
         elif isinstance(item, dict) and "b" in item:
             entry = [item["b"], 1] if isinstance(item["b"], str) else item["b"]
-            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], int)):
+            if not isinstance(entry, list) or list(map(type, entry)) != [str, int]:
                 raise ValueError(f"block item {item!r} must be {{'b': name}} or {{'b': [name, pos]}}")
-            parsed.append(BlockSlot(str(entry[0]), entry[1]))
+            parsed.append(BlockSlot(*entry))
         else:
             raise ValueError(f"unknown template item {item!r}")
     return BlockStrandDiagram(weights, tuple(parsed), dict(arities))
@@ -459,9 +455,6 @@ def builtin_templates() -> dict[str, Template]:
 
 # ---------------------------------------------------------------------------
 # Move sequences (certified chains of moves)
-
-MOVE_KINDS = ("conjugation", "stab+", "stab-", "destab+", "destab-", "exchange", "flype+", "flype-")
-
 
 @dataclass(frozen=True)
 class MoveStep:
@@ -572,9 +565,7 @@ def _block_words(n: int, max_len: int):
             yield BraidWord(n, tup)
 
 
-def winding_iterates(
-    P: BraidWord, Q: BraidWord, k: int, block_search_len: int | None = None
-) -> list[BraidWord]:
+def winding_iterates(P: BraidWord, Q: BraidWord, k: int) -> list[BraidWord]:
     """Wind w₀ = P·σₙ₋₁·Q·σₙ₋₁⁻¹ through k exchange moves, preferring new
     conjugacy classes.
 
@@ -583,11 +574,11 @@ def winding_iterates(
     winding pictures instead re-braid the moving block each time it passes
     the axis strand.  Here each step searches the representations
     P·σₙ₋₁^s·V·σₙ₋₁^{−s} of the current conjugacy class, with V ranging
-    over words on n−1 strands of length ≤ ``block_search_len`` (default:
-    max of the two block lengths), and applies the exchange whose result
-    leaves every class seen so far; when no fresh class is exposed it falls
-    back to a plain toggle.  Each step is a conjugation followed by one
-    exchange move, so every iterate closes to the same link.  More than
+    over words on n−1 strands no longer than the longer of P and Q (at
+    least 1), and applies the exchange whose result leaves every class seen
+    so far; when no fresh class is exposed it falls back to a plain toggle.
+    Each step is a conjugation followed by one exchange move, so every
+    iterate closes to the same link.  More than
     :data:`MAX_WINDING_BLOCK_WORDS` blocks V raise :class:`ResourceLimitError`.
     """
     if P.n != Q.n:
@@ -598,7 +589,7 @@ def winding_iterates(
 
     n = P.n + 1
     top = n - 1
-    vmax = block_search_len if block_search_len is not None else max(len(P), len(Q), 1)
+    vmax = max(len(P), len(Q), 1)
     blocks, layer = 0, 1
     for _ in range(vmax + 1):
         blocks, layer = blocks + layer, layer * (2 * P.n - 2)

@@ -75,6 +75,21 @@ class TestInvariants:
         alex = LaurentPolynomial.from_json(payload["alexander"])
         assert alex == LaurentPolynomial.from_json(payload["alexander"])
 
+    def test_one_strand_unknot(self, capsys):
+        code, out, _ = run_capture(capsys, ["invariants", "-n", "1", "", "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        one = LaurentPolynomial(((0, 1),))
+        assert LaurentPolynomial.from_json(payload["jones"]) == one
+        assert LaurentPolynomial.from_json(payload["alexander"]) == one
+        assert payload["alexander_normalized"] is True
+
+    def test_bracket_work_bound_exit_two(self, capsys):
+        # 24 disjoint crossings: 2^24 transfer states, rejected before any step
+        word = " ".join(f"s{i}" for i in range(1, 48, 2))
+        code, _, err = run_capture(capsys, ["invariants", "-n", "49", word])
+        assert code == 2 and "MAX_BRACKET_WORK" in err and "internal" not in err
+
 
 class TestMove:
     def test_flype(self, capsys):
@@ -221,6 +236,16 @@ class TestTemplate:
         path.write_text(json.dumps(obj))
         code, _, err = run_capture(capsys, ["template", "check", str(path), "--seed", "1"])
         assert code == 2 and "'blocks'" in err
+
+    def test_check_file_with_boolean_block_position_exit_two(self, capsys, tmp_path):
+        from braidkit.moves import flype_template, template_to_json
+
+        obj = template_to_json(flype_template(1))
+        obj["left"][1] = {"b": ["R", True]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run_capture(capsys, ["template", "check", str(path), "--seed", "1"])
+        assert code == 2 and "block item" in err
 
 
 class TestWinding:

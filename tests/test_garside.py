@@ -65,6 +65,14 @@ def words_and_conjugators(draw):
     return w, g
 
 
+@st.composite
+def short_words(draw):
+    """A B2–B5 word of at most 10 letters."""
+    n = draw(st.integers(2, 5))
+    letter = st.sampled_from([i for i in range(1 - n, n) if i != 0])
+    return BraidWord(n, tuple(draw(st.lists(letter, max_size=10))))
+
+
 def random_rewrite(rng, w):
     """One free insertion, far-commutation, or braid-relation rewrite of w."""
     letters = list(w.letters)
@@ -135,6 +143,16 @@ class TestLeftNormalForm:
             for _ in range(15):
                 v = random_rewrite(rng, v)
             assert left_normal_form(v) == nf
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(short_words(), st.randoms(use_true_random=False))
+    def test_rewriting_invariance_property(self, w, rng):
+        # free insertions, far commutations and both sign forms of
+        # σᵢσᵢ₊₁σᵢ = σᵢ₊₁σᵢσᵢ₊₁ leave the left normal form as it is
+        v = w
+        for _ in range(12):
+            v = random_rewrite(rng, v)
+        assert left_normal_form(v) == left_normal_form(w)
 
 
 class TestCyclingDecycling:
@@ -210,26 +228,36 @@ class TestSuperSummitSet:
         key = super_summit_set(parse_braid_word("s1 s2 s1 s1 s2 s1", 3))
         assert key.entries == ("D^2 |",)
 
-    def test_cap_holds_on_a_cached_key(self):
-        w = parse_braid_word("s1", 3)
+    def test_cap_holds_on_a_cached_key(self, monkeypatch):
+        # a key is cached only after closing within MAX_SUMMIT_SET, so a
+        # lowered bound starts from an empty cache
+        w, v = parse_braid_word("s1", 3), parse_braid_word("s2", 3)
         super_summit_set(w)  # caches the 2-member key of {s1, s2}
+        monkeypatch.setattr(garside_module, "MAX_SUMMIT_SET", 1)
+        garside_module._key_cache.clear()
+        with pytest.raises(SuperSummitCapError, match="MAX_SUMMIT_SET"):
+            super_summit_set(w)
         with pytest.raises(SuperSummitCapError):
-            super_summit_set(w, cap=1)
+            are_conjugate(w, v)
         with pytest.raises(SuperSummitCapError):
-            are_conjugate(w, parse_braid_word("s2", 3), cap=1)
+            are_conjugate(w, v, want_witness=True)
+        assert not garside_module._key_cache
 
-    def test_cap_escalates(self):
-        garside_module._key_cache.clear()  # a cached key would mask the cap
+    def test_cap_escalates(self, monkeypatch):
+        garside_module._key_cache.clear()
+        monkeypatch.setattr(garside_module, "MAX_SUMMIT_SET", 1)
         w = parse_braid_word("s1", 3)  # summit set {s1, s2} has 2 > 1 elements
         with pytest.raises(SuperSummitCapError):
-            super_summit_set(w, cap=1)
+            super_summit_set(w)
+        monkeypatch.setattr(garside_module, "MAX_SUMMIT_SET", 2)
+        assert len(super_summit_set(w).entries) == 2
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(words_and_conjugators())
     def test_closure_matches_exhaustive_oracle(self, case):
         w, g = case
         summit, _ = _summit(left_normal_form(w))
-        closure = _summit_closure(summit, garside_module.DEFAULT_SSS_CAP)
+        closure = _summit_closure(summit)
         members = {}  # serialization -> (member, conjugator word from summit)
         for nf, (parent, s) in closure.items():
             conj = BraidWord(summit.n)
@@ -253,7 +281,7 @@ class TestSuperSummitSet:
         w = parse_braid_word("s1 s2^-1 s3 s2 s1^-1 s3^2 s2 s1", 4)
         summit, _ = _summit(left_normal_form(w))
         monkeypatch.setattr(garside_module, "_conjugate_nf", counted)
-        members = _summit_closure(summit, garside_module.DEFAULT_SSS_CAP)
+        members = _summit_closure(summit)
         assert len(members) > 1
         assert len(calls) <= 3 * len(members)
 
@@ -454,7 +482,7 @@ def test_key_entries_follow_factor_tuples():
     # from B10 on an image 10 sorts before 9 as text, so factor-tuple order
     # and string order part ways
     w = parse_braid_word("s9 s8", 10)
-    members = _summit_closure(_summit(left_normal_form(w))[0], garside_module.DEFAULT_SSS_CAP)
+    members = _summit_closure(_summit(left_normal_form(w))[0])
     ordered = sorted(members, key=lambda nf: nf.factors)
     key = super_summit_set(w)
     assert key.entries == tuple(nf.serialize() for nf in ordered)

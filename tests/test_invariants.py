@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from braidkit import invariants
 from braidkit.invariants import (
     CrossingCapExceeded,
     alexander_polynomial,
@@ -19,6 +20,7 @@ from braidkit.laurent import LaurentPolynomial, PolyMatrix
 from braidkit.moves import builtin_templates, flype_template, stabilize
 from braidkit.words import (
     BraidWord,
+    ResourceLimitError,
     closure_components,
     conjugate,
     mirror,
@@ -131,6 +133,11 @@ class TestAlexander:
             assert alexander_with_flag(stabilize(w, 1)).polynomial.equals_up_to_units(a)
             assert alexander_with_flag(stabilize(w, -1)).polynomial.equals_up_to_units(a)
 
+    def test_one_strand_unknot(self):
+        # the 0×0 determinant is 1 and the divisor 1 + ⋯ + t^{n−1} is 1
+        res = alexander_with_flag(BraidWord(1))
+        assert res.polynomial == LaurentPolynomial(((0, 1),)) and res.normalized
+
     def test_split_link_vanishes(self):
         res = alexander_with_flag(BraidWord(2))
         assert res.polynomial.is_zero() and not res.normalized
@@ -200,11 +207,31 @@ class TestBracketJones:
             _, states = bracket_coeff_table(w)
             assert states == 2 ** len(w)
 
-    def test_crossing_cap(self):
-        w = BraidWord(2, (1,) * 25)
-        with pytest.raises(CrossingCapExceeded):
-            jones_polynomial(w)
-        assert jones_polynomial(w, max_crossings=25) is not None
+    def test_crossing_cap(self, monkeypatch):
+        # the bound is the cost min(Catalan(n), 2^L)·(L·(L+1) + n²), not the
+        # letter count: 25 letters on B2 are 2·(650 + 4) = 1 308 units
+        s1_25 = BraidWord(2, (1,) * 25)
+        assert sum(c for _, c in jones_polynomial(s1_25).terms) == 1
+        monkeypatch.setattr(invariants, "MAX_BRACKET_WORK", 1307)
+        with pytest.raises(CrossingCapExceeded, match="MAX_BRACKET_WORK"):
+            kauffman_bracket(s1_25)
+        monkeypatch.setattr(invariants, "MAX_BRACKET_WORK", 1308)
+        assert not kauffman_bracket(s1_25).is_zero()
+        with pytest.raises(CrossingCapExceeded, match="MAX_STATE_SUM_LETTERS"):
+            bracket_coeff_table(s1_25)
+
+    def test_disjoint_crossings_rejected_before_any_step(self):
+        # 24 letters on 24 disjoint strand pairs: 2^24 transfer states
+        class Untouched(tuple):
+            def __iter__(self):
+                raise AssertionError("a transfer step ran")
+
+        w = BraidWord(49, tuple(range(1, 48, 2)))
+        object.__setattr__(w, "letters", Untouched(w.letters))
+        assert issubclass(CrossingCapExceeded, ResourceLimitError)
+        for bracket in (jones_polynomial, kauffman_bracket):
+            with pytest.raises(CrossingCapExceeded, match="MAX_BRACKET_WORK"):
+                bracket(w)
 
     def test_transfer_matches_state_sum(self):
         # the Temperley–Lieb transfer against the exhaustive 2^L-state sum;

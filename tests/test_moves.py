@@ -471,6 +471,15 @@ class TestTemplates:
         with pytest.raises(ValueError, match="'blocks'"):
             template_from_json({**obj, "blocks": {"P": 2, "Q": True}})
 
+    @pytest.mark.parametrize("slot", [["R", True], [5, 2], [None, 2]])
+    def test_json_block_slot_types(self, slot):
+        # a position must be a JSON integer and a name a string; neither is coerced
+        obj = template_to_json(flype_template(1))
+        assert obj["left"][1] == {"b": ["R", 2]}
+        obj["left"][1] = {"b": slot}
+        with pytest.raises(ValueError, match="block item"):
+            template_from_json(obj)
+
     def test_mismatched_blocks_rejected(self):
         from braidkit.moves import Template
 

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidkit.moves import stabilize
-from braidkit.search import TRANSVERSE, scramble
+from braidkit import search
+from braidkit.moves import apply_move, stabilize
+from braidkit.search import TRANSVERSE, SearchBounds, scramble
 from braidkit.transverse import (
     component_invariants,
     is_transverse_move,
@@ -15,6 +18,19 @@ from braidkit.words import BraidWord, conjugate, parse_braid_word
 TX_PLUS = parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3)
 LINK_PRE = parse_braid_word("s1^3 s2^4 s1^-5 s2^-1", 3)
 LINK_POST = parse_braid_word("s1^3 s2^-1 s1^-5 s2^4", 3)
+
+
+@st.composite
+def stabilized_words(draw):
+    """A B2–B4 word, half the time stabilized and conjugated so it destabilizes."""
+    n = draw(st.integers(2, 4))
+    letter = st.sampled_from([i for i in range(1 - n, n) if i != 0])
+    w = BraidWord(n, tuple(draw(st.lists(letter, max_size=10))))
+    if draw(st.booleans()):
+        w = stabilize(w, draw(st.sampled_from([1, -1])))
+        letter = st.sampled_from([i for i in range(1 - w.n, w.n) if i != 0])
+        w = conjugate(w, BraidWord(w.n, tuple(draw(st.lists(letter, max_size=3)))))
+    return w
 
 
 def random_word(rng, n, max_len):
@@ -126,3 +142,14 @@ def test_beta_constant_along_transverse_scrambles():
         scrambled, seq = scramble(w, rng.randint(0, 5), rng.randrange(1 << 30), move_set=TRANSVERSE)
         assert all(is_transverse_move(s) for s in seq.steps)
         assert self_linking(scrambled) == self_linking(w)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(stabilized_words())
+def test_beta_invariant_under_transverse_edges(w):
+    # B6 leaves room to stabilize every word drawn, stabilized ones included
+    beta = self_linking(w)
+    for kind, params in search._edges(w, SearchBounds(max_strands=6, move_set=TRANSVERSE)):
+        assert self_linking(apply_move(w, kind, params)) == beta, kind
+    assert ("stab-", {}) in search._edges(w, SearchBounds(max_strands=6))
+    assert self_linking(apply_move(w, "stab-", {})) == beta - 2
