@@ -18,6 +18,7 @@ from .garside import (
     super_summit_set,
 )
 from .invariants import (
+    AlexanderCapExceeded,
     CrossingCapExceeded,
     alexander_polynomial,
     alexander_with_flag,

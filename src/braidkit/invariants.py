@@ -7,7 +7,8 @@ provides the invariants used as oracles throughout the test suite and the
 template fuzzer:
 
 * the reduced Burau representation over ℤ[t, t⁻¹] and the Alexander
-  polynomial of the closure via det(ψ(w) − I) / (1 + t + ⋯ + t^{n−1});
+  polynomial of the closure via det(ψ(w) − I) / (1 + t + ⋯ + t^{n−1}), one
+  integer determinant bounded by :data:`MAX_ALEXANDER_WORK` before any step;
 * the Kauffman bracket by Kauffman's state model carried through the
   Temperley–Lieb quotient of the braid group: a transfer over the letters
   whose states are the at most min(Catalan(n), 2^L) non-crossing matchings
@@ -39,10 +40,17 @@ from . import _bracket_py
 # Python 3.11 on a 2-CPU Xeon, and the empty B4000 word 1.6·10⁷, 1.3 s.
 MAX_BRACKET_WORK = 20_000_000
 MAX_STATE_SUM_LETTERS = 24  # letters of the exhaustive 2^L test oracle
+# Most units d²·(d³ + L³), d = n − 1, of Alexander for L letters on n strands:
+# B80 s1 … s79 is 6.2·10⁹ (0.5 s), 300 positive letters on B20 9.8·10⁹ (12 s).
+MAX_ALEXANDER_WORK = 10_000_000_000
 
 
 class CrossingCapExceeded(ResourceLimitError):
     """The bracket of the word would cost more than its documented bound."""
+
+
+class AlexanderCapExceeded(ResourceLimitError):
+    """The Alexander polynomial of the word would cost more than its documented bound."""
 
 
 def burau_reduced(w: BraidWord) -> PolyMatrix:
@@ -52,8 +60,13 @@ def burau_reduced(w: BraidWord) -> PolyMatrix:
     j = i − 1, so each letter is one column update on exponent → coefficient
     tables: σᵢ gives t·col(j−1) − t·col(j) + col(j+1), σᵢ⁻¹ gives
     col(j−1) − t⁻¹·col(j) + t⁻¹·col(j+1), a missing column counting as zero.
+    Past :data:`MAX_ALEXANDER_WORK` it raises :class:`AlexanderCapExceeded` before any table.
     """
-    d = w.n - 1
+    d, L = w.n - 1, len(w.letters)
+    if d * d * (d**3 + L**3) > MAX_ALEXANDER_WORK:
+        raise AlexanderCapExceeded(
+            f"Alexander of {L} letters on {w.n} strands exceeds MAX_ALEXANDER_WORK = {MAX_ALEXANDER_WORK}"
+        )
     cols = [[{0: 1} if r == c else {} for r in range(d)] for c in range(d)]
     zero = [{}] * d
     for x in w.letters:
@@ -93,22 +106,24 @@ def alexander_with_flag(w: BraidWord) -> AlexanderResult:
     (``normalized=False``); compare those with
     :meth:`LaurentPolynomial.equals_up_to_units`.
     """
-    mat = burau_reduced(w) - PolyMatrix.identity(w.n - 1)
-    det = mat.determinant()
-    divisor = LaurentPolynomial(tuple((e, 1) for e in range(w.n)))
-    try:
-        quot = det.divide_exact(divisor)
-    except ValueError as exc:
-        raise InternalConsistencyError(f"Burau determinant not divisible: {exc}") from exc
+    det = (burau_reduced(w) - PolyMatrix.identity(w.n - 1)).determinant()
+    # q = det·(1 − t)/(1 − tⁿ) term by term; exact iff its n would-be top terms are 0
+    low = det.min_exp if det.terms else 0
+    q = [0] * (det.max_exp - low + 2 if det.terms else 1)
+    for e, c in det.terms:
+        q[e - low] += c
+        q[e - low + 1] -= c
+    for k in range(w.n, len(q)):
+        q[k] += q[k - w.n]
+    top = max(len(q) - w.n, 0)
+    if any(q[top:]):
+        raise InternalConsistencyError("Burau determinant not divisible by 1 + t + ⋯ + t^{n−1}")
+    quot = q[:top]  # its first and last terms are those of det, so nonzero
     if closure_components(w).n_components != 1:
-        return AlexanderResult(quot, False)
-    if quot.is_zero():
-        return AlexanderResult(quot, True)
-    span = quot.min_exp + quot.max_exp
-    centered = quot.shift(-((span + 1) // 2) if span % 2 else -(span // 2))
-    if centered.terms[-1][1] < 0:
-        centered = -centered
-    return AlexanderResult(centered, True)
+        return AlexanderResult(LaurentPolynomial.from_dict(dict(enumerate(quot, low))), False)
+    sign = -1 if quot and quot[-1] < 0 else 1
+    centered = {k - top // 2: sign * c for k, c in enumerate(quot)}
+    return AlexanderResult(LaurentPolynomial.from_dict(centered), True)
 
 
 def alexander_polynomial(w: BraidWord) -> LaurentPolynomial:
@@ -144,12 +159,12 @@ def _bracket_table(w: BraidWord) -> dict[int, int]:
     which joins the partners of bottom points i and i+1 and matches those two
     points with each other; if they were already matched a loop closes and
     the table is multiplied by d = −A² − A⁻².  Equal matchings are merged.
-    The closure joins top j to bottom j; its l loops contribute d^{l−1}.
+    The closure joins top j to bottom j; the tables summed by loop count l take d^{l−1}.
     """
     n, L = w.n, len(w.letters)
     # At most min(Catalan(n), 2^L) states (Catalan(n) ≥ 2^(n−1) ≥ 2^L once
     # n > L), each with a table of ≤ L + 1 exponents per letter; at the
-    # closure each walks 2n points and expands d^{l−1}, l ≤ n.
+    # closure each walks 2n points, and d^{l−1}, l ≤ n, is expanded per l.
     peak = min(1 << L, comb(2 * n, n) // (n + 1)) if n <= L else 1 << L
     if peak * (L * (L + 1) + n * n) > MAX_BRACKET_WORK:
         raise CrossingCapExceeded(
@@ -177,7 +192,7 @@ def _bracket_table(w: BraidWord) -> dict[int, int]:
             for e, c in terms:
                 out[e] = out.get(e, 0) + c
         states = nxt
-    result: dict[int, int] = {}
+    by_loops: dict[int, dict[int, int]] = {}
     for m, table in states.items():
         seen = [False] * (2 * n)
         loops = 0
@@ -187,6 +202,11 @@ def _bracket_table(w: BraidWord) -> dict[int, int]:
                 while not seen[q]:
                     seen[q] = seen[m[q]] = True
                     q = (m[q] + n) % (2 * n)
+        group = by_loops.setdefault(loops, {})
+        for e, c in table.items():
+            group[e] = group.get(e, 0) + c
+    result: dict[int, int] = {}
+    for loops, table in by_loops.items():
         closing = _d_power(loops - 1)
         for e, c in table.items():
             for f, k in closing.items():

@@ -5,13 +5,14 @@ These are the coefficient rings of the topological-equality oracles: the
 reduced Burau representation lives in matrices over ℤ[t, t⁻¹], and the
 Kauffman bracket / Jones polynomial are elements of ℤ[A, A⁻¹] and
 ℤ[q, q⁻¹].  Everything is exact; there is no floating point anywhere.
-Determinants use fraction-free (Bareiss) elimination, polynomial in the
-dimension; the tests keep the cofactor expansion as the oracle.
+A determinant is one integer determinant at t = 2^K, its base-2^K digits
+read back as coefficients; the tests keep the cofactor expansion as oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .words import json_field
 
@@ -94,37 +95,6 @@ class LaurentPolynomial:
         """t ↦ t⁻¹."""
         return LaurentPolynomial(tuple(sorted((-e, c) for e, c in self.terms)))
 
-    def scale(self, k: int) -> "LaurentPolynomial":
-        if k == 0:
-            return LaurentPolynomial()
-        return LaurentPolynomial(tuple((e, c * k) for e, c in self.terms))
-
-    def divide_exact(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact division; raises ValueError when the quotient is not integral."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return LaurentPolynomial()
-        # Reduce to ordinary polynomial long division by clearing denominators.
-        num = dict(self.shift(-self.min_exp).terms)
-        den = other.shift(-other.min_exp).terms
-        dlead_exp, dlead_coeff = den[-1]
-        quot: dict[int, int] = {}
-        while num:
-            nlead_exp = max(num)
-            nlead_coeff = num[nlead_exp]
-            if nlead_exp < dlead_exp or nlead_coeff % dlead_coeff != 0:
-                raise ValueError("division not exact")
-            qe, qc = nlead_exp - dlead_exp, nlead_coeff // dlead_coeff
-            quot[qe] = qc
-            for e, c in den:
-                e2 = e + qe
-                num[e2] = num.get(e2, 0) - c * qc
-                if num[e2] == 0:
-                    del num[e2]
-        shift = self.min_exp - other.min_exp
-        return LaurentPolynomial.from_dict({e + shift: c for e, c in quot.items()})
-
     def equals_up_to_units(self, other: "LaurentPolynomial") -> bool:
         """Equality modulo multiplication by ±t^k."""
         if self.is_zero() or other.is_zero():
@@ -200,34 +170,41 @@ class PolyMatrix:
         )
 
     def determinant(self) -> LaurentPolynomial:
-        """Fraction-free (Bareiss) elimination: O(d³) exact ring operations.
+        """One integer determinant by Kronecker substitution.
 
-        Step k replaces a[i][j] by (p·a[i][j] − a[i][k]·a[k][j]) / p_prev for
-        i, j > k, where p = a[k][k] and p_prev is the previous step's pivot
-        (1 at step 0, where the division is skipped).  Sylvester's identity
-        makes every division exact, so the entries stay in ℤ[t, t⁻¹].  A zero
-        pivot is replaced by a later row (flipping the sign); a zero pivot
-        column means the determinant is 0.  The cofactor expansion is the
-        test oracle.
+        Rows are shifted to start at t⁰ and evaluated at t = 2^K; as ‖det‖₁ ≤
+        P = ∏ᵢ Σⱼ ‖mᵢⱼ‖₁, K = P.bit_length() + 1 makes the coefficients the
+        balanced base-2^K digits of the integer determinant.  Bareiss finds it
+        (divisions exact by Sylvester's identity; a zero pivot row swaps with a
+        later one, negated to keep det); a zero row or pivot column gives 0.
         """
-        a = [list(r) for r in self.rows]
-        d = len(a)
-        if d == 0:
-            return LaurentPolynomial.one()
-        negate = False
-        prev = None
+        d = len(self.rows)
+        if any(all(p.is_zero() for p in row) for row in self.rows):
+            return LaurentPolynomial.zero()
+        lows = [min(p.min_exp for p in row if p.terms) for row in self.rows]
+        bound = prod(sum(abs(c) for p in row for _, c in p.terms) for row in self.rows)
+        k_bits = bound.bit_length() + 1
+        a = [
+            [sum(c << (k_bits * (e - low)) for e, c in p.terms) for p in row]
+            for row, low in zip(self.rows, lows)
+        ]
+        prev = 1
         for k in range(d - 1):
-            if a[k][k].is_zero():
-                swap = next((i for i in range(k + 1, d) if not a[i][k].is_zero()), None)
+            if not a[k][k]:
+                swap = next((i for i in range(k + 1, d) if a[i][k]), None)
                 if swap is None:
                     return LaurentPolynomial.zero()
-                a[k], a[swap] = a[swap], a[k]
-                negate = not negate
-            p = a[k][k]
+                a[k], a[swap] = a[swap], [-x for x in a[k]]
             for i in range(k + 1, d):
                 for j in range(k + 1, d):
-                    x = p * a[i][j] - a[i][k] * a[k][j]
-                    a[i][j] = x if prev is None else x.divide_exact(prev)
-            prev = p
-        det = a[d - 1][d - 1]
-        return -det if negate else det
+                    a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
+            prev = a[k][k]
+        value = a[d - 1][d - 1] if d else 1
+        mask, half = (1 << k_bits) - 1, 1 << (k_bits - 1)
+        coeffs, e = {}, sum(lows)
+        while value:
+            value += half  # the balanced digit is the low K bits minus half
+            coeffs[e] = (value & mask) - half
+            value >>= k_bits
+            e += 1
+        return LaurentPolynomial.from_dict(coeffs)

@@ -1,6 +1,6 @@
 import json
 
-from braidkit import garside
+from braidkit import garside, invariants
 from braidkit.cli import run, verify_paper
 from braidkit.laurent import LaurentPolynomial
 from braidkit.moves import sequence_from_json
@@ -89,6 +89,12 @@ class TestInvariants:
         word = " ".join(f"s{i}" for i in range(1, 48, 2))
         code, _, err = run_capture(capsys, ["invariants", "-n", "49", word])
         assert code == 2 and "MAX_BRACKET_WORK" in err and "internal" not in err
+
+    def test_alexander_work_bound_exit_two(self, capsys, monkeypatch):
+        # Jones admits the word; the Alexander bound, checked after it, does not
+        monkeypatch.setattr(invariants, "MAX_ALEXANDER_WORK", 0)
+        code, _, err = run_capture(capsys, ["invariants", "-n", "3", "s1 s2"])
+        assert code == 2 and "MAX_ALEXANDER_WORK" in err and "internal" not in err
 
 
 class TestMove:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from braidkit import invariants
 from braidkit.invariants import (
+    AlexanderCapExceeded,
     CrossingCapExceeded,
     alexander_polynomial,
     alexander_with_flag,
@@ -18,6 +19,7 @@ from braidkit.invariants import (
 )
 from braidkit.laurent import LaurentPolynomial, PolyMatrix
 from braidkit.moves import builtin_templates, flype_template, stabilize
+from braidkit.transverse import InternalConsistencyError
 from braidkit.words import (
     BraidWord,
     ResourceLimitError,
@@ -31,6 +33,13 @@ from braidkit.words import (
 
 TX_PLUS = parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3)
 TX_MINUS = parse_braid_word("s1^5 s2^-1 s1^6 s2^4", 3)
+
+
+class Untouched(tuple):
+    """Letters that fail the test if a transfer or Burau step reads them."""
+
+    def __iter__(self):
+        raise AssertionError("a transfer step ran")
 
 
 def random_word(rng, n, max_len):
@@ -138,6 +147,57 @@ class TestAlexander:
         res = alexander_with_flag(BraidWord(1))
         assert res.polynomial == LaurentPolynomial(((0, 1),)) and res.normalized
 
+    @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (5, 7), (8, 9), (13, 14), (80, 1)])
+    def test_torus_knots_match_closed_form(self, p, q):
+        # (σ₁⋯σ_{p−1})^q closes to the torus knot T(p, q), whose Alexander
+        # polynomial (t^{pq} − 1)(t − 1) / ((t^p − 1)(t^q − 1)) needs no Burau
+        # matrix; T(80, 1) is s1 … s79, an unknot.
+        import sympy
+
+        t = sympy.Symbol("t")
+        num = sympy.Poly((t ** (p * q) - 1) * (t - 1), t)
+        quot = num.exquo(sympy.Poly((t**p - 1) * (t**q - 1), t))
+        half = quot.degree() // 2
+        res = alexander_with_flag(BraidWord(p, tuple(range(1, p)) * q))
+        assert res.normalized
+        assert res.polynomial.as_dict() == {e - half: int(c) for (e,), c in quot.terms()}
+
+    @pytest.mark.parametrize(
+        "det",
+        [{0: 1}, {0: 1, 1: 1}, {0: 1, 3: 1}, {-2: 1, 0: 1, 1: 1}, {0: 1, 1: 1, 2: 1, 3: 1}],
+    )
+    def test_indivisible_determinant_is_an_internal_error(self, monkeypatch, det):
+        # On B3 det(ψ − I) must be a multiple of 1 + t + t²; t⁻²(1 − t³) is.
+        w = BraidWord(3, (1, 2))
+        monkeypatch.setattr(PolyMatrix, "determinant", lambda m: LaurentPolynomial.from_dict(det))
+        with pytest.raises(InternalConsistencyError, match="not divisible"):
+            alexander_with_flag(w)
+        monkeypatch.setattr(
+            PolyMatrix, "determinant", lambda m: LaurentPolynomial.from_dict({-2: 1, 1: -1})
+        )
+        assert alexander_with_flag(w).polynomial.equals_up_to_units(
+            LaurentPolynomial.from_dict({0: 1, 1: -1})
+        )
+
+    def test_work_bound(self, monkeypatch):
+        # the bound is d²·(d³ + L³) units, d = n − 1: 4 letters on B3 are
+        # 4·(8 + 64) = 288; the empty B1000 word is 10¹⁵, rejected before
+        # any of its 999² Burau tables is built
+        w = BraidWord(3, (1, -2, 1, -2))
+        expected = alexander_polynomial(w)
+        monkeypatch.setattr(invariants, "MAX_ALEXANDER_WORK", 287)
+        with pytest.raises(AlexanderCapExceeded, match="MAX_ALEXANDER_WORK"):
+            alexander_polynomial(w)
+        monkeypatch.setattr(invariants, "MAX_ALEXANDER_WORK", 288)
+        assert alexander_polynomial(w) == expected
+        monkeypatch.undo()
+        wide = BraidWord(1000)
+        object.__setattr__(wide, "letters", Untouched())
+        assert issubclass(AlexanderCapExceeded, ResourceLimitError)
+        for call in (alexander_polynomial, burau_reduced):
+            with pytest.raises(AlexanderCapExceeded, match="MAX_ALEXANDER_WORK"):
+                call(wide)
+
     def test_split_link_vanishes(self):
         res = alexander_with_flag(BraidWord(2))
         assert res.polynomial.is_zero() and not res.normalized
@@ -222,10 +282,6 @@ class TestBracketJones:
 
     def test_disjoint_crossings_rejected_before_any_step(self):
         # 24 letters on 24 disjoint strand pairs: 2^24 transfer states
-        class Untouched(tuple):
-            def __iter__(self):
-                raise AssertionError("a transfer step ran")
-
         w = BraidWord(49, tuple(range(1, 48, 2)))
         object.__setattr__(w, "letters", Untouched(w.letters))
         assert issubclass(CrossingCapExceeded, ResourceLimitError)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -71,31 +72,6 @@ class TestArithmetic:
 
     def test_monomial_shift(self):
         assert L({1: 2}).shift(-3).as_dict() == {-2: 2}
-
-
-class TestDivision:
-    def test_exact(self):
-        # (1+t)(t^2 - t + 1) = t^3 + 1
-        num = L({3: 1, 0: 1})
-        den = L({1: 1, 0: 1})
-        assert num.divide_exact(den).as_dict() == {2: 1, 1: -1, 0: 1}
-
-    def test_exact_with_laurent_shift(self):
-        num = L({-2: 1, 1: 1})  # t^-2 (1 + t^3)
-        den = L({-1: 1, 0: 1})
-        assert num.divide_exact(den).as_dict() == {-1: 1, 0: -1, 1: 1}
-
-    def test_inexact_raises(self):
-        with pytest.raises(ValueError):
-            L({2: 1, 0: 1}).divide_exact(L({1: 1, 0: 1}))
-
-    def test_random_products_divide_back(self):
-        rng = random.Random(31)
-        for _ in range(100):
-            a, b = random_poly(rng), random_poly(rng)
-            if a.is_zero() or b.is_zero():
-                continue
-            assert (a * b).divide_exact(b) == a
 
 
 class TestEqualsUpToUnits:
@@ -178,7 +154,9 @@ class TestPolyMatrix:
     def test_determinant_matches_cofactor_on_every_pivot_path(self):
         # Each kind forces one path of the elimination: a zero leading entry
         # (row swap, sign flip), a zero pivot later on (a leading 2×2 minor
-        # that vanishes), a zero pivot column, equal rows, and permutations.
+        # that vanishes), a zero pivot column, equal rows, permutations, and
+        # a coefficient of either sign equal to the row-norm product from
+        # which the substitution's digit width is chosen.
         rng = random.Random(37)
         zero = LaurentPolynomial.zero()
 
@@ -186,8 +164,9 @@ class TestPolyMatrix:
             return zero if rng.random() < 0.3 else random_poly(rng, 2, 2)
 
         for d in range(7):
-            for kind in ("random", "zero_lead", "zero_minor", "zero_column", "equal_rows", "perm"):
-                for _ in range(4):
+            kinds = ("random", "zero_lead", "zero_minor", "zero_column", "equal_rows", "perm", "norm")
+            for kind in kinds:
+                for rep in range(4):
                     rows = [[sparse_poly() for _ in range(d)] for _ in range(d)]
                     if kind == "zero_lead" and d:
                         rows[0][0] = zero
@@ -201,18 +180,29 @@ class TestPolyMatrix:
                     elif kind == "equal_rows" and d >= 2:
                         i, j = rng.sample(range(d), 2)
                         rows[j] = list(rows[i])
-                    elif kind == "perm":
+                    elif kind in ("perm", "norm"):
                         perm = list(range(d))
                         rng.shuffle(perm)
                         rows = [
                             [LaurentPolynomial.one() if c == perm[r] else zero for c in range(d)]
                             for r in range(d)
                         ]
+                    if kind == "norm" and d:
+                        # powers of two, so the product is 2^m and a width one
+                        # bit short misreads +2^m as −2^m
+                        sign = permutation_sign(perm) * (-1) ** rep
+                        for r in range(d):
+                            rows[r][perm[r]] = LaurentPolynomial.monomial(
+                                rng.randint(-2, 2), (sign if r == 0 else 1) << rng.randint(0, 3)
+                            )
                     m = PolyMatrix(tuple(tuple(r) for r in rows))
                     det = m.determinant()
                     assert det == cofactor_determinant(m), (kind, m)
                     if kind == "perm":
                         assert det == LaurentPolynomial.monomial(0, permutation_sign(perm))
+                    elif kind == "norm" and d:
+                        bound = math.prod(sum(abs(c) for p in r for _, c in p.terms) for r in rows)
+                        assert [c for _, c in det.terms] == [(-1) ** rep * bound]
                     elif kind in ("zero_column", "equal_rows") and d >= 2:
                         assert det.is_zero()
 
