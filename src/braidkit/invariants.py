@@ -8,7 +8,8 @@ template fuzzer:
 
 * the reduced Burau representation over ℤ[t, t⁻¹] and the Alexander
   polynomial of the closure via det(ψ(w) − I) / (1 + t + ⋯ + t^{n−1}), one
-  integer determinant bounded by :data:`MAX_ALEXANDER_WORK` before any step;
+  integer determinant bounded by :data:`MAX_ALEXANDER_WORK` before any step
+  (a word missing some σᵢ closes to a split link and gives 0 at once);
 * the Kauffman bracket by Kauffman's state model carried through the
   Temperley–Lieb quotient of the braid group: a transfer over the letters
   whose states are the at most min(Catalan(n), 2^L) non-crossing matchings
@@ -104,8 +105,12 @@ def alexander_with_flag(w: BraidWord) -> AlexanderResult:
     positive leading coefficient, which quotients out the ±t^k unit
     ambiguity.  Multi-component closures return the raw quotient
     (``normalized=False``); compare those with
-    :meth:`LaurentPolynomial.equals_up_to_units`.
+    :meth:`LaurentPolynomial.equals_up_to_units`.  A word missing some σᵢ
+    closes to a split link, whose polynomial is 0; it is returned before
+    any Burau step, so the bound of :func:`burau_reduced` does not apply.
     """
+    if len({abs(x) for x in w.letters}) < w.n - 1:
+        return AlexanderResult(LaurentPolynomial.zero(), False)
     det = (burau_reduced(w) - PolyMatrix.identity(w.n - 1)).determinant()
     # q = det·(1 − t)/(1 − tⁿ) term by term; exact iff its n would-be top terms are 0
     low = det.min_exp if det.terms else 0

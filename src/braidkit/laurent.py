@@ -91,10 +91,6 @@ class LaurentPolynomial:
         """Multiply by t^k."""
         return LaurentPolynomial(tuple((e + k, c) for e, c in self.terms))
 
-    def substitute_inverse(self) -> "LaurentPolynomial":
-        """t ↦ t⁻¹."""
-        return LaurentPolynomial(tuple(sorted((-e, c) for e, c in self.terms)))
-
     def equals_up_to_units(self, other: "LaurentPolynomial") -> bool:
         """Equality modulo multiplication by ±t^k."""
         if self.is_zero() or other.is_zero():

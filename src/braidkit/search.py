@@ -10,6 +10,13 @@ number.  Flypes are excluded from the transverse set: their transverse
 legality is not a given, and the negative flype in particular changes the
 transverse type of the pinned examples.
 
+A node's key is its class's super summit set, or, when that set exceeds
+``garside.MAX_SUMMIT_SET`` members, the weak key of its left normal form.
+The search ends when a node's key equals the target's.  Conjugate words
+have the same super summit set, so a weak node's class is capped on every
+word, the target's included: a weak node reaches the target only through
+an equal normal form, and a capped class may be missed.
+
 A ``found`` result carries a replayable :class:`MoveSequence`; an
 ``exhausted`` result means the bounded graph was used up, which is
 evidence, never a disproof.
@@ -73,7 +80,13 @@ class SearchResult:
 
 
 def _class_key(w: BraidWord) -> tuple[str, bool]:
-    """Conjugacy key string; falls back to the normal form when capped."""
+    """Conjugacy key string, and whether it is weak.
+
+    The key is the super summit set.  When that exceeds ``MAX_SUMMIT_SET``
+    members the key is the weak ``"nf:"`` form: the left normal form, equal
+    only for equal group elements, so conjugates reached through different
+    normal forms become different nodes.
+    """
     try:
         return str(garside.super_summit_set(w)), False
     except SuperSummitCapError:
@@ -116,7 +129,12 @@ def _edges(w: BraidWord, bounds: SearchBounds):
 
 
 def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> SearchResult:
-    """Search for a certified move sequence from source to target's class."""
+    """Search for a certified move sequence from source to target's class.
+
+    Breadth first over class keys, ending when a key equals the target's; a
+    weak node (see :func:`_class_key`) reaches the target only through an
+    equal normal form, since its class is capped and so is the target's.
+    """
     source = BraidWord(source.n, free_reduce(source.letters))
     target = BraidWord(target.n, free_reduce(target.letters))
     for w, name in ((source, "source"), (target, "target")):
@@ -124,53 +142,33 @@ def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> Searc
             raise ValueError(f"{name} word exceeds the search bounds")
 
     target_key, target_weak = _class_key(target)
-    weak_keys = 0
+    src_key, src_weak = _class_key(source)
+    weak_keys = int(src_weak) + int(target_weak)
     dedup_hits = 0
     nodes_expanded = 0
     frontier_peak = 1
-
-    src_key, src_weak = _class_key(source)
-    weak_keys += int(src_weak) + int(target_weak)
-
-    def goal(w: BraidWord, key: str) -> bool:
-        if w.n != target.n:
-            return False
-        if key == target_key:
-            return True
-        # A weak key on either side can miss conjugacy; fall back to the
-        # pairwise decision when strand counts agree.
-        if key.startswith("nf:") or target_weak:
-            try:
-                return bool(garside.are_conjugate(w, target))
-            except SuperSummitCapError:
-                return False
-        return False
-
     # parents[key] = (parent key, MoveStep) for path reconstruction
     parents: dict[str, tuple[str | None, MoveStep | None]] = {src_key: (None, None)}
-    reps: dict[str, BraidWord] = {src_key: source}
 
-    def build_sequence(key: str) -> MoveSequence:
+    def done(outcome: str, key: str | None = None) -> SearchResult:
+        stats = SearchStats(nodes_expanded, frontier_peak, dedup_hits, weak_keys)
+        if key is None:
+            return SearchResult(outcome, stats)
         steps = []
-        while True:
-            parent, step = parents[key]
-            if parent is None:
-                break
+        parent, step = parents[key]
+        while parent is not None:
             steps.append(step)
-            key = parent
-        return MoveSequence(source, tuple(reversed(steps)))
+            parent, step = parents[parent]
+        return SearchResult(outcome, stats, MoveSequence(source, tuple(reversed(steps))))
 
-    if goal(source, src_key):
-        return SearchResult(
-            "found", SearchStats(0, 1, 0, weak_keys), MoveSequence(source, ())
-        )
+    if src_key == target_key:
+        return done("found", src_key)
 
-    frontier = [src_key]
+    frontier = [(src_key, source)]
     while frontier:
         frontier_peak = max(frontier_peak, len(frontier))
-        next_frontier: list[str] = []
-        for key in frontier:
-            w = reps[key]
+        next_frontier: list[tuple[str, BraidWord]] = []
+        for key, w in frontier:
             nodes_expanded += 1
             neighbors = []
             for kind, params in _edges(w, bounds):
@@ -188,17 +186,13 @@ def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> Searc
                     dedup_hits += 1
                     continue
                 parents[nkey] = (key, step)
-                reps[nkey] = step.result
-                if goal(step.result, nkey):
-                    stats = SearchStats(nodes_expanded, frontier_peak, dedup_hits, weak_keys)
-                    return SearchResult("found", stats, build_sequence(nkey))
+                if nkey == target_key:
+                    return done("found", nkey)
                 if len(parents) >= bounds.max_nodes:
-                    stats = SearchStats(nodes_expanded, frontier_peak, dedup_hits, weak_keys)
-                    return SearchResult("exhausted", stats)
-                next_frontier.append(nkey)
+                    return done("exhausted")
+                next_frontier.append((nkey, step.result))
         frontier = next_frontier
-    stats = SearchStats(nodes_expanded, frontier_peak, dedup_hits, weak_keys)
-    return SearchResult("exhausted", stats)
+    return done("exhausted")
 
 
 # Largest strand count whose n! − 1 simple elements are enumerated (8! − 1 = 40 319).

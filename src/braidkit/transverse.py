@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .words import (
     BraidWord,
+    ResourceLimitError,
     closure_components,
     crossing_records,
     exponent_sum,
@@ -30,6 +31,12 @@ from .words import (
 
 class InternalConsistencyError(RuntimeError):
     """A structural invariant of the computation failed (implementation bug)."""
+
+
+# Most component pairs c(c − 1)/2 whose linking numbers are listed: 500
+# components are 124 750 pairs, and `braidkit invariants -n 500 "" --json`
+# takes 1.6 s and 103 MB with Python 3.11 on a 2-CPU Xeon.
+MAX_COMPONENT_PAIRS = 125_000
 
 
 TRANSVERSE_MOVE_KINDS = frozenset({"conjugation", "stab+", "destab+", "exchange"})
@@ -64,9 +71,19 @@ def self_linking(w: BraidWord) -> int:
 
 
 def component_invariants(w: BraidWord) -> TransverseInvariants:
-    """Per-component β and pairwise linking numbers of the closure."""
+    """Per-component β and pairwise linking numbers of the closure.
+
+    Past :data:`MAX_COMPONENT_PAIRS` component pairs it raises
+    :class:`ResourceLimitError` before listing any pair.
+    """
     comps = closure_components(w)
     c = comps.n_components
+    pairs = c * (c - 1) // 2
+    if pairs > MAX_COMPONENT_PAIRS:
+        raise ResourceLimitError(
+            f"{c} components have {pairs} pairs, more than "
+            f"MAX_COMPONENT_PAIRS = {MAX_COMPONENT_PAIRS}"
+        )
     internal = [0] * (c + 1)
     strands = [0] * (c + 1)
     cross: dict[tuple[int, int], int] = {}

@@ -70,29 +70,9 @@ class Permutation:
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"{self.images!r} is not a permutation of 1..{len(self.images)}")
 
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
     @property
     def n(self) -> int:
         return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def then(self, other: "Permutation") -> "Permutation":
-        """The composite mapping i ↦ other(self(i)): apply self first."""
-        return Permutation(tuple(other.images[v - 1] for v in self.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images, start=1):
-            inv[v - 1] = i
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images, start=1))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycles ordered by least element; each cycle starts at its least element."""

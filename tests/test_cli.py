@@ -96,6 +96,20 @@ class TestInvariants:
         code, _, err = run_capture(capsys, ["invariants", "-n", "3", "s1 s2"])
         assert code == 2 and "MAX_ALEXANDER_WORK" in err and "internal" not in err
 
+    def test_component_pair_bound_exit_two(self, capsys):
+        # 1 999 components are about 2·10⁶ pairs, rejected before any is listed
+        code, _, err = run_capture(capsys, ["invariants", "-n", "2000", "s1"])
+        assert code == 2 and "MAX_COMPONENT_PAIRS" in err and "internal" not in err
+
+    def test_split_word_exit_zero(self, capsys):
+        # the empty B150 word closes to a split link: Alexander 0, no Burau bound
+        code, out, _ = run_capture(capsys, ["invariants", "-n", "150", "", "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["components"] == 150
+        assert LaurentPolynomial.from_json(payload["alexander"]).is_zero()
+        assert payload["alexander_normalized"] is False
+
 
 class TestMove:
     def test_flype(self, capsys):

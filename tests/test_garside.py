@@ -184,6 +184,14 @@ class TestCyclingDecycling:
         summit, _ = _summit(left_normal_form(w))
         assert (summit.delta_power, -summit.canonical_length) == best
 
+    def test_summit_is_a_fixed_point(self):
+        # one cycling pass and one decycling pass reach the super summit set,
+        # so a second pass from the summit element changes nothing
+        rng = random.Random(14)
+        for _ in range(1000):
+            summit, _ = _summit(left_normal_form(random_word(rng, rng.randint(2, 6), 30)))
+            assert _summit(summit) == (summit, [])
+
     def test_cycling_never_decreases_inf(self):
         rng = random.Random(13)
         for _ in range(50):

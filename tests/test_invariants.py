@@ -42,6 +42,11 @@ class Untouched(tuple):
         raise AssertionError("a transfer step ran")
 
 
+def t_inverse(p: LaurentPolynomial) -> LaurentPolynomial:
+    """p with t ↦ t⁻¹."""
+    return LaurentPolynomial.from_dict({-e: c for e, c in p.terms})
+
+
 def random_word(rng, n, max_len):
     if n < 2:
         return BraidWord(n)
@@ -128,7 +133,7 @@ class TestAlexander:
                 continue
             count += 1
             p = res.polynomial
-            assert p == p.substitute_inverse()
+            assert p == t_inverse(p)
             assert p.terms[-1][1] > 0
 
     def test_conjugation_and_stabilization_invariance(self):
@@ -181,8 +186,8 @@ class TestAlexander:
 
     def test_work_bound(self, monkeypatch):
         # the bound is d²·(d³ + L³) units, d = n − 1: 4 letters on B3 are
-        # 4·(8 + 64) = 288; the empty B1000 word is 10¹⁵, rejected before
-        # any of its 999² Burau tables is built
+        # 4·(8 + 64) = 288; on B1000 the empty word is 10¹⁵ units and
+        # s1 … s999 more, rejected before any of the 999² Burau tables is built
         w = BraidWord(3, (1, -2, 1, -2))
         expected = alexander_polynomial(w)
         monkeypatch.setattr(invariants, "MAX_ALEXANDER_WORK", 287)
@@ -191,15 +196,23 @@ class TestAlexander:
         monkeypatch.setattr(invariants, "MAX_ALEXANDER_WORK", 288)
         assert alexander_polynomial(w) == expected
         monkeypatch.undo()
+        assert issubclass(AlexanderCapExceeded, ResourceLimitError)
         wide = BraidWord(1000)
         object.__setattr__(wide, "letters", Untouched())
-        assert issubclass(AlexanderCapExceeded, ResourceLimitError)
-        for call in (alexander_polynomial, burau_reduced):
-            with pytest.raises(AlexanderCapExceeded, match="MAX_ALEXANDER_WORK"):
-                call(wide)
+        with pytest.raises(AlexanderCapExceeded, match="MAX_ALEXANDER_WORK"):
+            burau_reduced(wide)
+        with pytest.raises(AlexanderCapExceeded, match="MAX_ALEXANDER_WORK"):
+            alexander_polynomial(BraidWord(1000, tuple(range(1, 1000))))
 
     def test_split_link_vanishes(self):
         res = alexander_with_flag(BraidWord(2))
+        assert res.polynomial.is_zero() and not res.normalized
+
+    def test_split_word_vanishes_before_the_bound(self, monkeypatch):
+        # a word missing some σᵢ closes to a split link: 0 without any Burau step
+        monkeypatch.setattr(invariants, "burau_reduced", None)
+        assert alexander_polynomial(BraidWord(1000)).is_zero()
+        res = alexander_with_flag(BraidWord(9, (1, 2, 3, 5, 6, 7, 8, -1)))
         assert res.polynomial.is_zero() and not res.normalized
 
     @pytest.mark.parametrize("n,length", [(10, 120), (12, 150)])
@@ -235,11 +248,11 @@ class TestBracketJones:
 
     def test_mirror_property(self):
         w = BraidWord(2, (1, 1, 1))
-        assert jones_polynomial(mirror(w)) == jones_polynomial(w).substitute_inverse()
+        assert jones_polynomial(mirror(w)) == t_inverse(jones_polynomial(w))
         rng = random.Random(43)
         for _ in range(20):
             w = random_word(rng, rng.randint(2, 4), 8)
-            assert jones_polynomial(mirror(w)) == jones_polynomial(w).substitute_inverse()
+            assert jones_polynomial(mirror(w)) == t_inverse(jones_polynomial(w))
 
     def test_flype_pair_equal(self):
         assert jones_polynomial(TX_PLUS) == jones_polynomial(TX_MINUS)

@@ -66,10 +66,6 @@ class TestArithmetic:
             assert a * (b + c) == a * b + a * c
             assert a * b == b * a
 
-    def test_substitute_inverse(self):
-        p = L({-4: -1, -3: 1, -1: 1})
-        assert p.substitute_inverse().as_dict() == {4: -1, 3: 1, 1: 1}
-
     def test_monomial_shift(self):
         assert L({1: 2}).shift(-3).as_dict() == {-2: 2}
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from braidkit.garside import are_conjugate
-from braidkit import search
+from braidkit import garside, search
 from braidkit.moves import replay
 from braidkit.search import (
     TRANSVERSE,
@@ -55,6 +55,22 @@ class TestConnect:
         r = connect(a, b, bounds)
         assert r.outcome == "exhausted"
         assert r.stats.nodes_expanded >= 1
+
+    def test_weak_keys_end_on_key_equality(self, monkeypatch):
+        # Under a cap of 2 the flype words get weak keys.
+        # A capped class is capped on every word, so the search never needs a
+        # pairwise conjugacy decision: it ends on key equality alone.
+        def fail(*args, **kwargs):
+            raise AssertionError("connect called are_conjugate")
+
+        monkeypatch.setattr(garside, "MAX_SUMMIT_SET", 2)
+        monkeypatch.setattr(garside, "_key_cache", {})
+        monkeypatch.setattr(garside, "are_conjugate", fail)
+        a = parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3)
+        b = parse_braid_word("s1^5 s2^-1 s1^6 s2^4", 3)
+        r = connect(a, b, SearchBounds(4, 24, 1000, TRANSVERSE))
+        assert r.outcome == "exhausted" and r.sequence is None
+        assert r.stats.weak_keys > 0
 
     def test_monotone_bounds(self):
         src, dst = BraidWord(3, (1, 1, 1, 2)), BraidWord(2, (1, 1, 1))

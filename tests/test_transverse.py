@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidkit import search
+from braidkit import search, transverse
 from braidkit.moves import apply_move, stabilize
 from braidkit.search import TRANSVERSE, SearchBounds, scramble
 from braidkit.transverse import (
@@ -13,7 +13,7 @@ from braidkit.transverse import (
     negative_stabilization_beta_drop,
     self_linking,
 )
-from braidkit.words import BraidWord, conjugate, parse_braid_word
+from braidkit.words import BraidWord, ResourceLimitError, conjugate, parse_braid_word
 
 TX_PLUS = parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3)
 LINK_PRE = parse_braid_word("s1^3 s2^4 s1^-5 s2^-1", 3)
@@ -78,6 +78,14 @@ class TestComponentInvariants:
             inv = component_invariants(w)
             total = sum(inv.per_component) + 2 * sum(v for _, v in inv.pairwise_linking)
             assert inv.beta_total == total == self_linking(w)
+
+    def test_pair_bound(self, monkeypatch):
+        # three components are three pairs: rejected before any crossing is read
+        monkeypatch.setattr(transverse, "MAX_COMPONENT_PAIRS", 2)
+        assert component_invariants(BraidWord(3, (1,))).pairwise_linking == (((1, 2), 0),)
+        monkeypatch.setattr(transverse, "crossing_records", None)
+        with pytest.raises(ResourceLimitError, match="MAX_COMPONENT_PAIRS"):
+            component_invariants(BraidWord(3))
 
     def test_component_betas_conjugation_invariant(self):
         rng = random.Random(21)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from braidkit import words
+from braidkit.garside import _compose, _inverse
 from braidkit.words import (
     BraidSyntaxError,
     BraidWord,
@@ -137,12 +138,12 @@ class TestPermutation:
             n = rng.randint(2, 5)
             u, v = random_word(rng, n, 8), random_word(rng, n, 8)
             lhs = underlying_permutation(multiply(u, v))
-            rhs = underlying_permutation(u).then(underlying_permutation(v))
-            assert lhs == rhs
+            rhs = _compose(underlying_permutation(u).images, underlying_permutation(v).images)
+            assert lhs.images == rhs
 
     def test_inverse(self):
-        p = Permutation((3, 1, 2))
-        assert p.then(p.inverse()).is_identity()
+        p = Permutation((3, 1, 2)).images
+        assert _compose(p, _inverse(p)) == _compose(_inverse(p), p) == (1, 2, 3)
 
 
 class TestClosureComponents:
