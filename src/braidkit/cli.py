@@ -125,29 +125,23 @@ def _cmd_move(args) -> int:
     w = _parse_word(args.word, args.n)
     kind = args.kind
     if kind in ("stab+", "stab-"):
-        result = moves.stabilize(w, 1 if kind == "stab+" else -1)
-    elif kind == "destab":
-        found = moves.try_destabilize(w)
-        if found is None:
-            print(f"no destabilization: no single s{w.n - 1} once cyclically reduced",
-                  file=sys.stderr)
+        sites = [(kind, {})]
+    else:
+        if kind == "destab":
+            found = [moves.try_destabilize(w)]
+            no_match = f"no destabilization: no single s{w.n - 1} once cyclically reduced"
+        elif kind == "exchange":
+            found, no_match = moves.find_exchange_decompositions(w), "no exchange decomposition"
+        else:  # flype: argparse admits no other kind
+            found, no_match = moves.find_flype_decompositions(w), "no flype match"
+        sites = [site.move() for site in found if site is not None]
+        if not sites:
+            print(no_match, file=sys.stderr)
             return 1
-        result = found.word
-    elif kind == "exchange":
-        decs = moves.find_exchange_decompositions(w)
-        if not decs:
-            print("no exchange decomposition", file=sys.stderr)
-            return 1
-        if not 0 <= args.index < len(decs):
-            raise BraidSyntaxError(f"--index must be in 0..{len(decs) - 1}: the word has "
-                                   f"{len(decs)} exchange decompositions")
-        result = moves.apply_exchange(w, decs[args.index])
-    else:  # flype: argparse admits no other kind
-        data = moves.match_flype_3braid(w)
-        if data is None:
-            print("no flype match", file=sys.stderr)
-            return 1
-        result = moves.apply_flype(data)
+    if not 0 <= args.index < len(sites):
+        raise BraidSyntaxError(f"--index must be in 0..{len(sites) - 1}: the word has "
+                               f"{len(sites)} {kind} decompositions")
+    result = moves.apply_move(w, *sites[args.index])
     if args.json:
         _print_json({"result": words.word_to_json(result)})
     else:
@@ -478,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", nargs="?", choices=["stab+", "stab-", "destab", "exchange", "flype"])
     p.add_argument("word", nargs="?")
     p.add_argument("--replay", metavar="FILE", help="replay a MoveSequence JSON file")
-    p.add_argument("--index", type=int, default=0, help="which exchange decomposition")
+    p.add_argument("--index", type=int, default=0, help="which site of the move kind (default 0)")
     p.set_defaults(func=_cmd_move)
 
     p = sub.add_parser("search", parents=[common], help="bounded move-graph search between two words")

@@ -7,6 +7,9 @@ P·σₙ₋₁⁻¹·Q·σₙ₋₁ (P, Q away from the last strand), and the 3-
 rewrites σ₁ᵖ·σ₂ʳ·σ₁^q·σ₂^ε into σ₁ᵖ·σ₂^ε·σ₁^q·σ₂ʳ.  All matchers scan
 cyclic permutations, because closed braids are conjugacy classes.
 
+Each site a matcher returns encodes itself with ``site.move()`` as the
+``(kind, params)`` pair that :func:`apply_move` replays.
+
 Moves also exist in template form: a pair of weighted block-strand
 diagrams that close to the same link for every braiding assignment to the
 blocks.  A strand of weight w stands for w parallel strands; a crossing
@@ -72,6 +75,11 @@ class DestabResult:
     conjugator: BraidWord
     rotation: int
 
+    def move(self) -> tuple[str, dict]:
+        """The (kind, params) that :func:`apply_move` replays to ``word``."""
+        kind = "destab+" if self.sign > 0 else "destab-"
+        return kind, {"conjugator": list(self.conjugator.letters), "rotation": self.rotation}
+
 
 def try_destabilize(w: BraidWord) -> DestabResult | None:
     """Read w as P·σₙ₋₁^{±1}, P on n−1 strands, up to cyclic reduction.
@@ -104,6 +112,10 @@ class ExchangeDecomposition:
     p_len: int
     sign: int
 
+    def move(self) -> tuple[str, dict]:
+        """The (kind, params) that :func:`apply_move` replays."""
+        return "exchange", {"rotation": self.rotation, "p_len": self.p_len, "sign": self.sign}
+
 
 def find_exchange_decompositions(w: BraidWord) -> list[ExchangeDecomposition]:
     """All exchange-move sites of a word (cyclic scans included)."""
@@ -134,7 +146,7 @@ def apply_exchange(w: BraidWord, d: ExchangeDecomposition) -> BraidWord:
     rotated = rotate(w, d.rotation)
     ls = rotated.letters
     if (
-        d.p_len >= len(ls)
+        not 0 <= d.p_len < len(ls)
         or abs(ls[d.p_len]) != top
         or abs(ls[-1]) != top
         or (1 if ls[d.p_len] > 0 else -1) != d.sign
@@ -151,12 +163,16 @@ def apply_exchange(w: BraidWord, d: ExchangeDecomposition) -> BraidWord:
 class FlypeData:
     """A match of a 3-braid word against σ₁ᵖ·σ₂ʳ·σ₁^q·σ₂^ε (cyclically)."""
 
-    word: BraidWord
     rotation: int
     p: int
     r: int
     q: int
     eps: int
+
+    def move(self) -> tuple[str, dict]:
+        """The (kind, params) that :func:`apply_move` replays."""
+        kind = "flype+" if self.eps > 0 else "flype-"
+        return kind, {"rotation": self.rotation, "p": self.p, "r": self.r, "q": self.q}
 
 
 def _run(letters: tuple[int, ...], start: int, index: int) -> int:
@@ -170,36 +186,30 @@ def _run(letters: tuple[int, ...], start: int, index: int) -> int:
     return (j - start) * (1 if lead > 0 else -1)
 
 
+def _flype_at(w: BraidWord, r0: int) -> FlypeData | None:
+    """The flype match of a 3-braid word at rotation r0, or None."""
+    ls = rotate(w, r0).letters
+    p = _run(ls, 0, 1)
+    rr = _run(ls, abs(p), 2) if p else 0
+    q = _run(ls, abs(p) + abs(rr), 1) if rr else 0
+    i = abs(p) + abs(rr) + abs(q)
+    if q == 0 or i != len(ls) - 1 or abs(ls[i]) != 2:
+        return None
+    return FlypeData(r0, p, rr, q, 1 if ls[i] > 0 else -1)
+
+
 def find_flype_decompositions(w: BraidWord) -> list[FlypeData]:
     """All cyclic matches of a 3-braid word against the flype schema."""
     if w.n != 3:
         return []
-    out = []
-    L = len(w.letters)
-    for r0 in range(L):
-        ls = rotate(w, r0).letters
-        p = _run(ls, 0, 1)
-        if p == 0:
-            continue
-        i = abs(p)
-        rr = _run(ls, i, 2)
-        if rr == 0:
-            continue
-        i += abs(rr)
-        q = _run(ls, i, 1)
-        if q == 0:
-            continue
-        i += abs(q)
-        if i != L - 1 or abs(ls[i]) != 2:
-            continue
-        out.append(FlypeData(w, r0, p, rr, q, 1 if ls[i] > 0 else -1))
-    return out
+    return [f for r0 in range(len(w.letters)) if (f := _flype_at(w, r0))]
 
 
 def match_flype_3braid(w: BraidWord) -> FlypeData | None:
     """First flype match by cyclic rotation, or None."""
-    found = find_flype_decompositions(w)
-    return found[0] if found else None
+    if w.n != 3:
+        return None
+    return next((f for r0 in range(len(w.letters)) if (f := _flype_at(w, r0))), None)
 
 
 def apply_flype(data: FlypeData) -> BraidWord:
@@ -476,7 +486,9 @@ class MoveSequence:
 def apply_move(w: BraidWord, kind: str, params: dict) -> BraidWord:
     """Re-apply a recorded move; deterministic given the recorded parameters.
 
-    A missing or ill-typed parameter is a ValueError naming it.
+    The destab, exchange and flype params come from the site's ``.move()``.
+    A missing or ill-typed parameter is a ValueError naming it; a recorded
+    site that does not match w is a ValueError too.
     """
     where = f"{kind} params"
 
@@ -500,13 +512,10 @@ def apply_move(w: BraidWord, kind: str, params: dict) -> BraidWord:
         return apply_exchange(w, d)
     if kind in ("flype+", "flype-"):
         data = FlypeData(
-            w, get("rotation"), get("p"), get("r"), get("q"), 1 if kind == "flype+" else -1
+            get("rotation"), get("p"), get("r"), get("q"), 1 if kind == "flype+" else -1
         )
-        matches = find_flype_decompositions(w)
-        if not any(
-            m.rotation == data.rotation and (m.p, m.r, m.q, m.eps) == (data.p, data.r, data.q, data.eps)
-            for m in matches
-        ):
+        r0 = data.rotation
+        if not (w.n == 3 and 0 <= r0 < len(w.letters) and _flype_at(w, r0) == data):
             raise ValueError("recorded flype does not apply")
         return apply_flype(data)
     raise ValueError(f"unknown move kind {kind!r}")
@@ -553,7 +562,8 @@ def sequence_from_json(obj: dict) -> MoveSequence:
 # Exchange-move winding
 
 
-# Most block words V a winding step tries per sign (criterion 10 needs 85).
+# Most block words V a winding call tries per sign, summed over its steps
+# (criterion 10 needs 4 steps × 85 blocks = 340).
 MAX_WINDING_BLOCK_WORDS = 10_000
 
 
@@ -578,8 +588,9 @@ def winding_iterates(P: BraidWord, Q: BraidWord, k: int) -> list[BraidWord]:
     least 1), and applies the exchange whose result leaves every class seen
     so far; when no fresh class is exposed it falls back to a plain toggle.
     Each step is a conjugation followed by one exchange move, so every
-    iterate closes to the same link.  More than
-    :data:`MAX_WINDING_BLOCK_WORDS` blocks V raise :class:`ResourceLimitError`.
+    iterate closes to the same link.  When max(k, 1) times the blocks V per
+    sign exceeds :data:`MAX_WINDING_BLOCK_WORDS`, :class:`ResourceLimitError`
+    is raised before any step is taken.
     """
     if P.n != Q.n:
         raise ValueError("P and Q must live in the same braid group")
@@ -590,13 +601,14 @@ def winding_iterates(P: BraidWord, Q: BraidWord, k: int) -> list[BraidWord]:
     n = P.n + 1
     top = n - 1
     vmax = max(len(P), len(Q), 1)
+    steps = max(k, 1)
     blocks, layer = 0, 1
     for _ in range(vmax + 1):
         blocks, layer = blocks + layer, layer * (2 * P.n - 2)
-        if blocks > MAX_WINDING_BLOCK_WORDS:
+        if steps * blocks > MAX_WINDING_BLOCK_WORDS:
             raise ResourceLimitError(
-                f"blocks of up to {vmax} letters on {P.n} strands are more than "
-                f"{MAX_WINDING_BLOCK_WORDS} block words (MAX_WINDING_BLOCK_WORDS)"
+                f"{steps} winding step(s) over blocks of up to {vmax} letters on {P.n} strands "
+                f"try more than {MAX_WINDING_BLOCK_WORDS} block words (MAX_WINDING_BLOCK_WORDS)"
             )
     w0 = BraidWord(n, free_reduce(P.letters + (top,) + Q.letters + (-top,)))
     out = [w0]

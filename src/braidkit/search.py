@@ -96,30 +96,16 @@ def _class_key(w: BraidWord) -> tuple[str, bool]:
 def _edges(w: BraidWord, bounds: SearchBounds):
     """Deterministically ordered (kind, params) moves available at w.
 
-    The transverse move set keeps the kinds in ``TRANSVERSE_MOVE_KINDS``.
-    That set holds no flype, so the flype finder is not run for it.
+    Each matcher site encodes itself with ``site.move()``.  The transverse
+    move set keeps the kinds in ``TRANSVERSE_MOVE_KINDS``.  That set holds
+    no flype, so the flype finder is not run for it.
     """
     transverse = bounds.move_set == TRANSVERSE
-    out: list[tuple[str, dict]] = []
-    if w.n >= 2:
-        found = try_destabilize(w)
-        if found is not None:
-            out.append(
-                (
-                    "destab+" if found.sign > 0 else "destab-",
-                    {"conjugator": list(found.conjugator.letters), "rotation": found.rotation},
-                )
-            )
-    for d in find_exchange_decompositions(w):
-        out.append(("exchange", {"rotation": d.rotation, "p_len": d.p_len, "sign": d.sign}))
+    sites = [try_destabilize(w)] if w.n >= 2 else []
+    sites += find_exchange_decompositions(w)
     if not transverse:
-        for f in find_flype_decompositions(w):
-            out.append(
-                (
-                    "flype+" if f.eps > 0 else "flype-",
-                    {"rotation": f.rotation, "p": f.p, "r": f.r, "q": f.q},
-                )
-            )
+        sites += find_flype_decompositions(w)
+    out = [site.move() for site in sites if site is not None]
     if w.n < bounds.max_strands and len(w.letters) + 1 <= bounds.max_word_length:
         out.append(("stab+", {}))
         out.append(("stab-", {}))

@@ -1,4 +1,8 @@
 import json
+import shlex
+from pathlib import Path
+
+import pytest
 
 from braidkit import garside, invariants
 from braidkit.cli import run, verify_paper
@@ -138,6 +142,19 @@ class TestMove:
             )
             assert code == 2 and "has 2 exchange decompositions" in err
 
+    def test_flype_index_picks_site(self, capsys):
+        word = "s1^2 s2 s1 s2^-1"
+        code, out, _ = run_capture(capsys, ["move", "flype", word, "-n", "3"])
+        assert code == 0 and out.strip() == "s1^2 s2^-1 s1 s2"
+        code, out, _ = run_capture(capsys, ["move", "flype", word, "-n", "3", "--index", "1"])
+        assert code == 0 and out.strip() == "s1 s2 s1^2 s2^-1"
+        code, _, err = run_capture(capsys, ["move", "flype", word, "-n", "3", "--index", "2"])
+        assert code == 2 and "--index must be in 0..1: the word has 2 flype decompositions" in err
+
+    def test_destab_index_out_of_range_exit_two(self, capsys):
+        code, _, err = run_capture(capsys, ["move", "destab", "s2 s1", "-n", "3", "--index", "1"])
+        assert code == 2 and "has 1 destab decompositions" in err
+
     def test_options_before_word(self, capsys):
         word = "s1 s2 s1 s2^-1"
         for opts in (["--index", "1", "-n", "3"], ["-n", "3", "--json"]):
@@ -192,6 +209,19 @@ class TestMove:
         path.write_text(json.dumps({"initial": {"n": 3, "letters": [1, 2]}, "steps": [step]}))
         code, _, err = run_capture(capsys, ["move", "--replay", str(path)])
         assert code == 2 and "'conjugator'" in err
+
+    @pytest.mark.parametrize("p_len", [-10, -2])
+    def test_replay_exchange_negative_p_len_exit_two(self, capsys, tmp_path, p_len):
+        # p_len = -2 names the same letter as p_len = 1, whose result this is.
+        step = {
+            "move": "exchange",
+            "params": {"rotation": 0, "p_len": p_len, "sign": 1},
+            "result_word": {"n": 3, "letters": [1, -2, 2]},
+        }
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"initial": {"n": 3, "letters": [1, 2, -2]}, "steps": [step]}))
+        code, _, err = run_capture(capsys, ["move", "--replay", str(path)])
+        assert code == 2 and "invalid exchange decomposition" in err
 
     def test_replay_boolean_letter_exit_two(self, capsys, tmp_path):
         path = tmp_path / "seq.json"
@@ -273,6 +303,11 @@ class TestWinding:
         code, out, _ = run_capture(capsys, ["winding", "s1", "s1", "1", "-n", "3"])
         assert code == 0 and "distinct conjugacy classes" in out
 
+    def test_many_steps_exit_two(self, capsys):
+        # 100 000 steps of 3 blocks each pass the block-word budget.
+        code, _, err = run_capture(capsys, ["winding", "", "", "100000", "-n", "2"])
+        assert code == 2 and "MAX_WINDING_BLOCK_WORDS" in err
+
     def test_long_block_exit_two(self, capsys):
         # about 4^20 block words; rejected before any is built
         code, _, err = run_capture(capsys, ["winding", "s1 s2^-1 " * 10, "s1", "1", "-n", "3"])
@@ -306,6 +341,20 @@ def test_runs_as_a_module():
     done = cli("normalize", "-n", "2", "s1")
     assert done.returncode == 0 and done.stdout.strip() == "D^1 |"
     assert cli("normalize", "-n", "2", "s9").returncode == 2
+
+
+def test_readme_commands_run(capsys):
+    """Every ``braidkit`` line of README's command-line block exits 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("braidkit ")]
+    # replay needs a sequence file; test_replay_round_trip covers it
+    commands = [argv for argv in commands if "--replay" not in argv]
+    assert commands
+    for argv in commands:
+        code, _, err = run_capture(capsys, argv[1:])
+        assert code == 0, (argv, err)
 
 
 def test_usage_error_exit_two(capsys):

@@ -273,6 +273,16 @@ class TestExchange:
         with pytest.raises(ValueError):
             apply_exchange(BraidWord(3, (1, 2, 1, -2)), ExchangeDecomposition(0, 0, 1))
 
+    @pytest.mark.parametrize("p_len", [-10, -2, 3])
+    def test_p_len_out_of_range(self, p_len):
+        # p_len = -2 would index the same letter as the valid site p_len = 1.
+        from braidkit.moves import ExchangeDecomposition
+
+        w = BraidWord(3, (1, 2, -2))
+        assert apply_exchange(w, ExchangeDecomposition(0, 1, 1)) == BraidWord(3, (1, -2, 2))
+        with pytest.raises(ValueError, match="invalid exchange decomposition"):
+            apply_exchange(w, ExchangeDecomposition(0, p_len, 1))
+
 
 class TestFlype:
     def test_flype_pair(self):
@@ -516,6 +526,61 @@ class TestMoveSequences:
         assert out == BraidWord(3, (-2, 1, 2, 2))
 
 
+def flype_shaped_word(rng):
+    """A random rotation of σ₁ᵖ·σ₂ʳ·σ₁^q·σ₂^ε with |p|, |r|, |q| ≤ 4."""
+    letters = ()
+    for index in (1, 2, 1):
+        letters += (rng.choice([1, -1]) * index,) * rng.randint(1, 4)
+    letters += (rng.choice([2, -2]),)
+    return rotate(BraidWord(3, letters), rng.randrange(len(letters)))
+
+
+def site_corpus():
+    """TX±, seeded random B2–B4 words, and seeded flype-shaped B3 words."""
+    rng = random.Random(130)
+    words = [TX_PLUS, TX_MINUS]
+    words += [random_word(rng, rng.choice([2, 3, 4]), 10) for _ in range(600)]
+    words += [flype_shaped_word(rng) for _ in range(100)]
+    return words
+
+
+class TestSiteMoves:
+    """``site.move()`` is the (kind, params) that apply_move replays."""
+
+    def test_move_replays_every_site(self):
+        sites = {"destab": 0, "exchange": 0, "flype": 0}
+        for w in site_corpus():
+            found = try_destabilize(w) if w.n >= 2 else None
+            if found is not None:
+                assert apply_move(w, *found.move()) == found.word
+                sites["destab"] += 1
+            for d in find_exchange_decompositions(w):
+                assert apply_move(w, *d.move()) == apply_exchange(w, d)
+                sites["exchange"] += 1
+            for f in find_flype_decompositions(w):
+                assert apply_move(w, *f.move()) == apply_flype(f)
+                sites["flype"] += 1
+        assert min(sites.values()) >= 50, sites
+
+    def test_match_is_first_decomposition(self):
+        for w in site_corpus():
+            found = find_flype_decompositions(w)
+            assert match_flype_3braid(w) == (found[0] if found else None)
+
+    def test_shifted_flype_rejected(self):
+        checked = 0
+        for w in site_corpus():
+            for f in find_flype_decompositions(w):
+                kind, params = f.move()
+                for rotation in (f.rotation - 1, f.rotation + 1, len(w)):
+                    with pytest.raises(ValueError, match="recorded flype does not apply"):
+                        apply_move(w, kind, {**params, "rotation": rotation})
+                with pytest.raises(ValueError, match="recorded flype does not apply"):
+                    apply_move(BraidWord(4, w.letters), kind, params)
+                checked += 1
+        assert checked >= 100
+
+
 class TestWinding:
     def test_trivial_assignment(self):
         iterates = winding_iterates(BraidWord(3), BraidWord(3), 3)
@@ -541,6 +606,17 @@ class TestWinding:
             winding_iterates(BraidWord(3, (1, 2) * 10), Q, 1)
         monkeypatch.setattr(moves, "MAX_WINDING_BLOCK_WORDS", 85)
         assert len(winding_iterates(P, Q, 0)) == 1
+
+    def test_block_budget_spans_all_steps(self, monkeypatch):
+        # Criterion 10 runs 4 steps over 85 blocks per sign: 340 block words.
+        P = BraidWord(3, (-1, -1, -2))
+        Q = BraidWord(3, (-1, -2, -2))
+        monkeypatch.setattr(moves, "MAX_WINDING_BLOCK_WORDS", 339)
+        with pytest.raises(ResourceLimitError, match="more than 339 block words"):
+            winding_iterates(P, Q, 4)
+        assert len(winding_iterates(P, Q, 3)) == 4
+        monkeypatch.setattr(moves, "MAX_WINDING_BLOCK_WORDS", 340)
+        assert len(winding_iterates(P, Q, 4)) == 5
 
     def test_pinned_sample_reaches_three_classes(self):
         P = BraidWord(3, (-1, -1, -2))
