@@ -444,9 +444,11 @@ class _CommandParser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-n", type=int, default=None, help="strand count for word arguments")
     common.add_argument("--json", action="store_true", help="structured JSON output")
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized commands")
+    worded = argparse.ArgumentParser(add_help=False, parents=[common])
+    worded.add_argument("-n", type=int, default=None, help="strand count for word arguments")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None, help="seed for randomized commands")
 
     parser = argparse.ArgumentParser(
         prog="braidkit",
@@ -455,50 +457,50 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
-    p = sub.add_parser("normalize", parents=[common], help="Garside left normal form")
+    p = sub.add_parser("normalize", parents=[worded], help="Garside left normal form")
     p.add_argument("word")
     p.set_defaults(func=_cmd_normalize)
 
-    p = sub.add_parser("conjugate", parents=[common], help="decide conjugacy of two words")
+    p = sub.add_parser("conjugate", parents=[worded], help="decide conjugacy of two words")
     p.add_argument("word1")
     p.add_argument("word2")
     p.set_defaults(func=_cmd_conjugate)
 
-    p = sub.add_parser("invariants", parents=[common], help="beta, components, Jones, Alexander")
+    p = sub.add_parser("invariants", parents=[worded], help="beta, components, Jones, Alexander")
     p.add_argument("word")
     p.set_defaults(func=_cmd_invariants)
 
-    p = sub.add_parser("move", parents=[common], help="apply a move, or replay a recorded sequence")
+    p = sub.add_parser("move", parents=[worded], help="apply a move, or replay a recorded sequence")
     p.add_argument("kind", nargs="?", choices=["stab+", "stab-", "destab", "exchange", "flype"])
     p.add_argument("word", nargs="?")
     p.add_argument("--replay", metavar="FILE", help="replay a MoveSequence JSON file")
     p.add_argument("--index", type=int, default=0, help="which site of the move kind (default 0)")
     p.set_defaults(func=_cmd_move)
 
-    p = sub.add_parser("search", parents=[common], help="bounded move-graph search between two words")
+    p = sub.add_parser("search", parents=[worded], help="bounded move-graph search between two words")
     p.add_argument("word1")
     p.add_argument("word2")
     p.add_argument("--transverse", action="store_true", help="transverse move set only")
-    p.add_argument("--max-strands", type=int, default=5)
-    p.add_argument("--max-length", type=int, default=24)
-    p.add_argument("--max-nodes", type=int, default=100_000)
+    p.add_argument("--max-strands", type=int, default=search.SearchBounds.max_strands)
+    p.add_argument("--max-length", type=int, default=search.SearchBounds.max_word_length)
+    p.add_argument("--max-nodes", type=int, default=search.SearchBounds.max_nodes)
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("template", parents=[common], help="template tools")
+    p = sub.add_parser("template", parents=[seeded], help="template tools")
     p.add_argument("action", choices=["check"])
     p.add_argument("name", help="builtin name (destab+/destab-/exchange/flype+/flype-) or JSON file")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-len", type=int, default=6)
     p.set_defaults(func=_cmd_template)
 
-    p = sub.add_parser("winding", parents=[common], help="exchange-move winding iterates")
+    p = sub.add_parser("winding", parents=[worded], help="exchange-move winding iterates")
     p.add_argument("P")
     p.add_argument("Q")
     p.add_argument("k", type=int)
     p.set_defaults(func=_cmd_winding)
 
     p = sub.add_parser(
-        "verify-paper", parents=[common], help="re-run the published flype-pair computations"
+        "verify-paper", parents=[seeded], help="re-run the published flype-pair computations"
     )
     p.set_defaults(func=_cmd_verify_paper)
 

@@ -164,10 +164,6 @@ class NormalForm:
     def canonical_length(self) -> int:
         return len(self.factors)
 
-    @property
-    def sup(self) -> int:
-        return self.delta_power + len(self.factors)
-
     def serialize(self) -> str:
         """Stable text form ``D^k | p1 | p2 | ...`` (one-line factor permutations)."""
         if not self.factors:

@@ -4,11 +4,12 @@ The closed-braid move repertoire as executable word transformations.
 Markov stabilization appends σₙ^{±1} on a new strand; destabilization
 removes it.  The exchange move rewrites P·σₙ₋₁·Q·σₙ₋₁⁻¹ into
 P·σₙ₋₁⁻¹·Q·σₙ₋₁ (P, Q away from the last strand), and the 3-braid flype
-rewrites σ₁ᵖ·σ₂ʳ·σ₁^q·σ₂^ε into σ₁ᵖ·σ₂^ε·σ₁^q·σ₂ʳ.  All matchers scan
-cyclic permutations, because closed braids are conjugacy classes.
-
-Each site a matcher returns encodes itself with ``site.move()`` as the
-``(kind, params)`` pair that :func:`apply_move` replays.
+rewrites σ₁ᵖ·σ₂ʳ·σ₁^q·σ₂^ε into σ₁ᵖ·σ₂^ε·σ₁^q·σ₂ʳ.  Each schema has one
+matcher at a given rotation; the finders scan cyclic permutations with it,
+because closed braids are conjugacy classes.  Each site encodes itself with
+``site.move()`` as the ``(kind, params)`` that :func:`apply_move` replays by
+re-matching it at its recorded rotation, so a rotation outside 0..L−1 of the
+word it is read on is rejected.
 
 Moves also exist in template form: a pair of weighted block-strand
 diagrams that close to the same link for every braiding assignment to the
@@ -81,6 +82,17 @@ class DestabResult:
         return kind, {"conjugator": list(self.conjugator.letters), "rotation": self.rotation}
 
 
+def _destab_at(u: BraidWord, g: BraidWord, r: int) -> DestabResult | None:
+    """The destabilization of u = g⁻¹·w·g ending in u's only σₙ₋₁ letter at rotation r."""
+    if u.n < 2 or not 0 <= r < len(u.letters):
+        return None
+    top = u.n - 1
+    ls = rotate(u, r).letters
+    if abs(ls[-1]) != top or ls.count(top) + ls.count(-top) != 1:
+        return None
+    return DestabResult(BraidWord(u.n - 1, ls[:-1]), 1 if ls[-1] > 0 else -1, g, r)
+
+
 def try_destabilize(w: BraidWord) -> DestabResult | None:
     """Read w as P·σₙ₋₁^{±1}, P on n−1 strands, up to cyclic reduction.
 
@@ -98,10 +110,7 @@ def try_destabilize(w: BraidWord) -> DestabResult | None:
     hits = [j for j, x in enumerate(u.letters) if abs(x) == w.n - 1]
     if len(hits) != 1:
         return None
-    r = (hits[0] + 1) % len(u.letters)
-    u = rotate(u, r)
-    sign = 1 if u.letters[-1] > 0 else -1
-    return DestabResult(BraidWord(w.n - 1, u.letters[:-1]), sign, g, r)
+    return _destab_at(u, g, (hits[0] + 1) % len(u.letters))
 
 
 @dataclass(frozen=True)
@@ -117,44 +126,33 @@ class ExchangeDecomposition:
         return "exchange", {"rotation": self.rotation, "p_len": self.p_len, "sign": self.sign}
 
 
+def _exchange_at(w: BraidWord, r: int) -> ExchangeDecomposition | None:
+    """The exchange site at rotation r: the only two σₙ₋₁ letters, opposite, at p_len and last."""
+    if w.n < 3 or not 0 <= r < len(w.letters):
+        return None
+    top = w.n - 1
+    ls = rotate(w, r).letters
+    if abs(ls[-1]) != top or ls.count(top) + ls.count(-top) != 2 or -ls[-1] not in ls:
+        return None
+    return ExchangeDecomposition(r, ls.index(-ls[-1]), -1 if ls[-1] > 0 else 1)
+
+
 def find_exchange_decompositions(w: BraidWord) -> list[ExchangeDecomposition]:
     """All exchange-move sites of a word (cyclic scans included)."""
     if w.n < 3:
         return []
-    top = w.n - 1
-    hits = [j for j, x in enumerate(w.letters) if abs(x) == top]
+    hits = [j for j, x in enumerate(w.letters) if abs(x) == w.n - 1]
     if len(hits) != 2:
         return []
-    s0, s1 = (1 if w.letters[j] > 0 else -1 for j in hits)
-    if s0 == s1:
-        return []
-    L = len(w.letters)
-    out = []
-    for j_last in hits:
-        r = (j_last + 1) % L
-        rotated = rotate(w, r)
-        j_first = next(k for k, x in enumerate(rotated.letters) if abs(x) == top)
-        out.append(
-            ExchangeDecomposition(r, j_first, 1 if rotated.letters[j_first] > 0 else -1)
-        )
+    out = [d for j in hits if (d := _exchange_at(w, (j + 1) % len(w.letters)))]
     return sorted(out, key=lambda d: d.rotation)
 
 
 def apply_exchange(w: BraidWord, d: ExchangeDecomposition) -> BraidWord:
     """Toggle the two σₙ₋₁ signs at the given decomposition."""
-    top = w.n - 1
-    rotated = rotate(w, d.rotation)
-    ls = rotated.letters
-    if (
-        not 0 <= d.p_len < len(ls)
-        or abs(ls[d.p_len]) != top
-        or abs(ls[-1]) != top
-        or (1 if ls[d.p_len] > 0 else -1) != d.sign
-        or ls[-1] != -ls[d.p_len]
-        or any(abs(x) == top for x in ls[: d.p_len])
-        or any(abs(x) == top for x in ls[d.p_len + 1 : -1])
-    ):
+    if _exchange_at(w, d.rotation) != d:
         raise ValueError("invalid exchange decomposition for this word")
+    ls = rotate(w, d.rotation).letters
     new = ls[: d.p_len] + (-ls[d.p_len],) + ls[d.p_len + 1 : -1] + (-ls[-1],)
     return BraidWord(w.n, new)
 
@@ -188,6 +186,8 @@ def _run(letters: tuple[int, ...], start: int, index: int) -> int:
 
 def _flype_at(w: BraidWord, r0: int) -> FlypeData | None:
     """The flype match of a 3-braid word at rotation r0, or None."""
+    if w.n != 3 or not 0 <= r0 < len(w.letters):
+        return None
     ls = rotate(w, r0).letters
     p = _run(ls, 0, 1)
     rr = _run(ls, abs(p), 2) if p else 0
@@ -486,9 +486,10 @@ class MoveSequence:
 def apply_move(w: BraidWord, kind: str, params: dict) -> BraidWord:
     """Re-apply a recorded move; deterministic given the recorded parameters.
 
-    The destab, exchange and flype params come from the site's ``.move()``.
-    A missing or ill-typed parameter is a ValueError naming it; a recorded
-    site that does not match w is a ValueError too.
+    The destab, exchange and flype params come from the site's ``.move()``,
+    and the site is re-matched at its recorded rotation.  A missing or
+    ill-typed parameter is a ValueError naming it; a recorded site that does
+    not match w, a rotation outside 0..L−1 included, is a ValueError too.
     """
     where = f"{kind} params"
 
@@ -501,12 +502,10 @@ def apply_move(w: BraidWord, kind: str, params: dict) -> BraidWord:
         return stabilize(w, 1 if kind == "stab+" else -1)
     if kind in ("destab+", "destab-"):
         g = BraidWord(w.n, json_ints(params, "conjugator", where))
-        u = rotate(conjugate(w, g), get("rotation"))
-        top = w.n - 1
-        want = top if kind == "destab+" else -top
-        if not u.letters or u.letters[-1] != want or any(abs(x) == top for x in u.letters[:-1]):
+        found = _destab_at(conjugate(w, g), g, get("rotation"))
+        if found is None or found.sign != (1 if kind == "destab+" else -1):
             raise ValueError("recorded destabilization does not apply")
-        return BraidWord(w.n - 1, u.letters[:-1])
+        return found.word
     if kind == "exchange":
         d = ExchangeDecomposition(get("rotation"), get("p_len"), get("sign"))
         return apply_exchange(w, d)
@@ -514,8 +513,7 @@ def apply_move(w: BraidWord, kind: str, params: dict) -> BraidWord:
         data = FlypeData(
             get("rotation"), get("p"), get("r"), get("q"), 1 if kind == "flype+" else -1
         )
-        r0 = data.rotation
-        if not (w.n == 3 and 0 <= r0 < len(w.letters) and _flype_at(w, r0) == data):
+        if _flype_at(w, data.rotation) != data:
             raise ValueError("recorded flype does not apply")
         return apply_flype(data)
     raise ValueError(f"unknown move kind {kind!r}")

@@ -54,9 +54,6 @@ class TransverseInvariants:
     def n_components(self) -> int:
         return len(self.per_component)
 
-    def beta(self, component: int) -> int:
-        return self.per_component[component - 1]
-
     def linking(self, c1: int, c2: int) -> int:
         pair = (min(c1, c2), max(c1, c2))
         for p, v in self.pairwise_linking:

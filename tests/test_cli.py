@@ -223,6 +223,32 @@ class TestMove:
         code, _, err = run_capture(capsys, ["move", "--replay", str(path)])
         assert code == 2 and "invalid exchange decomposition" in err
 
+    @pytest.mark.parametrize(
+        "initial, step, message",
+        [
+            (
+                [1, 2, -2],
+                {"move": "exchange", "params": {"rotation": -300, "p_len": 1, "sign": 1},
+                 "result_word": {"n": 3, "letters": [1, -2, 2]}},
+                "invalid exchange decomposition",
+            ),
+            (
+                [2, 1],
+                {"move": "destab+", "params": {"conjugator": [], "rotation": -5},
+                 "result_word": {"n": 2, "letters": [1]}},
+                "recorded destabilization does not apply",
+            ),
+        ],
+        ids=["exchange", "destab"],
+    )
+    def test_replay_rotation_out_of_range_exit_two(self, capsys, tmp_path, initial, step, message):
+        # Read modulo the word length, each rotation would name the site
+        # whose result is recorded.
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"initial": {"n": 3, "letters": initial}, "steps": [step]}))
+        code, _, err = run_capture(capsys, ["move", "--replay", str(path)])
+        assert code == 2 and message in err
+
     def test_replay_boolean_letter_exit_two(self, capsys, tmp_path):
         path = tmp_path / "seq.json"
         path.write_text(json.dumps({"initial": {"n": 3, "letters": [True, -2]}, "steps": []}))
@@ -359,6 +385,14 @@ def test_readme_commands_run(capsys):
 
 def test_usage_error_exit_two(capsys):
     assert run(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["normalize", "--seed", "4", "-n", "3", "s1"], ["verify-paper", "-n", "9"]]
+)
+def test_option_the_command_ignores_exit_two(capsys, argv):
+    code, _, err = run_capture(capsys, argv)
+    assert code == 2 and "unrecognized arguments" in err
 
 
 def test_verify_paper_passes(capsys):

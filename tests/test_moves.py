@@ -272,6 +272,9 @@ class TestExchange:
 
         with pytest.raises(ValueError):
             apply_exchange(BraidWord(3, (1, 2, 1, -2)), ExchangeDecomposition(0, 0, 1))
+        # Below 3 strands there is no exchange site, so none replays.
+        with pytest.raises(ValueError, match="invalid exchange decomposition"):
+            apply_exchange(BraidWord(2, (1, -1)), ExchangeDecomposition(0, 0, 1))
 
     @pytest.mark.parametrize("p_len", [-10, -2, 3])
     def test_p_len_out_of_range(self, p_len):
@@ -568,17 +571,32 @@ class TestSiteMoves:
             assert match_flype_3braid(w) == (found[0] if found else None)
 
     def test_shifted_flype_rejected(self):
-        checked = 0
+        # Destab and exchange sites too: replay re-matches a site at its
+        # rotation, read on the word the site matches (u = g⁻¹·w·g for a
+        # destabilization), so a shifted or out-of-range rotation fails.
+        checked = {"destab": 0, "exchange": 0, "flype": 0}
         for w in site_corpus():
             for f in find_flype_decompositions(w):
                 kind, params = f.move()
-                for rotation in (f.rotation - 1, f.rotation + 1, len(w)):
+                for rotation in (f.rotation - 1, f.rotation + 1, len(w), -1):
                     with pytest.raises(ValueError, match="recorded flype does not apply"):
                         apply_move(w, kind, {**params, "rotation": rotation})
                 with pytest.raises(ValueError, match="recorded flype does not apply"):
                     apply_move(BraidWord(4, w.letters), kind, params)
-                checked += 1
-        assert checked >= 100
+                checked["flype"] += 1
+            sites = [(d, len(w), "invalid exchange decomposition")
+                     for d in find_exchange_decompositions(w)]
+            found = try_destabilize(w) if w.n >= 2 else None
+            if found is not None:
+                u = conjugate(w, found.conjugator)
+                sites.append((found, len(u), "recorded destabilization does not apply"))
+            for site, length, message in sites:
+                kind, params = site.move()
+                for rotation in (site.rotation - 1, site.rotation + 1, length, -1):
+                    with pytest.raises(ValueError, match=message):
+                        apply_move(w, kind, {**params, "rotation": rotation})
+                checked[kind.rstrip("+-")] += 1
+        assert min(checked.values()) >= 100, checked
 
 
 class TestWinding:
