@@ -428,6 +428,10 @@ class _CommandParser(argparse.ArgumentParser):
     positionals, so ``move exchange --index 0 -n 3 WORD`` would leave the word
     unclaimed.  Intermixed parsing reads the options first, then the
     positionals; it calls back into ``parse_known_args``, hence the guard.
+
+    Leftover arguments are an error of this command, with its own usage.  An
+    option it does not take leaves its value to the positionals, so when
+    options are left over only they are named.
     """
 
     _intermixed = False
@@ -437,9 +441,13 @@ class _CommandParser(argparse.ArgumentParser):
             return super().parse_known_args(args, namespace)
         self._intermixed = True
         try:
-            return self.parse_known_intermixed_args(args, namespace)
+            namespace, extras = self.parse_known_intermixed_args(args, namespace)
         finally:
             self._intermixed = False
+        if extras:
+            options = [a for a in extras if a.startswith("-")]
+            self.error("unrecognized arguments: " + " ".join(options or extras))
+        return namespace, extras
 
 
 def _build_parser() -> argparse.ArgumentParser:

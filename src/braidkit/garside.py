@@ -26,7 +26,13 @@ lattice helpers, in ``NormalForm.factors`` and so in the keys of the key
 cache.  The outermost lattice steps (renormalizing a factor pair, a
 least-completion step, join, right complement, τ) are memo tables keyed by
 permutation, each bounded by ``_TABLE_SIZE`` entries; no answer depends on
-what they hold.  Cycling trajectories, summit closures and the key cache
+what they hold.  One more table of that size, ``_word_summit``, maps a word
+to the summit element that cycling and decycling reach from its normal
+form: the search keys the same neighbour words again and again, and a
+repeat skips all three steps.  It stores summit elements, never keys, so
+the key cache and its cap behave as without it.  A witness needs the
+conjugators too, so the witness path of ``are_conjugate`` runs cycling and
+decycling itself.  Cycling trajectories, summit closures and the key cache
 key normal forms by value and serialize only what they hand out.
 
 Conjugators stay simple elements: a cycling or decycling step yields the
@@ -40,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import BraidWord, ResourceLimitError, exponent_sum, free_reduce
+from .words import BraidWord, ResourceLimitError, _word, exponent_sum, free_reduce
 
 # A permutation is the tuple of 1-based images of 1 … n.
 Perm = tuple[int, ...]
@@ -53,6 +59,11 @@ _TABLE_SIZE = 4096
 
 # Most members a super summit set may have; read at call time.
 MAX_SUMMIT_SET = 10_000
+# Most units n²·(L+1)·(L+n) a left normal form may take for L letters on n
+# strands, checked before any factor is built: 100 random letters on B50 are
+# 3.8·10⁷ units (0.4 s with Python 3.11 on a 2-CPU Xeon), 4 000 random B3
+# letters 1.4·10⁸ (1.7 s), and 100 random letters on B100 2.0·10⁸ (2 s).
+MAX_NORMAL_FORM_WORK = 200_000_000
 
 
 class SuperSummitCapError(ResourceLimitError):
@@ -145,7 +156,7 @@ def _factors_word(n: int, factors: list[Factor]) -> BraidWord:
     for p, sign in factors:
         word = _perm_word(p)
         letters.extend(word if sign > 0 else (-x for x in reversed(word)))
-    return BraidWord(n, free_reduce(letters))
+    return _word(n, free_reduce(letters))
 
 
 @dataclass(frozen=True)
@@ -238,8 +249,17 @@ def _normalize(n: int, k: int, factors: list[Perm]) -> NormalForm:
 
 
 def left_normal_form(w: BraidWord) -> NormalForm:
-    """The unique left-weighted form Δᵏ·A₁⋯A_l equal to w as a group element."""
-    n = w.n
+    """The unique left-weighted form Δᵏ·A₁⋯A_l equal to w as a group element.
+
+    Past :data:`MAX_NORMAL_FORM_WORK` units of n²·(L+1)·(L+n) it raises
+    :class:`ResourceLimitError` before any factor is built.
+    """
+    n, L = w.n, len(w.letters)
+    if n * n * (L + 1) * (L + n) > MAX_NORMAL_FORM_WORK:
+        raise ResourceLimitError(
+            f"normal form of {L} letters on {n} strands exceeds "
+            f"MAX_NORMAL_FORM_WORK = {MAX_NORMAL_FORM_WORK}"
+        )
     raw: list[tuple[int, Perm]] = []  # (delta shift, factor permutation)
     delta = _delta_perm(n)
     for x in w.letters:
@@ -349,6 +369,12 @@ def _summit(nf: NormalForm) -> tuple[NormalForm, list[Factor]]:
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
+def _word_summit(w: BraidWord) -> NormalForm:
+    """The summit element :func:`_summit` reaches from w's left normal form."""
+    return _summit(left_normal_form(w))[0]
+
+
+@lru_cache(maxsize=_TABLE_SIZE)
 def _join(s: Perm, t: Perm) -> Perm:
     """Least common right multiple s ∨ t of two permutation braids.
 
@@ -450,7 +476,7 @@ _key_cache: dict[NormalForm, ConjugacyKey] = {}
 
 def super_summit_set(w: BraidWord) -> ConjugacyKey:
     """The complete super summit set of w, as a deterministic sorted key."""
-    summit, _ = _summit(left_normal_form(w))
+    summit = _word_summit(w)
     cached = _key_cache.get(summit)
     if cached is not None:
         return cached
@@ -479,8 +505,7 @@ def are_conjugate(u: BraidWord, v: BraidWord, want_witness: bool = False):
         # super summit set.  A serialization spells out (inf, canonical
         # length), so an element of another level is never among the entries.
         u_key = super_summit_set(u)
-        sv, _ = _summit(left_normal_form(v))
-        return sv.serialize() in u_key.entries
+        return _word_summit(v).serialize() in u_key.entries
 
     su, gu = _summit(left_normal_form(u))
     sv, gv = _summit(left_normal_form(v))

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from .words import (
     BraidWord,
     ResourceLimitError,
+    _word,
     conjugate,
     free_reduce,
     json_field,
@@ -47,7 +48,7 @@ def stabilize(w: BraidWord, sign: int) -> BraidWord:
     """Append σₙ^{sign} on a fresh strand: braid index n → n+1."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return BraidWord(w.n + 1, w.letters + (sign * w.n,))
+    return _word(w.n + 1, w.letters + (sign * w.n,))
 
 
 def cyclic_free_reduce(w: BraidWord) -> tuple[BraidWord, BraidWord]:
@@ -60,7 +61,7 @@ def cyclic_free_reduce(w: BraidWord) -> tuple[BraidWord, BraidWord]:
     k = 0
     while k < len(r) - 1 - k and r[k] == -r[-1 - k]:
         k += 1
-    return BraidWord(w.n, r[k : len(r) - k]), BraidWord(w.n, r[:k])
+    return _word(w.n, r[k : len(r) - k]), _word(w.n, r[:k])
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ def _destab_at(u: BraidWord, g: BraidWord, r: int) -> DestabResult | None:
     ls = rotate(u, r).letters
     if abs(ls[-1]) != top or ls.count(top) + ls.count(-top) != 1:
         return None
-    return DestabResult(BraidWord(u.n - 1, ls[:-1]), 1 if ls[-1] > 0 else -1, g, r)
+    return DestabResult(_word(u.n - 1, ls[:-1]), 1 if ls[-1] > 0 else -1, g, r)
 
 
 def try_destabilize(w: BraidWord) -> DestabResult | None:
@@ -154,7 +155,7 @@ def apply_exchange(w: BraidWord, d: ExchangeDecomposition) -> BraidWord:
         raise ValueError("invalid exchange decomposition for this word")
     ls = rotate(w, d.rotation).letters
     new = ls[: d.p_len] + (-ls[d.p_len],) + ls[d.p_len + 1 : -1] + (-ls[-1],)
-    return BraidWord(w.n, new)
+    return _word(w.n, new)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .moves import (
     try_destabilize,
 )
 from .transverse import TRANSVERSE_MOVE_KINDS
-from .words import BraidWord, ResourceLimitError, free_reduce
+from .words import BraidWord, ResourceLimitError, _word, free_reduce
 
 TOPOLOGICAL = "topological"
 TRANSVERSE = "transverse"
@@ -121,8 +121,8 @@ def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> Searc
     weak node (see :func:`_class_key`) reaches the target only through an
     equal normal form, since its class is capped and so is the target's.
     """
-    source = BraidWord(source.n, free_reduce(source.letters))
-    target = BraidWord(target.n, free_reduce(target.letters))
+    source = _word(source.n, free_reduce(source.letters))
+    target = _word(target.n, free_reduce(target.letters))
     for w, name in ((source, "source"), (target, "target")):
         if w.n > bounds.max_strands or len(w.letters) > bounds.max_word_length:
             raise ValueError(f"{name} word exceeds the search bounds")

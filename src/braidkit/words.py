@@ -13,6 +13,13 @@ braid is traversed with increasing angle.  The closure joins position j at
 the bottom to position j at the top; its components are the cycles of the
 underlying permutation, numbered so that component 1 contains start
 position 1.
+
+``BraidWord(n, letters)`` validates its input: the strand count and every
+letter.  Words built from outside input go through it (parsed text, JSON,
+replayed move parameters, template block words).  Words whose letters come
+from already valid words (the group operations here, the elementary moves,
+normal-form words, the search's reduced endpoints) are built by the private
+:func:`_word`, which trusts its tuple and checks nothing.
 """
 
 from __future__ import annotations
@@ -193,6 +200,15 @@ def free_reduce(letters) -> tuple[int, ...]:
     return tuple(stack)
 
 
+def _word(n: int, letters: tuple[int, ...]) -> BraidWord:
+    """A :class:`BraidWord` built without validation, from a tuple of letters
+    already valid on n strands (taken from valid words)."""
+    w = object.__new__(BraidWord)
+    object.__setattr__(w, "n", n)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 def _require_same_strands(u: BraidWord, v: BraidWord) -> None:
     if u.n != v.n:
         raise ValueError(f"strand-count mismatch: {u.n} vs {v.n}")
@@ -201,23 +217,24 @@ def _require_same_strands(u: BraidWord, v: BraidWord) -> None:
 def multiply(u: BraidWord, v: BraidWord) -> BraidWord:
     """Concatenate two words on the same strand count, freely reduced."""
     _require_same_strands(u, v)
-    return BraidWord(u.n, free_reduce(u.letters + v.letters))
+    return _word(u.n, free_reduce(u.letters + v.letters))
 
 
 def invert(w: BraidWord) -> BraidWord:
     """The letter-reversed, sign-flipped word."""
-    return BraidWord(w.n, tuple(-x for x in reversed(w.letters)))
+    return _word(w.n, tuple(-x for x in reversed(w.letters)))
 
 
 def conjugate(w: BraidWord, g: BraidWord) -> BraidWord:
     """g⁻¹ w g, freely reduced."""
     _require_same_strands(w, g)
-    return BraidWord(w.n, free_reduce(invert(g).letters + w.letters + g.letters))
+    inverse = tuple(-x for x in reversed(g.letters))
+    return _word(w.n, free_reduce(inverse + w.letters + g.letters))
 
 
 def mirror(w: BraidWord) -> BraidWord:
     """Flip the sign of every letter (the mirror-image closure)."""
-    return BraidWord(w.n, tuple(-x for x in w.letters))
+    return _word(w.n, tuple(-x for x in w.letters))
 
 
 def rotate(w: BraidWord, k: int) -> BraidWord:
@@ -225,7 +242,7 @@ def rotate(w: BraidWord, k: int) -> BraidWord:
     if not w.letters:
         return w
     k %= len(w.letters)
-    return BraidWord(w.n, w.letters[k:] + w.letters[:k])
+    return _word(w.n, w.letters[k:] + w.letters[:k])
 
 
 def underlying_permutation(w: BraidWord) -> Permutation:

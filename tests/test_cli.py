@@ -35,6 +35,11 @@ class TestNormalize:
         code, _, err = run_capture(capsys, ["normalize", "-n", "2", "s1^1000000000"])
         assert code == 2 and "letters" in err
 
+    def test_work_bound_exit_two(self, capsys):
+        # 100 letters on B200 exceed the normal-form work bound
+        code, _, err = run_capture(capsys, ["normalize", "-n", "200", "s1^-100"])
+        assert code == 2 and "MAX_NORMAL_FORM_WORK" in err
+
 
 class TestConjugate:
     def test_true_exit_zero(self, capsys):
@@ -393,6 +398,14 @@ def test_usage_error_exit_two(capsys):
 def test_option_the_command_ignores_exit_two(capsys, argv):
     code, _, err = run_capture(capsys, argv)
     assert code == 2 and "unrecognized arguments" in err
+
+
+def test_option_the_command_ignores_is_named_alone(capsys):
+    # the unknown --seed leaves 4 to the word; only the option is named
+    code, _, err = run_capture(capsys, ["normalize", "--seed", "4", "-n", "3", "s1"])
+    assert code == 2
+    assert err.startswith("usage: braidkit normalize ")
+    assert "unrecognized arguments: --seed\n" in err and "s1" not in err
 
 
 def test_verify_paper_passes(capsys):

@@ -11,13 +11,28 @@ from braidkit.garside import (
     _conjugate_nf,
     _summit,
     _summit_closure,
+    _word_summit,
     are_conjugate,
     cycling,
     decycling,
     left_normal_form,
     super_summit_set,
 )
-from braidkit.words import BraidWord, conjugate, invert, multiply, parse_braid_word
+from braidkit.words import (
+    BraidWord,
+    ResourceLimitError,
+    conjugate,
+    invert,
+    multiply,
+    parse_braid_word,
+)
+
+
+class Untouched(tuple):
+    """Letters that fail the test if a normal-form step reads them."""
+
+    def __iter__(self):
+        raise AssertionError("a factor was built")
 
 
 def random_word(rng, n, max_len):
@@ -153,6 +168,31 @@ class TestLeftNormalForm:
         for _ in range(12):
             v = random_rewrite(rng, v)
         assert left_normal_form(v) == left_normal_form(w)
+
+    def test_work_bound_rejects_before_any_factor(self):
+        # 100 letters on B200: 200²·101·300 = 1.2·10⁹ units
+        w = BraidWord(200, tuple(range(1, 101)))
+        with pytest.raises(ResourceLimitError, match="MAX_NORMAL_FORM_WORK"):
+            are_conjugate(w, w, want_witness=True)  # its exponent sums read the letters
+        object.__setattr__(w, "letters", Untouched(w.letters))
+
+        def table_sizes():
+            return {name: f.cache_info().currsize for name, f in vars(garside_module).items()
+                    if hasattr(f, "cache_info")}
+
+        before = table_sizes()
+        for call in (left_normal_form, super_summit_set):
+            with pytest.raises(ResourceLimitError, match="MAX_NORMAL_FORM_WORK"):
+                call(w)
+        assert table_sizes() == before
+
+    def test_work_bound_is_read_at_call_time(self, monkeypatch):
+        w = parse_braid_word("s1 s2^-1", 3)  # 3²·3·5 = 135 units
+        monkeypatch.setattr(garside_module, "MAX_NORMAL_FORM_WORK", 135)
+        assert left_normal_form(w).serialize() == "D^-1 | 1 3 2 | 2 3 1"
+        monkeypatch.setattr(garside_module, "MAX_NORMAL_FORM_WORK", 134)
+        with pytest.raises(ResourceLimitError, match="MAX_NORMAL_FORM_WORK"):
+            left_normal_form(w)
 
 
 class TestCyclingDecycling:
@@ -373,7 +413,8 @@ class TestKernelAgainstInversionSets:
 def test_answers_do_not_depend_on_cache_state():
     # every memo table in garside: the functions carrying an lru_cache
     tables = {name: f for name, f in vars(garside_module).items() if hasattr(f, "cache_info")}
-    assert {"_renorm_pair", "_completion_step", "_join", "_right_complement", "_tau"} <= set(tables)
+    assert {"_renorm_pair", "_completion_step", "_join", "_right_complement", "_tau",
+            "_word_summit"} <= set(tables)
     for name, table in tables.items():
         assert table.cache_info().maxsize is not None, name
 
@@ -395,6 +436,16 @@ def test_answers_do_not_depend_on_cache_state():
     cold = answers()
     assert first == cold
     assert answers() == cold  # every class now comes from the key cache
+
+
+def test_word_summit_is_the_summit_of_the_normal_form():
+    rng = random.Random(19)
+    corpus = [random_word(rng, rng.randint(2, 5), 12) for _ in range(300)]
+    expected = [_summit(left_normal_form(w))[0] for w in corpus]
+    _word_summit.cache_clear()
+    assert [_word_summit(w) for w in corpus] == expected  # cold
+    assert [_word_summit(w) for w in corpus] == expected  # warm
+    assert _word_summit.cache_info().hits >= len(corpus)
 
 
 class TestAreConjugate:

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidkit import words
+from braidkit import garside, moves, words
 from braidkit.garside import _compose, _inverse
 from braidkit.words import (
     BraidSyntaxError,
@@ -14,8 +16,10 @@ from braidkit.words import (
     exponent_sum,
     format_word,
     invert,
+    mirror,
     multiply,
     parse_braid_word,
+    rotate,
     underlying_permutation,
     word_from_json,
     word_to_json,
@@ -213,3 +217,58 @@ def test_json_round_trip():
 def test_json_booleans_are_not_integers(obj):
     with pytest.raises(ValueError):
         word_from_json(obj)
+
+
+@st.composite
+def word_pairs(draw):
+    """Two B2–B5 words of at most 12 letters on the same strand count."""
+    n = draw(st.integers(2, 5))
+    letter = st.sampled_from([i for i in range(1 - n, n) if i != 0])
+    return tuple(BraidWord(n, tuple(draw(st.lists(letter, max_size=12)))) for _ in range(2))
+
+
+class TestTrustedWords:
+    """Words built from valid words skip validation; validating them again changes nothing."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(word_pairs(), st.integers(-20, 20))
+    def test_built_words_revalidate(self, pair, k):
+        u, g = pair
+        n = u.n
+        built = [multiply(u, g), conjugate(u, g), rotate(u, k), invert(u), mirror(u)]
+        built += moves.cyclic_free_reduce(u)
+        for sign in (1, -1):
+            stabilized = moves.stabilize(u, sign)
+            found = moves.try_destabilize(stabilized)
+            built += [stabilized, found.word, found.conjugator]
+        site = BraidWord(n + 1, u.letters + (n,) + g.letters + (-n,))
+        decompositions = moves.find_exchange_decompositions(site)
+        assert decompositions
+        built += [moves.apply_exchange(site, d) for d in decompositions]
+        built.append(garside.left_normal_form(u).as_word())
+        built.append(garside.are_conjugate(u, conjugate(u, g), want_witness=True)[1])
+        for w in built:
+            assert type(w.letters) is tuple
+            assert BraidWord(w.n, w.letters) == w
+
+
+class TestOutsideInputIsValidated:
+    """Words read from outside input are validated (parsed text: TestParse)."""
+
+    def test_json(self):
+        with pytest.raises(ValueError, match="letter 3 invalid for 3 strands"):
+            word_from_json({"n": 3, "letters": [1, 3]})
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [("conjugation", {"by": [1, 3]}), ("destab+", {"conjugator": [0], "rotation": 0})],
+    )
+    def test_replayed_move_params(self, kind, params):
+        with pytest.raises(ValueError, match="invalid for 3 strands"):
+            moves.apply_move(BraidWord(3, (1, 2)), kind, params)
+
+    def test_template_block_word(self):
+        diagram = moves.BlockStrandDiagram((2, 1), (moves.BlockSlot("a", 1),), {"a": 1})
+        unchecked = words._word(2, (5,))  # a block word that skipped validation
+        with pytest.raises(ValueError, match="letter 5 invalid for 3 strands"):
+            moves.expand_weights(diagram, {"a": unchecked})
