@@ -7,9 +7,13 @@ provides the invariants used as oracles throughout the test suite and the
 template fuzzer:
 
 * the reduced Burau representation over ℤ[t, t⁻¹] and the Alexander
-  polynomial of the closure via det(ψ(w) − I) / (1 + t + ⋯ + t^{n−1}), one
-  integer determinant bounded by :data:`MAX_ALEXANDER_WORK` before any step
-  (a word missing some σᵢ closes to a split link and gives 0 at once);
+  polynomial of the closure via det(ψ(w) − I) / (1 + t + ⋯ + t^{n−1}),
+  bounded by :data:`MAX_ALEXANDER_WORK` before any step (a word missing
+  some σᵢ closes to a split link and gives 0 at once).  Both build the
+  Burau image as exponent → coefficient tables, one column update per
+  letter; Alexander hands those tables, less 1 on the diagonal, straight
+  to the integer determinant :func:`braidkit.laurent.table_determinant`,
+  and only :func:`burau_reduced` wraps them in a matrix;
 * the Kauffman bracket by Kauffman's state model carried through the
   Temperley–Lieb quotient of the braid group: a transfer over the letters
   whose states are the at most min(Catalan(n), 2^L) non-crossing matchings
@@ -30,7 +34,7 @@ import random
 from dataclasses import dataclass, field
 from math import comb
 
-from .laurent import LaurentPolynomial, PolyMatrix
+from .laurent import LaurentPolynomial, PolyMatrix, table_determinant
 from .transverse import InternalConsistencyError
 from .words import BraidWord, ResourceLimitError, closure_components, exponent_sum
 
@@ -42,7 +46,8 @@ from . import _bracket_py
 MAX_BRACKET_WORK = 20_000_000
 MAX_STATE_SUM_LETTERS = 24  # letters of the exhaustive 2^L test oracle
 # Most units d²·(d³ + L³), d = n − 1, of Alexander for L letters on n strands:
-# B80 s1 … s79 is 6.2·10⁹ (0.5 s), 300 positive letters on B20 9.8·10⁹ (12 s).
+# B80 s1 … s79 is 6.2·10⁹ (0.3–0.4 s), 300 positive letters on B20 9.8·10⁹
+# (11–12 s), with Python 3.11 on a 2-CPU Xeon.
 MAX_ALEXANDER_WORK = 10_000_000_000
 
 
@@ -54,14 +59,15 @@ class AlexanderCapExceeded(ResourceLimitError):
     """The Alexander polynomial of the word would cost more than its documented bound."""
 
 
-def burau_reduced(w: BraidWord) -> PolyMatrix:
-    """Product of the reduced Burau images of the letters (dimension n−1).
+def _burau_columns(w: BraidWord) -> list[list[dict[int, int]]]:
+    """Columns of the reduced Burau image of w, as exponent → coefficient tables.
 
     Right multiplication by the image of σᵢ^{±1} changes only column
-    j = i − 1, so each letter is one column update on exponent → coefficient
-    tables: σᵢ gives t·col(j−1) − t·col(j) + col(j+1), σᵢ⁻¹ gives
-    col(j−1) − t⁻¹·col(j) + t⁻¹·col(j+1), a missing column counting as zero.
-    Past :data:`MAX_ALEXANDER_WORK` it raises :class:`AlexanderCapExceeded` before any table.
+    j = i − 1, so each letter is one column update: σᵢ gives
+    t·col(j−1) − t·col(j) + col(j+1), σᵢ⁻¹ gives col(j−1) − t⁻¹·col(j) +
+    t⁻¹·col(j+1), a missing column counting as zero.  Every table is a new
+    dict, so the caller may change them.  Past :data:`MAX_ALEXANDER_WORK` it
+    raises :class:`AlexanderCapExceeded` before any table.
     """
     d, L = w.n - 1, len(w.letters)
     if d * d * (d**3 + L**3) > MAX_ALEXANDER_WORK:
@@ -86,9 +92,16 @@ def burau_reduced(w: BraidWord) -> PolyMatrix:
                     entry[e + shift] = entry.get(e + shift, 0) + sign * c
             new.append({e: c for e, c in entry.items() if c})
         cols[j] = new
-    return PolyMatrix(
-        tuple(tuple(LaurentPolynomial.from_dict(cols[c][r]) for c in range(d)) for r in range(d))
-    )
+    return cols
+
+
+def burau_reduced(w: BraidWord) -> PolyMatrix:
+    """Product of the reduced Burau images of the letters (dimension n−1).
+
+    Built from :func:`_burau_columns`, so it is bounded the same way.
+    """
+    rows = zip(*_burau_columns(w))
+    return PolyMatrix(tuple(tuple(LaurentPolynomial.from_dict(p) for p in row) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -107,15 +120,22 @@ def alexander_with_flag(w: BraidWord) -> AlexanderResult:
     (``normalized=False``); compare those with
     :meth:`LaurentPolynomial.equals_up_to_units`.  A word missing some σᵢ
     closes to a split link, whose polynomial is 0; it is returned before
-    any Burau step, so the bound of :func:`burau_reduced` does not apply.
+    any Burau step, so the Burau bound does not apply.  The Burau tables,
+    less 1 on the diagonal, go straight to :func:`table_determinant`.
     """
     if len({abs(x) for x in w.letters}) < w.n - 1:
         return AlexanderResult(LaurentPolynomial.zero(), False)
-    det = (burau_reduced(w) - PolyMatrix.identity(w.n - 1)).determinant()
+    cols = _burau_columns(w)
+    for j, col in enumerate(cols):
+        diag = col[j]
+        c = diag.pop(0, 0) - 1
+        if c:
+            diag[0] = c
+    det = table_determinant(list(zip(*cols)))
     # q = det·(1 − t)/(1 − tⁿ) term by term; exact iff its n would-be top terms are 0
-    low = det.min_exp if det.terms else 0
-    q = [0] * (det.max_exp - low + 2 if det.terms else 1)
-    for e, c in det.terms:
+    low = min(det, default=0)
+    q = [0] * (max(det) - low + 2 if det else 1)
+    for e, c in det.items():
         q[e - low] += c
         q[e - low + 1] -= c
     for k in range(w.n, len(q)):

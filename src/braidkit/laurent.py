@@ -1,16 +1,21 @@
 """
-Exact integer Laurent polynomials and small matrices over them.
+Exact integer Laurent polynomials, square matrices over them, and their determinant.
 
 These are the coefficient rings of the topological-equality oracles: the
 reduced Burau representation lives in matrices over ℤ[t, t⁻¹], and the
 Kauffman bracket / Jones polynomial are elements of ℤ[A, A⁻¹] and
 ℤ[q, q⁻¹].  Everything is exact; there is no floating point anywhere.
-A determinant is one integer determinant at t = 2^K, its base-2^K digits
-read back as coefficients; the tests keep the cofactor expansion as oracle.
+:func:`table_determinant` is the one determinant: it takes rows of
+exponent → coefficient tables, evaluates them at t = 2^K as one integer
+determinant and reads its base-2^K digits back as coefficients.
+:meth:`PolyMatrix.determinant` adapts a matrix to it.  Products of
+polynomials or matrices are not needed here; the tests keep them, with the
+cofactor expansion, as oracles.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import prod
 
@@ -79,14 +84,6 @@ class LaurentPolynomial:
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
 
-    def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPolynomial.from_dict(out)
-
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by t^k."""
         return LaurentPolynomial(tuple((e + k, c) for e, c in self.terms))
@@ -131,76 +128,56 @@ class PolyMatrix:
         if any(len(r) != d for r in self.rows):
             raise ValueError("matrix is not square")
 
-    @staticmethod
-    def identity(dim: int) -> "PolyMatrix":
-        one, zero = LaurentPolynomial.one(), LaurentPolynomial.zero()
-        return PolyMatrix(tuple(tuple(one if i == j else zero for j in range(dim)) for i in range(dim)))
-
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        d = self.dim
-        out = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = LaurentPolynomial.zero()
-                for k in range(d):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(tuple(row))
-        return PolyMatrix(tuple(out))
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return PolyMatrix(
-            tuple(
-                tuple(self.rows[i][j] - other.rows[i][j] for j in range(self.dim))
-                for i in range(self.dim)
-            )
-        )
-
     def determinant(self) -> LaurentPolynomial:
-        """One integer determinant by Kronecker substitution.
+        """The determinant, by :func:`table_determinant` on the entries' tables."""
+        tables = [[p.as_dict() for p in row] for row in self.rows]
+        return LaurentPolynomial.from_dict(table_determinant(tables))
 
-        Rows are shifted to start at t⁰ and evaluated at t = 2^K; as ‖det‖₁ ≤
-        P = ∏ᵢ Σⱼ ‖mᵢⱼ‖₁, K = P.bit_length() + 1 makes the coefficients the
-        balanced base-2^K digits of the integer determinant.  Bareiss finds it
-        (divisions exact by Sylvester's identity; a zero pivot row swaps with a
-        later one, negated to keep det); a zero row or pivot column gives 0.
-        """
-        d = len(self.rows)
-        if any(all(p.is_zero() for p in row) for row in self.rows):
-            return LaurentPolynomial.zero()
-        lows = [min(p.min_exp for p in row if p.terms) for row in self.rows]
-        bound = prod(sum(abs(c) for p in row for _, c in p.terms) for row in self.rows)
-        k_bits = bound.bit_length() + 1
-        a = [
-            [sum(c << (k_bits * (e - low)) for e, c in p.terms) for p in row]
-            for row, low in zip(self.rows, lows)
-        ]
-        prev = 1
-        for k in range(d - 1):
-            if not a[k][k]:
-                swap = next((i for i in range(k + 1, d) if a[i][k]), None)
-                if swap is None:
-                    return LaurentPolynomial.zero()
-                a[k], a[swap] = a[swap], [-x for x in a[k]]
-            for i in range(k + 1, d):
-                for j in range(k + 1, d):
-                    a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        value = a[d - 1][d - 1] if d else 1
-        mask, half = (1 << k_bits) - 1, 1 << (k_bits - 1)
-        coeffs, e = {}, sum(lows)
-        while value:
-            value += half  # the balanced digit is the low K bits minus half
-            coeffs[e] = (value & mask) - half
-            value >>= k_bits
-            e += 1
-        return LaurentPolynomial.from_dict(coeffs)
+
+def table_determinant(rows: Sequence[Sequence[dict[int, int]]]) -> dict[int, int]:
+    """Determinant of a square matrix whose entries are exponent → coefficient tables.
+
+    One integer determinant by Kronecker substitution: rows are shifted to
+    start at t⁰ and evaluated at t = 2^K; as ‖det‖₁ ≤ P = ∏ᵢ Σⱼ ‖mᵢⱼ‖₁,
+    K = P.bit_length() + 1 makes the coefficients the balanced base-2^K
+    digits of the integer determinant.  Bareiss finds it (divisions exact by
+    Sylvester's identity; a zero pivot row swaps with a later one, negated to
+    keep det); a zero row or pivot column gives 0.  The result has no zero
+    coefficient, its exponents ascending.
+    """
+    d = len(rows)
+    if any(not any(row) for row in rows):
+        return {}
+    lows = [min(min(p) for p in row if p) for row in rows]
+    bound = prod(sum(abs(c) for p in row for c in p.values()) for row in rows)
+    k_bits = bound.bit_length() + 1
+    a = [
+        [sum(c << (k_bits * (e - low)) for e, c in p.items()) for p in row]
+        for row, low in zip(rows, lows)
+    ]
+    prev = 1
+    for k in range(d - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, d) if a[i][k]), None)
+            if swap is None:
+                return {}
+            a[k], a[swap] = a[swap], [-x for x in a[k]]
+        for i in range(k + 1, d):
+            for j in range(k + 1, d):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    value = a[d - 1][d - 1] if d else 1
+    mask, half = (1 << k_bits) - 1, 1 << (k_bits - 1)
+    coeffs, e = {}, sum(lows)
+    while value:
+        value += half  # the balanced digit is the low K bits minus half
+        digit = (value & mask) - half
+        if digit:
+            coeffs[e] = digit
+        value >>= k_bits
+        e += 1
+    return coeffs

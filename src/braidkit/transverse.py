@@ -67,20 +67,28 @@ def self_linking(w: BraidWord) -> int:
     return exponent_sum(w) - w.n
 
 
+def _check_pairs(c: int, qualifier: str) -> None:
+    pairs = c * (c - 1) // 2
+    if pairs > MAX_COMPONENT_PAIRS:
+        raise ResourceLimitError(
+            f"{qualifier}{c} components have {qualifier}{pairs} pairs, more than "
+            f"MAX_COMPONENT_PAIRS = {MAX_COMPONENT_PAIRS}"
+        )
+
+
 def component_invariants(w: BraidWord) -> TransverseInvariants:
     """Per-component β and pairwise linking numbers of the closure.
 
     Past :data:`MAX_COMPONENT_PAIRS` component pairs it raises
-    :class:`ResourceLimitError` before listing any pair.
+    :class:`ResourceLimitError` before listing any pair.  Each distinct σᵢ
+    merges at most two strand orbits into one, so there are at least
+    n − |{|x| : x in w}| components; that bound is checked first, in O(L)
+    time, before the closure permutation is built.
     """
+    _check_pairs(w.n - len({abs(x) for x in w.letters}), "at least ")
     comps = closure_components(w)
     c = comps.n_components
-    pairs = c * (c - 1) // 2
-    if pairs > MAX_COMPONENT_PAIRS:
-        raise ResourceLimitError(
-            f"{c} components have {pairs} pairs, more than "
-            f"MAX_COMPONENT_PAIRS = {MAX_COMPONENT_PAIRS}"
-        )
+    _check_pairs(c, "")
     internal = [0] * (c + 1)
     strands = [0] * (c + 1)
     cross: dict[tuple[int, int], int] = {}

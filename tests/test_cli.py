@@ -1,5 +1,6 @@
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,17 @@ class TestInvariants:
         # 1 999 components are about 2·10⁶ pairs, rejected before any is listed
         code, _, err = run_capture(capsys, ["invariants", "-n", "2000", "s1"])
         assert code == 2 and "MAX_COMPONENT_PAIRS" in err and "internal" not in err
+
+    def test_component_pair_bound_allocates_nothing_per_strand(self, capsys):
+        # the empty B400000 word is rejected before its closure permutation
+        tracemalloc.start()
+        try:
+            code, _, err = run_capture(capsys, ["invariants", "-n", "400000", ""])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and "MAX_COMPONENT_PAIRS" in err
+        assert peak < 1 << 20, peak
 
     def test_split_word_exit_zero(self, capsys):
         # the empty B150 word closes to a split link: Alexander 0, no Burau bound

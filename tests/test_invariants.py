@@ -31,6 +31,8 @@ from braidkit.words import (
     rotate,
 )
 
+from oracles import cofactor_determinant, identity, matrix_mul, matrix_sub
+
 TX_PLUS = parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3)
 TX_MINUS = parse_braid_word("s1^5 s2^-1 s1^6 s2^4", 3)
 
@@ -61,7 +63,7 @@ class TestBurau:
         assert m.rows == ((LaurentPolynomial.monomial(1, -1),),)
 
     def test_identity_in_b3(self):
-        assert burau_reduced(BraidWord(3)) == PolyMatrix.identity(2)
+        assert burau_reduced(BraidWord(3)) == identity(2)
 
     def test_braid_relation(self):
         a = burau_reduced(parse_braid_word("s1 s2 s1", 4))
@@ -73,13 +75,13 @@ class TestBurau:
         for _ in range(50):
             n = rng.randint(2, 5)
             u, v = random_word(rng, n, 6), random_word(rng, n, 6)
-            assert burau_reduced(multiply(u, v)) == burau_reduced(u) * burau_reduced(v)
+            assert burau_reduced(multiply(u, v)) == matrix_mul(burau_reduced(u), burau_reduced(v))
 
     def test_inverse_letters(self):
         for n in (2, 3, 4):
             for i in range(1, n):
                 prod = burau_reduced(BraidWord(n, (i, -i)))
-                assert prod == PolyMatrix.identity(n - 1)
+                assert prod == identity(n - 1)
 
     def test_burau_matches_dense_letters(self):
         # Oracle: the dense (n−1)×(n−1) image of each letter, multiplied out.
@@ -105,9 +107,9 @@ class TestBurau:
             n = rng.randint(2, 7)
             w = random_word(rng, n, 12)
             signs.update(x > 0 for x in w.letters)
-            dense = PolyMatrix.identity(n - 1)
+            dense = identity(n - 1)
             for x in w.letters:
-                dense = dense * letter(n, x)
+                dense = matrix_mul(dense, letter(n, x))
             assert burau_reduced(w) == dense, w
         assert signs == {True, False}
 
@@ -174,12 +176,10 @@ class TestAlexander:
     def test_indivisible_determinant_is_an_internal_error(self, monkeypatch, det):
         # On B3 det(ψ − I) must be a multiple of 1 + t + t²; t⁻²(1 − t³) is.
         w = BraidWord(3, (1, 2))
-        monkeypatch.setattr(PolyMatrix, "determinant", lambda m: LaurentPolynomial.from_dict(det))
+        monkeypatch.setattr(invariants, "table_determinant", lambda rows: dict(det))
         with pytest.raises(InternalConsistencyError, match="not divisible"):
             alexander_with_flag(w)
-        monkeypatch.setattr(
-            PolyMatrix, "determinant", lambda m: LaurentPolynomial.from_dict({-2: 1, 1: -1})
-        )
+        monkeypatch.setattr(invariants, "table_determinant", lambda rows: {-2: 1, 1: -1})
         assert alexander_with_flag(w).polynomial.equals_up_to_units(
             LaurentPolynomial.from_dict({0: 1, 1: -1})
         )
@@ -210,10 +210,77 @@ class TestAlexander:
 
     def test_split_word_vanishes_before_the_bound(self, monkeypatch):
         # a word missing some σᵢ closes to a split link: 0 without any Burau step
-        monkeypatch.setattr(invariants, "burau_reduced", None)
+        monkeypatch.setattr(invariants, "_burau_columns", None)
+        monkeypatch.setattr(invariants, "table_determinant", None)
         assert alexander_polynomial(BraidWord(1000)).is_zero()
         res = alexander_with_flag(BraidWord(9, (1, 2, 3, 5, 6, 7, 8, -1)))
         assert res.polynomial.is_zero() and not res.normalized
+
+    def test_agrees_with_the_cofactor_determinant(self, monkeypatch):
+        # Oracle: det(burau_reduced(w) − I) by Laplace expansion, divided by
+        # 1 + t + ⋯ + t^{n−1} in sympy and, for a knot, centred with a
+        # positive leading coefficient.  The corpus must contain split words,
+        # links and knots, and determinants that take the elimination's
+        # zero-row exit and its zero-pivot branch (a vanishing leading
+        # principal minor).  On Burau input that branch has ended at its
+        # zero-column exit on every word tried, never at a later pivot row,
+        # so the row swap itself is checked on built matrices in test_laurent.
+        import sympy
+
+        t = sympy.Symbol("t")
+        given = []
+        determinant = invariants.table_determinant
+
+        def recorded(rows):
+            given.append(rows)
+            return determinant(rows)
+
+        monkeypatch.setattr(invariants, "table_determinant", recorded)
+
+        def expected(w):
+            det = cofactor_determinant(matrix_sub(burau_reduced(w), identity(w.n - 1)))
+            if det.is_zero():
+                return det
+            low = det.min_exp
+            num = sympy.Poly(sum(c * t ** (e - low) for e, c in det.terms), t)
+            quot, rem = sympy.div(num, sympy.Poly(sum(t**k for k in range(w.n)), t))
+            assert rem.is_zero, w
+            p = LaurentPolynomial.from_dict({e + low: int(c) for (e,), c in quot.terms()})
+            if closure_components(w).n_components == 1:
+                p = p.shift(-(p.min_exp + p.max_exp) // 2)
+                p = -p if p.terms[-1][1] < 0 else p
+            return p
+
+        def leading_minor_vanishes(rows):
+            m = [[LaurentPolynomial.from_dict(p) for p in row] for row in rows]
+            return any(
+                cofactor_determinant(PolyMatrix(tuple(tuple(r[:k]) for r in m[:k]))).is_zero()
+                for k in range(1, len(m))
+            )
+
+        rng = random.Random(43)
+        seen = {"split": 0, "link": 0, "knot": 0, "zero_row": 0, "zero_pivot": 0}
+        for rep in range(240):
+            n = rng.randint(1, 10)
+            if rep % 3 == 0 or n == 1:
+                w = random_word(rng, n, 12)
+            else:  # every σᵢ at least once, so not split by its letters
+                base = list(range(1, n)) + [rng.randint(1, n - 1) for _ in range(rng.randint(0, 12))]
+                rng.shuffle(base)
+                w = BraidWord(n, tuple(x if rng.random() < 0.6 else -x for x in base))
+            given.clear()
+            res = alexander_with_flag(w)
+            knot = closure_components(w).n_components == 1
+            assert (res.polynomial, res.normalized) == (expected(w), knot), w
+            if not given:
+                seen["split"] += 1
+                continue
+            seen["knot" if knot else "link"] += 1
+            if any(not any(row) for row in given[0]):
+                seen["zero_row"] += 1
+            elif leading_minor_vanishes(given[0]):
+                seen["zero_pivot"] += 1
+        assert min(seen.values()) > 0, seen
 
     @pytest.mark.parametrize("n,length", [(10, 120), (12, 150)])
     def test_dense_wide_words_finish(self, n, length):

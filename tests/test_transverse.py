@@ -87,6 +87,13 @@ class TestComponentInvariants:
         with pytest.raises(ResourceLimitError, match="MAX_COMPONENT_PAIRS"):
             component_invariants(BraidWord(3))
 
+    def test_pair_bound_before_the_closure_permutation(self, monkeypatch):
+        # 400 000 strands and no letter are at least 400 000 components:
+        # rejected from the letters alone, before any O(n) permutation
+        monkeypatch.setattr(transverse, "closure_components", None)
+        with pytest.raises(ResourceLimitError, match="MAX_COMPONENT_PAIRS"):
+            component_invariants(BraidWord(400000))
+
     def test_component_betas_conjugation_invariant(self):
         rng = random.Random(21)
         for _ in range(100):
