@@ -66,7 +66,6 @@ from .words import (
     BraidWord,
     ComponentPartition,
     CrossingRecord,
-    Permutation,
     ResourceLimitError,
     closure_components,
     conjugate,

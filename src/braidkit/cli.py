@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import garside, invariants, moves, search, transverse, words
 from .transverse import InternalConsistencyError
@@ -59,14 +59,7 @@ def _cmd_normalize(args) -> int:
     w = _parse_word(args.word, args.n)
     nf = garside.left_normal_form(w)
     if args.json:
-        _print_json(
-            {
-                "n": nf.n,
-                "delta_power": nf.delta_power,
-                "factors": [list(f) for f in nf.factors],
-                "serialized": nf.serialize(),
-            }
-        )
+        _print_json({**asdict(nf), "serialized": nf.serialize()})
     else:
         print(nf.serialize())
     return 0
@@ -160,15 +153,7 @@ def _cmd_search(args) -> int:
     )
     result = search.connect(u, v, bounds)
     if args.json:
-        payload = {
-            "outcome": result.outcome,
-            "stats": {
-                "nodes_expanded": result.stats.nodes_expanded,
-                "frontier_peak": result.stats.frontier_peak,
-                "dedup_hits": result.stats.dedup_hits,
-                "weak_keys": result.stats.weak_keys,
-            },
-        }
+        payload = {"outcome": result.outcome, "stats": asdict(result.stats)}
         if result.sequence is not None:
             payload["sequence"] = moves.sequence_to_json(result.sequence)
         _print_json(payload)
@@ -191,23 +176,8 @@ def _cmd_template(args) -> int:
         raise BraidSyntaxError("template check is randomized: pass --seed")
     report = invariants.template_soundness_check(template, args.trials, args.max_len, args.seed)
     if args.json:
-        _print_json(
-            {
-                "template": report.template,
-                "trials": report.trials,
-                "failures": [
-                    {
-                        "trial": f.trial,
-                        "mismatch": f.mismatch,
-                        "assignment": f.assignment,
-                        "left": words.word_to_json(f.left_word),
-                        "right": words.word_to_json(f.right_word),
-                        "detail": f.detail,
-                    }
-                    for f in report.failures
-                ],
-            }
-        )
+        # asdict turns each failure's words into {"n", "letters"}, their word_to_json form
+        _print_json(asdict(report))
     else:
         print(f"template {report.template}: {report.trials} trials, {len(report.failures)} failures")
         for f in report.failures:
@@ -219,18 +189,18 @@ def _cmd_winding(args) -> int:
     P = _parse_word(args.P, args.n)
     Q = _parse_word(args.Q, args.n)
     iterates = moves.winding_iterates(P, Q, args.k)
-    keys = [str(garside.super_summit_set(w)) for w in iterates]
+    distinct = len({garside.super_summit_set(w) for w in iterates})
     if args.json:
         _print_json(
             {
                 "iterates": [words.word_to_json(w) for w in iterates],
-                "distinct_classes": len(set(keys)),
+                "distinct_classes": distinct,
             }
         )
     else:
         for i, w in enumerate(iterates):
             print(f"w{i}: {words.format_word(w) or '(empty)'}")
-        print(f"distinct conjugacy classes: {len(set(keys))}")
+        print(f"distinct conjugacy classes: {distinct}")
     return 0
 
 
@@ -397,15 +367,7 @@ def _cmd_verify_paper(args) -> int:
     if args.json:
         _print_json(
             {
-                "checks": [
-                    {
-                        "label": c.label,
-                        "anchor": c.anchor,
-                        "passed": c.passed,
-                        "detail": c.detail,
-                    }
-                    for c in checks
-                ],
+                "checks": [asdict(c) for c in checks],
                 "all_passed": all(c.passed for c in checks),
                 "seconds": round(elapsed, 3),
             }

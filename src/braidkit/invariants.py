@@ -279,8 +279,8 @@ class TemplateFailure:
     trial: int
     mismatch: str  # "components" | "jones" | "alexander"
     assignment: dict[str, list[int]]
-    left_word: BraidWord
-    right_word: BraidWord
+    left: BraidWord
+    right: BraidWord
     detail: str
 
 

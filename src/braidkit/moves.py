@@ -27,6 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .words import (
+    MAX_PARSED_LETTERS,
     BraidWord,
     ResourceLimitError,
     _word,
@@ -243,7 +244,11 @@ class BlockSlot:
 
 @dataclass(frozen=True)
 class BlockStrandDiagram:
-    """An ordered schema of crossings and block slots over weighted strands."""
+    """An ordered schema of crossings and block slots over weighted strands.
+
+    Weights summing to more than :data:`MAX_PARSED_LETTERS` strands raise
+    :class:`ResourceLimitError` when the diagram is built.
+    """
 
     strand_weights: tuple[int, ...]
     items: tuple[Crossing | BlockSlot, ...]
@@ -255,6 +260,14 @@ class BlockStrandDiagram:
         k = len(self.strand_weights)
         if k < 1 or any(not isinstance(x, int) or x < 1 for x in self.strand_weights):
             raise ValueError("strand weights must be positive integers")
+        if sum(self.strand_weights) > MAX_PARSED_LETTERS:
+            raise ResourceLimitError(
+                f"strand weights sum to {sum(self.strand_weights)}, more than "
+                f"MAX_PARSED_LETTERS = {MAX_PARSED_LETTERS} strands"
+            )
+        for block, arity in self.block_arities.items():
+            if arity < 1:
+                raise ValueError(f"block {block!r} has arity {arity}; it must be at least 1")
         for item in self.items:
             if isinstance(item, Crossing):
                 if not 1 <= item.pos <= k - 1 or item.sign not in (1, -1):
@@ -292,43 +305,62 @@ def _band_crossing(u: int, v: int, offset: int, sign: int) -> list[int]:
     return out
 
 
-def expand_weights(d: BlockStrandDiagram, assignment: BraidingAssignment) -> BraidWord:
-    """Instantiate a diagram: cable the weighted crossings, splice in the blocks."""
+def _walk(d: BlockStrandDiagram):
+    """Each item of d with the global offset of its first band and the widths
+    of the bands it spans, as the crossings before it have permuted them."""
     running = list(d.strand_weights)
-    letters: list[int] = []
     for item in d.items:
+        p = item.pos
         if isinstance(item, Crossing):
-            p = item.pos
-            u, v = running[p - 1], running[p]
-            offset = sum(running[: p - 1])
-            letters.extend(_band_crossing(u, v, offset, item.sign))
+            yield item, sum(running[: p - 1]), (running[p - 1], running[p])
             running[p - 1], running[p] = running[p], running[p - 1]
         else:
             arity = d.block_arities[item.block]
-            span = sum(running[item.pos - 1 : item.pos - 1 + arity])
-            word = assignment.get(item.block)
-            if word is None:
-                raise ValueError(f"no assignment for block {item.block!r}")
-            if word.n != span:
-                raise ValueError(
-                    f"block {item.block!r} expects a {span}-strand word, got {word.n}"
-                )
-            offset = sum(running[: item.pos - 1])
+            yield item, sum(running[: p - 1]), tuple(running[p - 1 : p - 1 + arity])
+
+
+def expand_weights(d: BlockStrandDiagram, assignment: BraidingAssignment) -> BraidWord:
+    """Instantiate a diagram: cable the weighted crossings, splice in the blocks.
+
+    An instance of more than :data:`MAX_PARSED_LETTERS` letters raises
+    :class:`ResourceLimitError` before any letter is built.  No template the
+    soundness fuzzer could check is lost by this: ``MAX_BRACKET_WORK``
+    already admits no word with more than 4 472 strands or 4 471 letters.
+    """
+    walk = list(_walk(d))
+    total = 0
+    for item, _, widths in walk:
+        if isinstance(item, Crossing):
+            total += widths[0] * widths[1]
+            continue
+        word = assignment.get(item.block)
+        if word is None:
+            raise ValueError(f"no assignment for block {item.block!r}")
+        if word.n != sum(widths):
+            raise ValueError(
+                f"block {item.block!r} expects a {sum(widths)}-strand word, got {word.n}"
+            )
+        total += len(word)
+    if total > MAX_PARSED_LETTERS:
+        raise ResourceLimitError(
+            f"template instance of {total} letters exceeds MAX_PARSED_LETTERS = {MAX_PARSED_LETTERS}"
+        )
+    letters: list[int] = []
+    for item, offset, widths in walk:
+        if isinstance(item, Crossing):
+            letters.extend(_band_crossing(*widths, offset, item.sign))
+        else:
+            word = assignment[item.block]
             letters.extend(x + offset if x > 0 else x - offset for x in word.letters)
     return BraidWord(sum(d.strand_weights), tuple(letters))
 
 
 def expanded_arities(d: BlockStrandDiagram) -> dict[str, int]:
     """Strand count each block's assignment must have, at first occurrence."""
-    running = list(d.strand_weights)
     out: dict[str, int] = {}
-    for item in d.items:
-        if isinstance(item, Crossing):
-            p = item.pos
-            running[p - 1], running[p] = running[p], running[p - 1]
-        elif item.block not in out:
-            arity = d.block_arities[item.block]
-            out[item.block] = sum(running[item.pos - 1 : item.pos - 1 + arity])
+    for item, _, widths in _walk(d):
+        if isinstance(item, BlockSlot):
+            out.setdefault(item.block, sum(widths))
     return out
 
 
@@ -338,17 +370,26 @@ def instantiate_template(t: Template, a: BraidingAssignment) -> tuple[BraidWord,
 
 
 def random_assignment(t: Template, max_len: int, rng) -> BraidingAssignment:
-    """A seeded random assignment with block words of length ≤ max_len."""
+    """A seeded random assignment with block words of length ≤ max_len.
+
+    A max_len below 0 is a ValueError, and one above
+    :data:`MAX_PARSED_LETTERS` a :class:`ResourceLimitError`, both raised
+    before anything is drawn.
+    """
+    if max_len < 0:
+        raise ValueError(f"block word length bound must be >= 0, got {max_len}")
+    if max_len > MAX_PARSED_LETTERS:
+        raise ResourceLimitError(
+            f"block words of up to {max_len} letters exceed MAX_PARSED_LETTERS = {MAX_PARSED_LETTERS}"
+        )
     out: BraidingAssignment = {}
     for block, span in sorted(expanded_arities(t.left).items()):
         if span < 2:
             out[block] = BraidWord(span)
             continue
         length = rng.randint(0, max_len)
-        letters = tuple(
-            rng.choice([i for i in range(1 - span, span) if i != 0]) for _ in range(length)
-        )
-        out[block] = BraidWord(span, letters)
+        alphabet = [i for i in range(1 - span, span) if i != 0]
+        out[block] = BraidWord(span, tuple(rng.choice(alphabet) for _ in range(length)))
     return out
 
 

@@ -12,7 +12,8 @@ Strand positions are 1-based and words read left to right as the closed
 braid is traversed with increasing angle.  The closure joins position j at
 the bottom to position j at the top; its components are the cycles of the
 underlying permutation, numbered so that component 1 contains start
-position 1.
+position 1.  A permutation is a plain tuple of the images of 1 … n, the
+form :mod:`braidkit.garside` uses for its factors.
 
 ``BraidWord(n, letters)`` validates its input: the strand count and every
 letter.  Words built from outside input go through it (parsed text, JSON,
@@ -64,38 +65,6 @@ class BraidWord:
     def as_pair(self) -> tuple[int, list[int]]:
         """The (strand count, signed index list) serialization."""
         return self.n, list(self.letters)
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1, …, n}, stored as the tuple of images of 1 … n."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"{self.images!r} is not a permutation of 1..{len(self.images)}")
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Cycles ordered by least element; each cycle starts at its least element."""
-        seen = [False] * (self.n + 1)
-        out = []
-        for s in range(1, self.n + 1):
-            if seen[s]:
-                continue
-            cyc = []
-            j = s
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = self.images[j - 1]
-            out.append(tuple(cyc))
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -245,8 +214,8 @@ def rotate(w: BraidWord, k: int) -> BraidWord:
     return _word(w.n, w.letters[k:] + w.letters[:k])
 
 
-def underlying_permutation(w: BraidWord) -> Permutation:
-    """The permutation sending each start position to its end position."""
+def underlying_permutation(w: BraidWord) -> tuple[int, ...]:
+    """The images of start positions 1 … n under the closure: their end positions."""
     sap = list(range(w.n + 1))  # sap[p] = start position of the strand at position p
     for x in w.letters:
         i = abs(x)
@@ -254,17 +223,25 @@ def underlying_permutation(w: BraidWord) -> Permutation:
     images = [0] * (w.n + 1)
     for p in range(1, w.n + 1):
         images[sap[p]] = p
-    return Permutation(tuple(images[1:]))
+    return tuple(images[1:])
 
 
 def closure_components(w: BraidWord) -> ComponentPartition:
     """Cycles of the closure permutation; component 1 contains start position 1."""
-    cycles = underlying_permutation(w).cycles()
+    images = underlying_permutation(w)
     comp_of = [0] * w.n
-    for cid, cyc in enumerate(cycles, start=1):
-        for s in cyc:
-            comp_of[s - 1] = cid
-    return ComponentPartition(tuple(tuple(sorted(c)) for c in cycles), tuple(comp_of))
+    cycles = []
+    for s in range(1, w.n + 1):
+        if comp_of[s - 1]:
+            continue
+        cyc = []
+        j = s
+        while not comp_of[j - 1]:
+            comp_of[j - 1] = len(cycles) + 1
+            cyc.append(j)
+            j = images[j - 1]
+        cycles.append(tuple(sorted(cyc)))
+    return ComponentPartition(tuple(cycles), tuple(comp_of))
 
 
 def crossing_records(w: BraidWord) -> tuple[CrossingRecord, ...]:

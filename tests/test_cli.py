@@ -341,6 +341,36 @@ class TestTemplate:
         assert code == 2 and "block item" in err
 
 
+    @pytest.mark.parametrize(
+        "argv,match",
+        [
+            (["crossing.json"], "MAX_PARSED_LETTERS"),
+            (["strands.json"], "MAX_PARSED_LETTERS"),
+            (["exchange", "--max-len", "3000000"], "MAX_PARSED_LETTERS"),
+            (["exchange", "--max-len", "1000000000"], "MAX_PARSED_LETTERS"),
+            (["exchange", "--max-len", "-1"], ">= 0, got -1"),
+        ],
+    )
+    def test_oversized_instance_exit_two(self, capsys, tmp_path, monkeypatch, argv, match):
+        # one crossing of two 1 500-strand bands is 2.25·10⁶ letters; 5·10⁶ strands
+        for name, weights, items in [("crossing", [1500, 1500], [{"x": [1, 1]}]),
+                                     ("strands", [5_000_000], [])]:
+            obj = {"name": name, "weights": weights, "left": items, "right": items, "blocks": {}}
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(invariants, "closure_components", None)
+        code, _, err = run_capture(capsys, ["template", "check", *argv, "--seed", "1"])
+        assert code == 2 and match in err and "internal" not in err
+
+    def test_block_arity_below_one_exit_two(self, capsys, tmp_path):
+        obj = {"name": "nullary", "weights": [1, 1], "left": [{"b": ["P", 3]}],
+               "right": [{"b": ["P", 3]}], "blocks": {"P": 0}}
+        path = tmp_path / "nullary.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run_capture(capsys, ["template", "check", str(path), "--seed", "1"])
+        assert code == 2 and "block 'P'" in err
+
+
 class TestWinding:
     def test_distinct_classes_reported(self, capsys):
         code, out, _ = run_capture(capsys, ["winding", "s1", "s1", "1", "-n", "3"])

@@ -132,7 +132,7 @@ class TestLeftNormalForm:
 
         assert nf.delta_power == -1
         assert len(nf.factors) == 1
-        assert nf.factors[0] == underlying_permutation(factor_word).images
+        assert nf.factors[0] == underlying_permutation(factor_word)
 
     def test_reconstruction_is_group_equal(self):
         rng = random.Random(10)
@@ -526,7 +526,7 @@ def test_permutation_braid_word_length_is_inversions():
         inversions = sum(1 for a in range(4) for b in range(a + 1, 4) if images[a] > images[b])
         assert len(w) == inversions
         assert all(x > 0 for x in w.letters)
-        assert underlying_permutation(w).images == images
+        assert underlying_permutation(w) == images
 
 
 def test_key_sorting_deterministic():

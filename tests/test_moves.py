@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +25,12 @@ from braidkit.moves import (
     destab_template,
     exchange_template,
     expand_weights,
+    expanded_arities,
     find_exchange_decompositions,
     find_flype_decompositions,
     flype_template,
     instantiate_template,
+    random_assignment,
     match_flype_3braid,
     replay,
     sequence_from_json,
@@ -375,13 +378,13 @@ class TestExpandWeights:
         w = expand_weights(d, {})
         assert len(w) == 2  # u*v crossings
         assert all(x > 0 for x in w.letters)
-        assert underlying_permutation(w).images == (2, 3, 1)
+        assert underlying_permutation(w) == (2, 3, 1)
 
     def test_band_crossing_negative(self):
         d = BlockStrandDiagram((2, 1), (Crossing(1, -1),), {})
         w = expand_weights(d, {})
         assert all(x < 0 for x in w.letters)
-        assert underlying_permutation(w).images == (2, 3, 1)
+        assert underlying_permutation(w) == (2, 3, 1)
 
     def test_destab_assembly(self):
         for sign in (1, -1):
@@ -419,11 +422,69 @@ class TestExpandWeights:
             d = BlockStrandDiagram(weights, tuple(items), arities)
             w = expand_weights(d, assignment)
             assert len(w) == expected
+            assert expanded_arities(d) == {b: word.n for b, word in assignment.items()}
 
     def test_arity_mismatch(self):
         t = destab_template(1)
         with pytest.raises(ValueError):
             instantiate_template(t, {"P": BraidWord(3, (1,))})
+
+
+def _peak_bytes(call, error, match):
+    """Peak traced allocation while ``call()`` raises ``error``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=match):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestInstanceBounds:
+    """Oversized template instances are rejected before anything is built."""
+
+    def test_crossing_letters(self):
+        # one crossing of two 1 500-strand bands is 2.25·10⁶ letters
+        d = BlockStrandDiagram((1500, 1500), (Crossing(1, 1),), {})
+        peak = _peak_bytes(lambda: expand_weights(d, {}), ResourceLimitError, "MAX_PARSED_LETTERS")
+        assert peak < 1 << 20, peak
+
+    def test_block_letters(self):
+        # each block word is in bounds, their sum is not
+        d = BlockStrandDiagram((1, 1), (BlockSlot("P"), BlockSlot("P")), {"P": 2})
+        with pytest.raises(ResourceLimitError, match="10002 letters"):
+            expand_weights(d, {"P": BraidWord(2, (1,) * 5001)})
+
+    @pytest.mark.parametrize("weight", [5_000_000, 10**9])
+    def test_strand_count(self, monkeypatch, weight):
+        from braidkit import invariants
+
+        monkeypatch.setattr(invariants, "closure_components", None)
+        obj = {"name": "wide", "weights": [weight], "left": [], "right": [], "blocks": {}}
+        peak = _peak_bytes(lambda: template_from_json(obj), ResourceLimitError, "MAX_PARSED_LETTERS")
+        assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize(
+        "max_len,error,match",
+        [(3_000_000, ResourceLimitError, "MAX_PARSED_LETTERS"), (-1, ValueError, ">= 0, got -1")],
+    )
+    def test_block_word_length(self, max_len, error, match):
+        # rng=None: any draw would fail with AttributeError instead
+        t = exchange_template()
+        peak = _peak_bytes(lambda: random_assignment(t, max_len, None), error, match)
+        assert peak < 1 << 20, peak
+
+    def test_block_arity_below_one(self):
+        obj = {
+            "name": "nullary",
+            "weights": [1, 1],
+            "left": [{"b": ["P", 3]}],
+            "right": [{"b": ["P", 3]}],
+            "blocks": {"P": 0},
+        }
+        with pytest.raises(ValueError, match="block 'P' has arity 0"):
+            template_from_json(obj)
 
 
 class TestTemplates:

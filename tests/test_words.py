@@ -9,7 +9,6 @@ from braidkit.garside import _compose, _inverse
 from braidkit.words import (
     BraidSyntaxError,
     BraidWord,
-    Permutation,
     closure_components,
     conjugate,
     crossing_records,
@@ -127,14 +126,14 @@ class TestGroupOps:
 
 class TestPermutation:
     def test_single_generator(self):
-        assert underlying_permutation(BraidWord(3, (1,))).images == (2, 1, 3)
+        assert underlying_permutation(BraidWord(3, (1,))) == (2, 1, 3)
 
     def test_identity(self):
-        assert underlying_permutation(BraidWord(3)).images == (1, 2, 3)
+        assert underlying_permutation(BraidWord(3)) == (1, 2, 3)
 
     def test_link_word(self):
         # composing the 16 transpositions by hand gives the transposition (2 3)
-        assert underlying_permutation(parse_braid_word(LINK_WORD, 3)).images == (1, 3, 2)
+        assert underlying_permutation(parse_braid_word(LINK_WORD, 3)) == (1, 3, 2)
 
     def test_homomorphism(self):
         rng = random.Random(3)
@@ -142,11 +141,11 @@ class TestPermutation:
             n = rng.randint(2, 5)
             u, v = random_word(rng, n, 8), random_word(rng, n, 8)
             lhs = underlying_permutation(multiply(u, v))
-            rhs = _compose(underlying_permutation(u).images, underlying_permutation(v).images)
-            assert lhs.images == rhs
+            rhs = _compose(underlying_permutation(u), underlying_permutation(v))
+            assert lhs == rhs
 
     def test_inverse(self):
-        p = Permutation((3, 1, 2)).images
+        p = (3, 1, 2)
         assert _compose(p, _inverse(p)) == _compose(_inverse(p), p) == (1, 2, 3)
 
 
@@ -161,6 +160,43 @@ class TestClosureComponents:
 
     def test_full_cycle(self):
         assert closure_components(BraidWord(3, (1, 2))).n_components == 1
+
+    def test_matches_letter_by_letter_oracle(self):
+        def end_position(w, p):
+            for x in w.letters:
+                if p == abs(x):
+                    p += 1
+                elif p == abs(x) + 1:
+                    p -= 1
+            return p
+
+        def oracle(w):
+            cycles, comp_of = [], [0] * w.n
+            for s in range(1, w.n + 1):
+                if comp_of[s - 1]:
+                    continue
+                orbit = [s]
+                while (p := end_position(w, orbit[-1])) != s:
+                    orbit.append(p)
+                cycles.append(tuple(sorted(orbit)))
+                for p in orbit:
+                    comp_of[p - 1] = len(cycles)
+            return tuple(cycles), tuple(comp_of)
+
+        rng = random.Random(17)
+        empty = split = 0
+        for _ in range(600):
+            n = rng.randint(1, 12)
+            # a random subset of generators, so that some closures split
+            gens = [i for i in range(1, n) if rng.random() < 0.9]
+            length = rng.randint(0, 20) if gens else 0
+            letters = tuple(rng.choice(gens) * rng.choice((1, -1)) for _ in range(length))
+            w = BraidWord(n, letters)
+            empty += not letters
+            split += n > 1 and len({abs(x) for x in letters}) < n - 1
+            comps = closure_components(w)
+            assert (comps.cycles, comps.component_of) == oracle(w), w
+        assert empty >= 20 and 100 <= split <= 500, (empty, split)
 
 
 class TestCrossingRecords:
