@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 from . import garside, invariants, moves, search, transverse, words
 from .transverse import InternalConsistencyError
@@ -118,7 +118,7 @@ def _cmd_move(args) -> int:
     w = _parse_word(args.word, args.n)
     kind = args.kind
     if kind in ("stab+", "stab-"):
-        sites = [(kind, {})]
+        sites = [moves.Stabilization(1 if kind == "stab+" else -1)]
     else:
         if kind == "destab":
             found = [moves.try_destabilize(w)]
@@ -127,14 +127,14 @@ def _cmd_move(args) -> int:
             found, no_match = moves.find_exchange_decompositions(w), "no exchange decomposition"
         else:  # flype: argparse admits no other kind
             found, no_match = moves.find_flype_decompositions(w), "no flype match"
-        sites = [site.move() for site in found if site is not None]
+        sites = [site for site in found if site is not None]
         if not sites:
             print(no_match, file=sys.stderr)
             return 1
     if not 0 <= args.index < len(sites):
         raise BraidSyntaxError(f"--index must be in 0..{len(sites) - 1}: the word has "
                                f"{len(sites)} {kind} decompositions")
-    result = moves.apply_move(w, *sites[args.index])
+    result = sites[args.index].apply(w)
     if args.json:
         _print_json({"result": words.word_to_json(result)})
     else:
@@ -210,18 +210,29 @@ class _Check:
     anchor: str
     passed: bool
     detail: str
+    # Wall time since the previous check; left out of equality.
+    seconds: float = field(default=0.0, compare=False)
 
 
 def verify_paper(seed: int = 0) -> list[_Check]:
     """Every computation in the flype-pair argument, as executable checks."""
     checks: list[_Check] = []
+    last = time.perf_counter()
+
+    def add(check: _Check) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        check.seconds = round(now - last, 3)
+        last = now
+        checks.append(check)
+
     tx_plus = words.parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3)
     tx_minus = words.parse_braid_word("s1^5 s2^-1 s1^6 s2^4", 3)
     link_pre = words.parse_braid_word("s1^3 s2^4 s1^-5 s2^-1", 3)
     link_post_expected = words.parse_braid_word("s1^3 s2^-1 s1^-5 s2^4", 3)
 
     e1, e2 = words.exponent_sum(tx_plus), words.exponent_sum(tx_minus)
-    checks.append(
+    add(
         _Check(
             "(a) exponent sums and braid index",
             "exponent sum 14 for both words; braid index 3 for both",
@@ -231,7 +242,7 @@ def verify_paper(seed: int = 0) -> list[_Check]:
     )
 
     b1, b2 = transverse.self_linking(tx_plus), transverse.self_linking(tx_minus)
-    checks.append(
+    add(
         _Check(
             "(b) self-linking of both words",
             "beta = e - n = 14 - 3 = 11 for both",
@@ -242,7 +253,7 @@ def verify_paper(seed: int = 0) -> list[_Check]:
 
     data = moves.match_flype_3braid(tx_plus)
     flyped = moves.apply_flype(data) if data is not None else None
-    checks.append(
+    add(
         _Check(
             "(c) negative flype maps one word to the other",
             "s1^5 s2^4 s1^6 s2^-1 -> s1^5 s2^-1 s1^6 s2^4, letter for letter",
@@ -255,7 +266,7 @@ def verify_paper(seed: int = 0) -> list[_Check]:
     jm = invariants.jones_polynomial(tx_minus)
     ap = invariants.alexander_polynomial(tx_plus)
     am = invariants.alexander_polynomial(tx_minus)
-    checks.append(
+    add(
         _Check(
             "(d) topological-equality oracles agree",
             "the two closures share Jones and Alexander polynomials",
@@ -265,7 +276,7 @@ def verify_paper(seed: int = 0) -> list[_Check]:
     )
 
     conj = garside.are_conjugate(tx_plus, tx_minus)
-    checks.append(
+    add(
         _Check(
             "(e) the two words are not conjugate in B3",
             "distinct closed-braid isotopy classes at braid index 3",
@@ -285,7 +296,7 @@ def verify_paper(seed: int = 0) -> list[_Check]:
         and inv_pre.pairwise_linking == (((1, 2), 1),)
         and inv_post.pairwise_linking == (((1, 2), 1),)
     )
-    checks.append(
+    add(
         _Check(
             "(f) the 2-component link obstruction",
             "component beta (-1,-3) before the flype, (-3,-1) after; lk = 1 both",
@@ -302,10 +313,8 @@ def verify_paper(seed: int = 0) -> list[_Check]:
     for _ in range(1000):
         n = rng.randint(2, 4)
         length = rng.randint(0, 12)
-        letters = tuple(
-            rng.choice([i for i in range(1 - n, n) if i != 0]) for _ in range(length)
-        )
-        w = BraidWord(n, letters)
+        alphabet = [i for i in range(1 - n, n) if i != 0]
+        w = BraidWord(n, tuple(rng.choice(alphabet) for _ in range(length)))
         beta0 = transverse.self_linking(w)
         scrambled, seq = search.scramble(
             w, rng.randint(0, 6), rng.randrange(1 << 30), move_set=search.TRANSVERSE
@@ -314,7 +323,7 @@ def verify_paper(seed: int = 0) -> list[_Check]:
             g_fail += 1
         elif transverse.self_linking(scrambled) != beta0:
             g_fail += 1
-    checks.append(
+    add(
         _Check(
             "(g) beta invariance under transverse moves",
             "1000 seeded random transverse move sequences keep beta constant",
@@ -327,15 +336,13 @@ def verify_paper(seed: int = 0) -> list[_Check]:
     for _ in range(200):
         n = rng.randint(1, 4)
         length = rng.randint(0, 10) if n > 1 else 0
-        letters = tuple(
-            rng.choice([i for i in range(1 - n, n) if i != 0]) for _ in range(length)
-        )
-        w = BraidWord(n, letters)
+        alphabet = [i for i in range(1 - n, n) if i != 0]
+        w = BraidWord(n, tuple(rng.choice(alphabet) for _ in range(length)))
         before, after = transverse.negative_stabilization_beta_drop(w)
         if after != before - 2:
             h_fail += 1
     drop = transverse.negative_stabilization_beta_drop(tx_plus)
-    checks.append(
+    add(
         _Check(
             "(h) negative stabilization drops beta by 2",
             "beta(stab-(w)) = beta(w) - 2; on the first word, 11 -> 9",
@@ -348,7 +355,7 @@ def verify_paper(seed: int = 0) -> list[_Check]:
         max_strands=4, max_word_length=24, max_nodes=100_000, move_set=search.TRANSVERSE
     )
     result = search.connect(tx_plus, tx_minus, bounds)
-    checks.append(
+    add(
         _Check(
             "(i) bounded transverse search exhausts",
             "no transverse move path within (4 strands, length 24, 1e5 nodes); "

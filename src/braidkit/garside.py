@@ -25,7 +25,8 @@ A canonical factor is its permutation's image tuple everywhere: in the
 lattice helpers, in ``NormalForm.factors`` and so in the keys of the key
 cache.  The outermost lattice steps (renormalizing a factor pair, a
 least-completion step, join, right complement, τ) are memo tables keyed by
-permutation, each bounded by ``_TABLE_SIZE`` entries; no answer depends on
+permutation, and the identity and Δ permutations are tables keyed by the
+strand count, each bounded by ``_TABLE_SIZE`` entries; no answer depends on
 what they hold.  One more table of that size, ``_word_summit``, maps a word
 to the summit element that cycling and decycling reach from its normal
 form: the search keys the same neighbour words again and again, and a
@@ -70,10 +71,12 @@ class SuperSummitCapError(ResourceLimitError):
     """The super summit set has more than :data:`MAX_SUMMIT_SET` members."""
 
 
+@lru_cache(maxsize=_TABLE_SIZE)
 def _identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
+@lru_cache(maxsize=_TABLE_SIZE)
 def _delta_perm(n: int) -> Perm:
     return tuple(range(n, 0, -1))
 

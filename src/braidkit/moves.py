@@ -6,10 +6,13 @@ removes it.  The exchange move rewrites P·σₙ₋₁·Q·σₙ₋₁⁻¹ into
 P·σₙ₋₁⁻¹·Q·σₙ₋₁ (P, Q away from the last strand), and the 3-braid flype
 rewrites σ₁ᵖ·σ₂ʳ·σ₁^q·σ₂^ε into σ₁ᵖ·σ₂^ε·σ₁^q·σ₂ʳ.  Each schema has one
 matcher at a given rotation; the finders scan cyclic permutations with it,
-because closed braids are conjugacy classes.  Each site encodes itself with
-``site.move()`` as the ``(kind, params)`` that :func:`apply_move` replays by
-re-matching it at its recorded rotation, so a rotation outside 0..L−1 of the
-word it is read on is rejected.
+because closed braids are conjugacy classes.  A matched site names its
+``kind``, gives its result with ``site.apply(w)`` on the word it was matched
+on, and encodes itself with ``site.move()`` as the ``(kind, params)`` that
+:func:`apply_move` replays.  The search, ``scramble`` and the ``move``
+command apply the site they have just matched; only replay re-matches a
+recorded site at its rotation, rejecting one that does not match (a
+rotation outside 0..L−1 included), and then calls the same ``apply``.
 
 Moves also exist in template form: a pair of weighted block-strand
 diagrams that close to the same link for every braiding assignment to the
@@ -52,6 +55,45 @@ def stabilize(w: BraidWord, sign: int) -> BraidWord:
     return _word(w.n + 1, w.letters + (sign * w.n,))
 
 
+# The two sites below carry one value each and are plain classes: a frozen
+# dataclass costs about 0.8 ms to create, paid by every import.
+
+
+class Stabilization:
+    """The stabilization of sign ``sign``, a site on every word."""
+
+    __slots__ = ("sign",)
+
+    def __init__(self, sign: int):
+        self.sign = sign
+
+    @property
+    def kind(self) -> str:
+        return "stab+" if self.sign > 0 else "stab-"
+
+    def move(self) -> tuple[str, dict]:
+        return self.kind, {}
+
+    def apply(self, w: BraidWord) -> BraidWord:
+        return stabilize(w, self.sign)
+
+
+class Conjugation:
+    """Conjugation by ``by``, a word on the strands of the word it applies to."""
+
+    __slots__ = ("by",)
+    kind = "conjugation"
+
+    def __init__(self, by: BraidWord):
+        self.by = by
+
+    def move(self) -> tuple[str, dict]:
+        return self.kind, {"by": list(self.by.letters)}
+
+    def apply(self, w: BraidWord) -> BraidWord:
+        return conjugate(w, self.by)
+
+
 def cyclic_free_reduce(w: BraidWord) -> tuple[BraidWord, BraidWord]:
     """Freely and cyclically reduce; returns (reduced word u, conjugator g).
 
@@ -78,10 +120,16 @@ class DestabResult:
     conjugator: BraidWord
     rotation: int
 
+    @property
+    def kind(self) -> str:
+        return "destab+" if self.sign > 0 else "destab-"
+
     def move(self) -> tuple[str, dict]:
         """The (kind, params) that :func:`apply_move` replays to ``word``."""
-        kind = "destab+" if self.sign > 0 else "destab-"
-        return kind, {"conjugator": list(self.conjugator.letters), "rotation": self.rotation}
+        return self.kind, {"conjugator": list(self.conjugator.letters), "rotation": self.rotation}
+
+    def apply(self, w: BraidWord) -> BraidWord:
+        return self.word
 
 
 def _destab_at(u: BraidWord, g: BraidWord, r: int) -> DestabResult | None:
@@ -123,9 +171,17 @@ class ExchangeDecomposition:
     p_len: int
     sign: int
 
+    kind = "exchange"
+
     def move(self) -> tuple[str, dict]:
         """The (kind, params) that :func:`apply_move` replays."""
-        return "exchange", {"rotation": self.rotation, "p_len": self.p_len, "sign": self.sign}
+        return self.kind, {"rotation": self.rotation, "p_len": self.p_len, "sign": self.sign}
+
+    def apply(self, w: BraidWord) -> BraidWord:
+        """Toggle the two σₙ₋₁ signs of w, the word this site was matched on."""
+        ls = rotate(w, self.rotation).letters
+        new = ls[: self.p_len] + (-ls[self.p_len],) + ls[self.p_len + 1 : -1] + (-ls[-1],)
+        return _word(w.n, new)
 
 
 def _exchange_at(w: BraidWord, r: int) -> ExchangeDecomposition | None:
@@ -154,9 +210,7 @@ def apply_exchange(w: BraidWord, d: ExchangeDecomposition) -> BraidWord:
     """Toggle the two σₙ₋₁ signs at the given decomposition."""
     if _exchange_at(w, d.rotation) != d:
         raise ValueError("invalid exchange decomposition for this word")
-    ls = rotate(w, d.rotation).letters
-    new = ls[: d.p_len] + (-ls[d.p_len],) + ls[d.p_len + 1 : -1] + (-ls[-1],)
-    return _word(w.n, new)
+    return d.apply(w)
 
 
 @dataclass(frozen=True)
@@ -169,10 +223,16 @@ class FlypeData:
     q: int
     eps: int
 
+    @property
+    def kind(self) -> str:
+        return "flype+" if self.eps > 0 else "flype-"
+
     def move(self) -> tuple[str, dict]:
         """The (kind, params) that :func:`apply_move` replays."""
-        kind = "flype+" if self.eps > 0 else "flype-"
-        return kind, {"rotation": self.rotation, "p": self.p, "r": self.r, "q": self.q}
+        return self.kind, {"rotation": self.rotation, "p": self.p, "r": self.r, "q": self.q}
+
+    def apply(self, w: BraidWord) -> BraidWord:
+        return apply_flype(self)
 
 
 def _run(letters: tuple[int, ...], start: int, index: int) -> int:
@@ -528,10 +588,11 @@ class MoveSequence:
 def apply_move(w: BraidWord, kind: str, params: dict) -> BraidWord:
     """Re-apply a recorded move; deterministic given the recorded parameters.
 
-    The destab, exchange and flype params come from the site's ``.move()``,
-    and the site is re-matched at its recorded rotation.  A missing or
-    ill-typed parameter is a ValueError naming it; a recorded site that does
-    not match w, a rotation outside 0..L−1 included, is a ValueError too.
+    The destab, exchange and flype params come from the site's ``.move()``;
+    the site is re-matched at its recorded rotation, then applied with the
+    same ``site.apply`` the search uses.  A missing or ill-typed parameter is
+    a ValueError naming it; a recorded site that does not match w, a
+    rotation outside 0..L−1 included, is a ValueError too.
     """
     where = f"{kind} params"
 
@@ -539,26 +600,25 @@ def apply_move(w: BraidWord, kind: str, params: dict) -> BraidWord:
         return json_field(params, key, int, where)
 
     if kind == "conjugation":
-        return conjugate(w, BraidWord(w.n, json_ints(params, "by", where)))
-    if kind in ("stab+", "stab-"):
-        return stabilize(w, 1 if kind == "stab+" else -1)
-    if kind in ("destab+", "destab-"):
+        site = Conjugation(BraidWord(w.n, json_ints(params, "by", where)))
+    elif kind in ("stab+", "stab-"):
+        site = Stabilization(1 if kind == "stab+" else -1)
+    elif kind in ("destab+", "destab-"):
         g = BraidWord(w.n, json_ints(params, "conjugator", where))
-        found = _destab_at(conjugate(w, g), g, get("rotation"))
-        if found is None or found.sign != (1 if kind == "destab+" else -1):
+        site = _destab_at(conjugate(w, g), g, get("rotation"))
+        if site is None or site.kind != kind:
             raise ValueError("recorded destabilization does not apply")
-        return found.word
-    if kind == "exchange":
-        d = ExchangeDecomposition(get("rotation"), get("p_len"), get("sign"))
-        return apply_exchange(w, d)
-    if kind in ("flype+", "flype-"):
-        data = FlypeData(
+    elif kind == "exchange":
+        return apply_exchange(w, ExchangeDecomposition(get("rotation"), get("p_len"), get("sign")))
+    elif kind in ("flype+", "flype-"):
+        site = FlypeData(
             get("rotation"), get("p"), get("r"), get("q"), 1 if kind == "flype+" else -1
         )
-        if _flype_at(w, data.rotation) != data:
+        if _flype_at(w, site.rotation) != site:
             raise ValueError("recorded flype does not apply")
-        return apply_flype(data)
-    raise ValueError(f"unknown move kind {kind!r}")
+    else:
+        raise ValueError(f"unknown move kind {kind!r}")
+    return site.apply(w)
 
 
 def replay(seq: MoveSequence) -> BraidWord:

@@ -17,6 +17,11 @@ have the same super summit set, so a weak node's class is capped on every
 word, the target's included: a weak node reaches the target only through
 an equal normal form, and a capped class may be missed.
 
+Both the search and :func:`scramble` apply each move site they have just
+matched (``site.apply``) and encode only the moves they record
+(``site.move()``); :func:`moves.apply_move` re-matches a recorded site and
+is the replay path.
+
 A ``found`` result carries a replayable :class:`MoveSequence`; an
 ``exhausted`` result means the bounded graph was used up, which is
 evidence, never a disproof.
@@ -25,16 +30,17 @@ evidence, never a disproof.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass
 
 from . import garside
 from .garside import SuperSummitCapError
 from .moves import (
+    Conjugation,
     MoveSequence,
     MoveStep,
-    apply_move,
+    Stabilization,
+    apply_move,  # not called here: perfbench/tracing.py looks it up on this module
     find_exchange_decompositions,
     find_flype_decompositions,
     try_destabilize,
@@ -93,25 +99,30 @@ def _class_key(w: BraidWord) -> tuple[str, bool]:
         return "nf:" + str(w.n) + ":" + garside.left_normal_form(w).serialize(), True
 
 
-def _edges(w: BraidWord, bounds: SearchBounds):
-    """Deterministically ordered (kind, params) moves available at w.
+_STABILIZATIONS = (Stabilization(1), Stabilization(-1))
 
-    Each matcher site encodes itself with ``site.move()``.  The transverse
-    move set keeps the kinds in ``TRANSVERSE_MOVE_KINDS``.  That set holds
-    no flype, so the flype finder is not run for it.
+
+def _sites(w: BraidWord, bounds: SearchBounds) -> list:
+    """Deterministically ordered move sites matched on w.
+
+    Destabilization, then exchanges, flypes and the two stabilizations when
+    there is room.  Each site names its ``kind``, gives its result with
+    ``site.apply(w)`` and its replayable params with ``site.move()``.  The
+    transverse move set keeps the kinds in ``TRANSVERSE_MOVE_KINDS``.  That
+    set holds no flype, so the flype finder is not run for it.
     """
     transverse = bounds.move_set == TRANSVERSE
-    sites = [try_destabilize(w)] if w.n >= 2 else []
+    sites = []
+    if w.n >= 2 and (d := try_destabilize(w)) is not None:
+        sites.append(d)
     sites += find_exchange_decompositions(w)
     if not transverse:
         sites += find_flype_decompositions(w)
-    out = [site.move() for site in sites if site is not None]
     if w.n < bounds.max_strands and len(w.letters) + 1 <= bounds.max_word_length:
-        out.append(("stab+", {}))
-        out.append(("stab-", {}))
+        sites += _STABILIZATIONS
     if transverse:
-        return [(kind, params) for kind, params in out if kind in TRANSVERSE_MOVE_KINDS]
-    return out
+        return [site for site in sites if site.kind in TRANSVERSE_MOVE_KINDS]
+    return sites
 
 
 def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> SearchResult:
@@ -157,8 +168,8 @@ def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> Searc
         for key, w in frontier:
             nodes_expanded += 1
             neighbors = []
-            for kind, params in _edges(w, bounds):
-                result = apply_move(w, kind, params)
+            for site in _sites(w, bounds):
+                result = site.apply(w)
                 if len(result.letters) > bounds.max_word_length:
                     continue
                 nkey, weak = _class_key(result)
@@ -166,7 +177,7 @@ def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> Searc
                     dedup_hits += 1
                     continue
                 weak_keys += int(weak)
-                neighbors.append((nkey, MoveStep(kind, params, result)))
+                neighbors.append((nkey, MoveStep(*site.move(), result)))
             for nkey, step in sorted(neighbors, key=lambda kv: kv[0]):
                 if nkey in parents:
                     dedup_hits += 1
@@ -198,9 +209,23 @@ def _simple_conjugator_words(n: int) -> tuple[BraidWord, ...]:
             f"enumerating the {n}! - 1 simple braids on {n} strands exceeds the bound of "
             f"{MAX_SIMPLE_STRANDS} strands (MAX_SIMPLE_STRANDS)"
         )
-    perms = [p for p in itertools.permutations(range(1, n + 1)) if p != tuple(range(1, n + 1))]
-    words = [BraidWord(n, garside._perm_word(p)) for p in perms]
-    return tuple(sorted(words, key=lambda w: (len(w.letters), w.letters)))
+    # Level by level in length, as garside._perm_word spells each one: the
+    # word of p is its least descent i followed by the one letter shorter
+    # word of p with entries i, i+1 swapped.  Scanning i in increasing order
+    # reaches each p first through its least descent.
+    level: dict[tuple[int, ...], tuple[int, ...]] = {tuple(range(1, n + 1)): ()}
+    out: list[tuple[int, ...]] = []
+    while level:
+        up: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for i in range(1, n):
+            for q, letters in level.items():
+                if q[i - 1] < q[i]:
+                    p = q[: i - 1] + (q[i], q[i - 1]) + q[i + 1 :]
+                    if p not in up:
+                        up[p] = (i,) + letters
+        out += sorted(up.values())
+        level = up
+    return tuple(_word(n, letters) for letters in out)
 
 
 def scramble(
@@ -214,7 +239,9 @@ def scramble(
 
     Conjugation counts as a move here (it is one of the closed-braid moves),
     realized by a random permutation-braid conjugator, so a word above
-    ``search.MAX_SIMPLE_STRANDS`` strands raises ``ResourceLimitError``.
+    ``search.MAX_SIMPLE_STRANDS`` strands raises ``ResourceLimitError``.  A
+    step with no legal move (one strand, no room to stabilize) raises
+    ``ValueError`` before its draw.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -227,12 +254,16 @@ def scramble(
     cur = w
     steps = []
     for _ in range(k):
-        options = _edges(cur, bounds)
+        options = _sites(cur, bounds)
         simples = _simple_conjugator_words(cur.n)
         if simples:
-            options.append(("conjugation", {"by": list(rng.choice(simples).letters)}))
-        kind, params = rng.choice(options)
-        result = apply_move(cur, kind, params)
-        steps.append(MoveStep(kind, params, result))
+            options.append(Conjugation(rng.choice(simples)))
+        if not options:
+            raise ValueError(
+                f"no legal move on {cur.n} strand(s) with max_strands = {bounds.max_strands}"
+            )
+        site = rng.choice(options)
+        result = site.apply(cur)
+        steps.append(MoveStep(*site.move(), result))
         cur = result
     return cur, MoveSequence(w, tuple(steps))

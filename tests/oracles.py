@@ -1,11 +1,17 @@
-"""Slow exact ring operations on Laurent polynomials and matrices, kept as test oracles.
+"""Slow exact constructions kept as test oracles.
 
 The library computes a determinant as one integer determinant and never
 multiplies polynomials or matrices; the tests use these schoolbook
-operations to build inputs and to check its results independently.
+operations to build inputs and to check its results independently.  The
+search builds its table of permutation-braid conjugators level by level;
+:func:`simple_conjugator_words` builds it one permutation at a time.
 """
 
+import itertools
+
+from braidkit import garside
 from braidkit.laurent import LaurentPolynomial, PolyMatrix
+from braidkit.words import BraidWord
 
 
 def poly_mul(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
@@ -61,3 +67,11 @@ def cofactor_determinant(m: PolyMatrix) -> LaurentPolynomial:
         term = poly_mul(entry, cofactor_determinant(minor))
         acc = acc + (term if j % 2 == 0 else -term)
     return acc
+
+
+def simple_conjugator_words(n: int) -> tuple[BraidWord, ...]:
+    """The n! − 1 nontrivial permutation braids, each word by one bubble sort of
+    its permutation (``garside._perm_word``), sorted by (length, letters)."""
+    perms = [p for p in itertools.permutations(range(1, n + 1)) if p != tuple(range(1, n + 1))]
+    words = [BraidWord(n, garside._perm_word(p)) for p in perms]
+    return tuple(sorted(words, key=lambda w: (len(w.letters), w.letters)))

@@ -462,6 +462,7 @@ def test_verify_paper_json(capsys):
     payload = json.loads(out)
     assert payload["all_passed"] is True
     assert len(payload["checks"]) == 9
+    assert all(c["seconds"] >= 0 for c in payload["checks"])
 
 
 PAPER_CHECKS = [

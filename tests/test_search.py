@@ -1,11 +1,16 @@
+import hashlib
+import json
 import random
+from dataclasses import asdict
 
 import pytest
 
+from oracles import simple_conjugator_words
 from braidkit.garside import are_conjugate
 from braidkit import garside, search
-from braidkit.moves import replay
+from braidkit.moves import Conjugation, apply_move, replay, sequence_to_json, stabilize
 from braidkit.search import (
+    TOPOLOGICAL,
     TRANSVERSE,
     SearchBounds,
     connect,
@@ -123,6 +128,89 @@ class TestScramble:
         b = scramble(w, 4, 1234)
         assert a == b
 
+    def test_no_legal_move_is_a_value_error(self):
+        # one strand and no room to stabilize: no site and no simple conjugator
+        with pytest.raises(ValueError, match="1 strand.*max_strands = 1"):
+            scramble(BraidWord(1), 1, 0, max_strands=1)
+        assert scramble(BraidWord(1), 0, 0, max_strands=1)[1].steps == ()
+        # a destabilization down to one strand leaves no move after it
+        with pytest.raises(ValueError, match="max_strands = 1"):
+            scramble(BraidWord(2, (1,)), 50, 0, max_strands=1)
+
+
+def test_simple_conjugator_words_match_the_bubble_sort_oracle():
+    for n in range(1, 7):
+        assert search._simple_conjugator_words(n) == simple_conjugator_words(n)
+
+
+def test_each_applied_site_gives_the_replayed_word():
+    """Replay (``apply_move``) re-matches a recorded site: an oracle for the
+    result the search and scramble take straight from the site."""
+    rng = random.Random(24)
+    words = [parse_braid_word(t, 3) for t in ("s1^5 s2^4 s1^6 s2^-1", "s1^-5 s2^-4 s1^-6 s2")]
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        w = random_word(rng, n, 10)
+        if n < 6 and rng.random() < 0.4:
+            # stabilized, then conjugated letter for letter: g⁻¹·w·σₙ^{±1}·g
+            w = stabilize(w, rng.choice((1, -1)))
+            g = random_word(rng, w.n, 3)
+            w = BraidWord(w.n, tuple(-x for x in reversed(g.letters)) + w.letters + g.letters)
+        words.append(w)
+    kinds, conjugated_destabs = set(), 0
+    for w in words:
+        for move_set in (TOPOLOGICAL, TRANSVERSE):
+            sites = search._sites(w, SearchBounds(max_strands=7, move_set=move_set))
+            sites += [Conjugation(s) for s in search._simple_conjugator_words(w.n)[:3]]
+            for site in sites:
+                kind, params = site.move()
+                assert kind == site.kind
+                assert site.apply(w) == apply_move(w, kind, params), (w, kind, params)
+                kinds.add(kind)
+                conjugated_destabs += kind.startswith("destab") and bool(params["conjugator"])
+    assert kinds == {
+        "conjugation", "destab+", "destab-", "exchange", "flype+", "flype-", "stab+", "stab-"
+    }
+    assert conjugated_destabs > 0
+
+
+# sha256 of the sequences, outcomes and statistics of the corpus below,
+# recorded at the commit before the search applied matched sites directly
+# (it then encoded every site and re-applied the chosen one through
+# apply_move).  Any change to a drawn move, a found path or a count moves it.
+PINNED_CORPUS_SHA256 = "cbd1cb9ad278cd4f5a85d4c29f586c9ed8a85c721decbcf9f3771ed613a1147d"
+
+
+def test_pinned_scramble_and_connect_corpus():
+    rng = random.Random(31)
+    h = hashlib.sha256()
+
+    def record(r):
+        sequence = sequence_to_json(r.sequence) if r.sequence else None
+        h.update(json.dumps([r.outcome, asdict(r.stats), sequence]).encode())
+
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        w = random_word(rng, n, 10)
+        for move_set in (TOPOLOGICAL, TRANSVERSE):
+            _, seq = scramble(w, rng.randint(0, 6), rng.randrange(1 << 30), move_set, max_strands=6)
+            h.update(json.dumps(sequence_to_json(seq)).encode())
+    for _ in range(40):
+        w = random_word(rng, rng.randint(2, 3), 6)
+        for move_set in (TOPOLOGICAL, TRANSVERSE):
+            bounds = SearchBounds(4, 14, 150, move_set)
+            src, _ = scramble(w, rng.randint(2, 4), rng.randrange(1 << 30), move_set, max_strands=4)
+            if len(src.letters) <= bounds.max_word_length:
+                record(connect(src, w, bounds))
+    for _ in range(20):
+        u, v = random_word(rng, rng.randint(2, 3), 8), random_word(rng, 3, 8)
+        for move_set in (TOPOLOGICAL, TRANSVERSE):
+            record(connect(u, v, SearchBounds(4, 12, 60, move_set)))
+    tx_plus = parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3)
+    tx_minus = parse_braid_word("s1^5 s2^-1 s1^6 s2^4", 3)
+    record(connect(tx_plus, tx_minus, SearchBounds(4, 24, 1000)))
+    assert h.hexdigest() == PINNED_CORPUS_SHA256
+
 
 def test_simple_conjugator_enumeration_bounded(monkeypatch):
     # Lowering the bound to 3 strands checks it without allocating n! words.
@@ -152,8 +240,8 @@ def test_transverse_edges_are_the_transverse_kinds_of_all_edges():
     words.append(parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3))  # a flype word
     kinds = set()
     for w in words:
-        every = search._edges(w, SearchBounds())
+        every = [site.move() for site in search._sites(w, SearchBounds())]
         kinds |= {kind for kind, _ in every}
-        transverse = search._edges(w, SearchBounds(move_set=TRANSVERSE))
+        transverse = [site.move() for site in search._sites(w, SearchBounds(move_set=TRANSVERSE))]
         assert transverse == [(k, p) for k, p in every if k in TRANSVERSE_MOVE_KINDS]
     assert {"destab+", "destab-", "exchange", "flype-", "stab+", "stab-"} <= kinds

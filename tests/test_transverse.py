@@ -164,7 +164,8 @@ def test_beta_constant_along_transverse_scrambles():
 def test_beta_invariant_under_transverse_edges(w):
     # B6 leaves room to stabilize every word drawn, stabilized ones included
     beta = self_linking(w)
-    for kind, params in search._edges(w, SearchBounds(max_strands=6, move_set=TRANSVERSE)):
+    sites = search._sites(w, SearchBounds(max_strands=6, move_set=TRANSVERSE))
+    for kind, params in [site.move() for site in sites]:
         assert self_linking(apply_move(w, kind, params)) == beta, kind
-    assert ("stab-", {}) in search._edges(w, SearchBounds(max_strands=6))
+    assert ("stab-", {}) in [site.move() for site in search._sites(w, SearchBounds(max_strands=6))]
     assert self_linking(apply_move(w, "stab-", {})) == beta - 2
