@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -306,15 +307,10 @@ def verify_paper(seed: int = 0) -> list[_Check]:
         )
     )
 
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     g_fail = 0
     for _ in range(1000):
-        n = rng.randint(2, 4)
-        length = rng.randint(0, 12)
-        alphabet = [i for i in range(1 - n, n) if i != 0]
-        w = BraidWord(n, tuple(rng.choice(alphabet) for _ in range(length)))
+        w = words.random_word(rng, rng.randint(2, 4), 12)
         beta0 = transverse.self_linking(w)
         scrambled, seq = search.scramble(
             w, rng.randint(0, 6), rng.randrange(1 << 30), move_set=search.TRANSVERSE
@@ -334,10 +330,7 @@ def verify_paper(seed: int = 0) -> list[_Check]:
 
     h_fail = 0
     for _ in range(200):
-        n = rng.randint(1, 4)
-        length = rng.randint(0, 10) if n > 1 else 0
-        alphabet = [i for i in range(1 - n, n) if i != 0]
-        w = BraidWord(n, tuple(rng.choice(alphabet) for _ in range(length)))
+        w = words.random_word(rng, rng.randint(1, 4), 10)
         before, after = transverse.negative_stabilization_beta_drop(w)
         if after != before - 2:
             h_fail += 1

@@ -29,12 +29,12 @@ permutation, and the identity and Δ permutations are tables keyed by the
 strand count, each bounded by ``_TABLE_SIZE`` entries; no answer depends on
 what they hold.  One more table of that size, ``_word_summit``, maps a word
 to the summit element that cycling and decycling reach from its normal
-form: the search keys the same neighbour words again and again, and a
-repeat skips all three steps.  It stores summit elements, never keys, so
-the key cache and its cap behave as without it.  A witness needs the
-conjugators too, so the witness path of ``are_conjugate`` runs cycling and
-decycling itself.  Cycling trajectories, summit closures and the key cache
-key normal forms by value and serialize only what they hand out.
+form, and to the simple factors conjugating the word there: keys and both
+forms of ``are_conjugate`` summit words only through it, and a repeat skips
+all three steps.  It stores summit elements and conjugators, never keys, so
+the key cache and its cap behave as without it.  Cycling trajectories,
+summit closures and the key cache key normal forms by value and serialize
+only what they hand out.
 
 Conjugators stay simple elements: a cycling or decycling step yields the
 signed simple factor it conjugates by, and a summit closure records each
@@ -372,9 +372,11 @@ def _summit(nf: NormalForm) -> tuple[NormalForm, list[Factor]]:
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
-def _word_summit(w: BraidWord) -> NormalForm:
-    """The summit element :func:`_summit` reaches from w's left normal form."""
-    return _summit(left_normal_form(w))[0]
+def _word_summit(w: BraidWord) -> tuple[NormalForm, tuple[Factor, ...]]:
+    """The summit element :func:`_summit` reaches from w's left normal form,
+    and the signed simple factors of its conjugator."""
+    summit, conj = _summit(left_normal_form(w))
+    return summit, tuple(conj)
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
@@ -479,7 +481,7 @@ _key_cache: dict[NormalForm, ConjugacyKey] = {}
 
 def super_summit_set(w: BraidWord) -> ConjugacyKey:
     """The complete super summit set of w, as a deterministic sorted key."""
-    summit = _word_summit(w)
+    summit = _word_summit(w)[0]
     cached = _key_cache.get(summit)
     if cached is not None:
         return cached
@@ -498,30 +500,31 @@ def are_conjugate(u: BraidWord, v: BraidWord, want_witness: bool = False):
     Returns a bool, or with ``want_witness`` a pair ``(bool, g)`` where the
     witness g (a :class:`BraidWord`, possibly empty) satisfies g⁻¹·u·g = v as
     group elements whenever the answer is True.
+
+    Both forms take the same steps.  Unequal exponent sums or summit levels
+    (inf, canonical length) answer False with no closure; otherwise u's
+    super summit set is closed once, v's summit element looked up in it, and
+    a witness read from that closure.
     """
     if u.n != v.n:
         raise ValueError(f"strand-count mismatch: {u.n} vs {v.n}")
+    no = (False, None) if want_witness else False
     if exponent_sum(u) != exponent_sum(v):
-        return (False, None) if want_witness else False
-    if not want_witness:
-        # v is conjugate to u exactly when v's summit element lies in u's
-        # super summit set.  A serialization spells out (inf, canonical
-        # length), so an element of another level is never among the entries.
-        u_key = super_summit_set(u)
-        return _word_summit(v).serialize() in u_key.entries
-
-    su, gu = _summit(left_normal_form(u))
-    sv, gv = _summit(left_normal_form(v))
+        return no
+    su, gu = _word_summit(u)
+    sv, gv = _word_summit(v)
     if (su.inf, su.canonical_length) != (sv.inf, sv.canonical_length):
-        return False, None
+        return no
     members = _summit_closure(su)
     if sv not in members:
-        return False, None
+        return no
+    if not want_witness:
+        return True
     # g = gu · (the closure steps from su to sv) · gv⁻¹
     path = []
     parent, s = members[sv]
     while parent is not None:
         path.append((s, 1))
         parent, s = members[parent]
-    factors = gu + path[::-1] + [(p, -sign) for p, sign in reversed(gv)]
+    factors = [*gu, *path[::-1], *((p, -sign) for p, sign in reversed(gv))]
     return True, _factors_word(u.n, factors)

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .laurent import LaurentPolynomial, PolyMatrix, table_determinant
+from .moves import instantiate_template, random_assignment
 from .transverse import InternalConsistencyError
 from .words import BraidWord, ResourceLimitError, closure_components, exponent_sum
 
@@ -310,8 +311,6 @@ def template_soundness_check(
     and the honest comparison for links).  Any counterexample is reported
     verbatim; an unsound template is expected to fail loudly here.
     """
-    from .moves import instantiate_template, random_assignment
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from . import garside
 from .words import (
     MAX_PARSED_LETTERS,
     BraidWord,
@@ -38,6 +39,7 @@ from .words import (
     free_reduce,
     json_field,
     json_ints,
+    random_word,
     rotate,
     word_from_json,
     word_to_json,
@@ -442,15 +444,10 @@ def random_assignment(t: Template, max_len: int, rng) -> BraidingAssignment:
         raise ResourceLimitError(
             f"block words of up to {max_len} letters exceed MAX_PARSED_LETTERS = {MAX_PARSED_LETTERS}"
         )
-    out: BraidingAssignment = {}
-    for block, span in sorted(expanded_arities(t.left).items()):
-        if span < 2:
-            out[block] = BraidWord(span)
-            continue
-        length = rng.randint(0, max_len)
-        alphabet = [i for i in range(1 - span, span) if i != 0]
-        out[block] = BraidWord(span, tuple(rng.choice(alphabet) for _ in range(length)))
-    return out
+    return {
+        block: random_word(rng, span, max_len)
+        for block, span in sorted(expanded_arities(t.left).items())
+    }
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -696,8 +693,6 @@ def winding_iterates(P: BraidWord, Q: BraidWord, k: int) -> list[BraidWord]:
         raise ValueError("P and Q must live in the same braid group")
     if k < 0:
         raise ValueError("iteration count must be >= 0")
-    from .garside import super_summit_set
-
     n = P.n + 1
     top = n - 1
     vmax = max(len(P), len(Q), 1)
@@ -714,10 +709,10 @@ def winding_iterates(P: BraidWord, Q: BraidWord, k: int) -> list[BraidWord]:
     out = [w0]
     if not w0.letters:
         return out + [w0] * k
-    seen_keys = {super_summit_set(w0)}
+    seen_keys = {garside.super_summit_set(w0)}
     for _ in range(k):
         cur = out[-1]
-        cur_key = super_summit_set(cur)
+        cur_key = garside.super_summit_set(cur)
         chosen = None
         fallback = None
         for s in (1, -1):
@@ -725,12 +720,12 @@ def winding_iterates(P: BraidWord, Q: BraidWord, k: int) -> list[BraidWord]:
                 site = BraidWord(
                     n, free_reduce(P.letters + (s * top,) + v.letters + (-s * top,))
                 )
-                if super_summit_set(site) != cur_key:
+                if garside.super_summit_set(site) != cur_key:
                     continue
                 toggled = BraidWord(
                     n, free_reduce(P.letters + (-s * top,) + v.letters + (s * top,))
                 )
-                tk = super_summit_set(toggled)
+                tk = garside.super_summit_set(toggled)
                 if tk not in seen_keys:
                     chosen = (toggled, tk)
                     break

@@ -10,12 +10,12 @@ number.  Flypes are excluded from the transverse set: their transverse
 legality is not a given, and the negative flype in particular changes the
 transverse type of the pinned examples.
 
-A node's key is its class's super summit set, or, when that set exceeds
-``garside.MAX_SUMMIT_SET`` members, the weak key of its left normal form.
+A node's key is its class's super summit set, or, past
+``garside.MAX_SUMMIT_SET`` members, the weak key of its summit element.
 The search ends when a node's key equals the target's.  Conjugate words
 have the same super summit set, so a weak node's class is capped on every
 word, the target's included: a weak node reaches the target only through
-an equal normal form, and a capped class may be missed.
+an equal summit element, and a capped class may be missed.
 
 Both the search and :func:`scramble` apply each move site they have just
 matched (``site.apply``) and encode only the moves they record
@@ -34,7 +34,6 @@ import random
 from dataclasses import dataclass
 
 from . import garside
-from .garside import SuperSummitCapError
 from .moves import (
     Conjugation,
     MoveSequence,
@@ -71,7 +70,7 @@ class SearchStats:
     nodes_expanded: int
     frontier_peak: int
     dedup_hits: int
-    weak_keys: int  # nodes keyed by normal form only (summit-set cap exceeded)
+    weak_keys: int  # nodes keyed by summit element only (summit-set cap exceeded)
 
 
 @dataclass(frozen=True)
@@ -88,15 +87,15 @@ class SearchResult:
 def _class_key(w: BraidWord) -> tuple[str, bool]:
     """Conjugacy key string, and whether it is weak.
 
-    The key is the super summit set.  When that exceeds ``MAX_SUMMIT_SET``
-    members the key is the weak ``"nf:"`` form: the left normal form, equal
-    only for equal group elements, so conjugates reached through different
-    normal forms become different nodes.
+    The key is the super summit set, or past ``MAX_SUMMIT_SET`` members the
+    weak ``"nf:"`` form: the normal form of w's summit element, which the
+    failed closure has just computed.  Equal summit elements are conjugate,
+    but conjugates reaching different summit elements become different nodes.
     """
     try:
         return str(garside.super_summit_set(w)), False
-    except SuperSummitCapError:
-        return "nf:" + str(w.n) + ":" + garside.left_normal_form(w).serialize(), True
+    except garside.SuperSummitCapError:
+        return "nf:" + str(w.n) + ":" + garside._word_summit(w)[0].serialize(), True
 
 
 _STABILIZATIONS = (Stabilization(1), Stabilization(-1))
@@ -130,7 +129,7 @@ def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> Searc
 
     Breadth first over class keys, ending when a key equals the target's; a
     weak node (see :func:`_class_key`) reaches the target only through an
-    equal normal form, since its class is capped and so is the target's.
+    equal summit element, since its class is capped and so is the target's.
     """
     source = _word(source.n, free_reduce(source.letters))
     target = _word(target.n, free_reduce(target.letters))

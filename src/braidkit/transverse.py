@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .moves import stabilize
 from .words import (
     BraidWord,
     ResourceLimitError,
@@ -133,6 +134,4 @@ def is_transverse_move(step) -> bool:
 
 def negative_stabilization_beta_drop(w: BraidWord) -> tuple[int, int]:
     """(β of w, β of its negative stabilization); the second is always 2 less."""
-    from .moves import stabilize
-
     return self_linking(w), self_linking(stabilize(w, -1))

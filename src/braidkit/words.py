@@ -107,24 +107,23 @@ def parse_braid_word(text: str, n: int) -> BraidWord:
     The grammar is whitespace-separated tokens ``s<i>`` or ``s<i>^<k>`` with
     integer k ≠ 0; negative k gives inverse letters.  No reduction is applied.
     A word that would expand to more than :data:`MAX_PARSED_LETTERS` letters,
-    or a number with more digits than that bound, is rejected with
-    :class:`BraidSyntaxError`.
+    an exponent with more digits than that bound, or an index with more
+    digits than n, is rejected with :class:`BraidSyntaxError`.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"strand count must be a positive integer, got {n!r}")
     letters: list[int] = []
-    # A number with more digits than the letter bound is out of range (no
-    # usable strand count is that large either); rejecting it by length
-    # keeps int() off arbitrarily long digit strings.
-    max_digits = len(str(MAX_PARSED_LETTERS))
+    # A number with more digits than its bound is out of range; rejecting it
+    # by length keeps int() off arbitrarily long digit strings.
+    index_digits, power_digits = len(str(n)), len(str(MAX_PARSED_LETTERS))
     for tok in text.split():
         m = _TOKEN.match(tok)
         if m is None:
             raise BraidSyntaxError(f"bad token {tok!r}: expected s<i> or s<i>^<k>")
         index, power = m.groups()
-        if len(index.lstrip("0")) > max_digits:
+        if len(index.lstrip("0")) > index_digits:
             raise BraidSyntaxError(f"index of {len(index)} digits invalid for n={n}")
-        if power is not None and len(power.lstrip("-0")) > max_digits:
+        if power is not None and len(power.lstrip("-0")) > power_digits:
             raise BraidSyntaxError(f"word expands to more than {MAX_PARSED_LETTERS} letters")
         i = int(index)
         k = int(power) if power is not None else 1
@@ -176,6 +175,16 @@ def _word(n: int, letters: tuple[int, ...]) -> BraidWord:
     object.__setattr__(w, "n", n)
     object.__setattr__(w, "letters", letters)
     return w
+
+
+def random_word(rng, n: int, max_len: int) -> BraidWord:
+    """A random word of at most max_len letters on n strands: rng draws the
+    length, then each letter.  On one strand it is empty and draws nothing."""
+    if n < 2:
+        return BraidWord(n)
+    length = rng.randint(0, max_len)
+    alphabet = [i for i in range(1 - n, n) if i != 0]
+    return BraidWord(n, tuple(rng.choice(alphabet) for _ in range(length)))
 
 
 def _require_same_strands(u: BraidWord, v: BraidWord) -> None:

@@ -30,7 +30,7 @@ from braidkit.transverse import (
     is_transverse_move,
     self_linking,
 )
-from braidkit.words import BraidWord, conjugate, exponent_sum, parse_braid_word
+from braidkit.words import BraidWord, conjugate, exponent_sum, parse_braid_word, random_word
 
 TX_PLUS = parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3)
 TX_MINUS = parse_braid_word("s1^5 s2^-1 s1^6 s2^4", 3)
@@ -41,14 +41,6 @@ LINK_POST = parse_braid_word("s1^3 s2^-1 s1^-5 s2^4", 3)
 def report(name, ok, detail=""):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
     assert ok, name
-
-
-def random_word(rng, n, max_len):
-    if n < 2:
-        return BraidWord(n)
-    length = rng.randint(0, max_len)
-    alphabet = [i for i in range(1 - n, n) if i != 0]
-    return BraidWord(n, tuple(rng.choice(alphabet) for _ in range(length)))
 
 
 def test_criterion_01_flype_pair_numbers():

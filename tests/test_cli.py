@@ -145,6 +145,13 @@ class TestMove:
         code, out, _ = run_capture(capsys, ["move", "destab", "s2 s1", "-n", "3"])
         assert code == 0 and out.strip() == "s1"
 
+    def test_wide_index_text_round_trip(self, capsys):
+        # the printed s100000 has six digits, more than MAX_PARSED_LETTERS has
+        code, out, _ = run_capture(capsys, ["move", "stab+", "-n", "100000", ""])
+        assert code == 0 and out.strip() == "s100000"
+        code, out, _ = run_capture(capsys, ["move", "destab", "-n", "100001", out.strip()])
+        assert code == 0 and out.strip() == "(empty)"
+
     def test_destab_above_simple_bound(self, capsys):
         # Destabilizing enumerates no simple conjugators, so 12 strands is fine.
         code, _, _ = run_capture(capsys, ["move", "destab", "s1 s2", "-n", "12"])

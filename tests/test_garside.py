@@ -9,6 +9,7 @@ import braidkit.garside as garside_module
 from braidkit.garside import (
     SuperSummitCapError,
     _conjugate_nf,
+    _factors_word,
     _summit,
     _summit_closure,
     _word_summit,
@@ -25,6 +26,7 @@ from braidkit.words import (
     invert,
     multiply,
     parse_braid_word,
+    random_word,
 )
 
 
@@ -33,12 +35,6 @@ class Untouched(tuple):
 
     def __iter__(self):
         raise AssertionError("a factor was built")
-
-
-def random_word(rng, n, max_len):
-    length = rng.randint(0, max_len)
-    alphabet = [i for i in range(1 - n, n) if i != 0]
-    return BraidWord(n, tuple(rng.choice(alphabet) for _ in range(length)))
 
 
 def all_simples(n):
@@ -441,11 +437,21 @@ def test_answers_do_not_depend_on_cache_state():
 def test_word_summit_is_the_summit_of_the_normal_form():
     rng = random.Random(19)
     corpus = [random_word(rng, rng.randint(2, 5), 12) for _ in range(300)]
-    expected = [_summit(left_normal_form(w))[0] for w in corpus]
+    expected = [(s, tuple(g)) for s, g in (_summit(left_normal_form(w)) for w in corpus)]
     _word_summit.cache_clear()
     assert [_word_summit(w) for w in corpus] == expected  # cold
     assert [_word_summit(w) for w in corpus] == expected  # warm
     assert _word_summit.cache_info().hits >= len(corpus)
+
+
+def test_word_summit_conjugator_reaches_the_summit():
+    # the memo's conjugator factors g satisfy g⁻¹·w·g = summit, by normal form
+    rng = random.Random(21)
+    for _ in range(300):
+        w = random_word(rng, rng.randint(2, 6), 12)
+        summit, conj = _word_summit(w)
+        g = _factors_word(w.n, list(conj))
+        assert left_normal_form(conjugate(w, g)) == summit
 
 
 class TestAreConjugate:
@@ -500,6 +506,19 @@ class TestAreConjugate:
 
         monkeypatch.setattr(garside_module, "super_summit_set", key_then_clear)
         assert [are_conjugate(u, v) for u, v, _ in pairs] == [want for _, _, want in pairs]
+
+    def test_level_mismatch_needs_no_closure(self, monkeypatch):
+        # s1 s2^-1 has a four-member super summit set at inf -1; the empty
+        # word's summit is the identity.  Equal exponent sums, unequal levels:
+        # both forms answer False before any closure, so a cap of 1 is not hit.
+        monkeypatch.setattr(garside_module, "MAX_SUMMIT_SET", 1)
+        monkeypatch.setattr(garside_module, "_key_cache", {})
+        u, v = parse_braid_word("s1 s2^-1", 3), BraidWord(3)
+        with pytest.raises(SuperSummitCapError):
+            super_summit_set(u)
+        assert are_conjugate(u, v) is False
+        assert are_conjugate(u, v, want_witness=True) == (False, None)
+        assert are_conjugate(v, u) is False
 
     def test_exponent_sum_separation(self):
         rng = random.Random(15)

@@ -28,6 +28,7 @@ from braidkit.words import (
     mirror,
     multiply,
     parse_braid_word,
+    random_word,
     rotate,
 )
 
@@ -47,14 +48,6 @@ class Untouched(tuple):
 def t_inverse(p: LaurentPolynomial) -> LaurentPolynomial:
     """p with t ↦ t⁻¹."""
     return LaurentPolynomial.from_dict({-e: c for e, c in p.terms})
-
-
-def random_word(rng, n, max_len):
-    if n < 2:
-        return BraidWord(n)
-    length = rng.randint(0, max_len)
-    alphabet = [i for i in range(1 - n, n) if i != 0]
-    return BraidWord(n, tuple(rng.choice(alphabet) for _ in range(length)))
 
 
 class TestBurau:

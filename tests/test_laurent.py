@@ -5,7 +5,7 @@ import pytest
 
 from braidkit.invariants import burau_reduced
 from braidkit.laurent import LaurentPolynomial, PolyMatrix
-from braidkit.words import BraidWord
+from braidkit.words import BraidWord, random_word
 
 from oracles import cofactor_determinant, identity, matrix_mul, matrix_sub, poly_mul
 
@@ -16,11 +16,6 @@ def L(coeffs):
 
 def random_poly(rng, span=4, terms=4):
     return L({rng.randint(-span, span): rng.randint(-5, 5) for _ in range(terms)})
-
-
-def random_word(rng, n, max_len):
-    alphabet = [i for i in range(1 - n, n) if i != 0]
-    return BraidWord(n, tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_len))))
 
 
 def permutation_sign(perm):

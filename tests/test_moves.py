@@ -51,20 +51,13 @@ from braidkit.words import (
     free_reduce,
     multiply,
     parse_braid_word,
+    random_word,
     rotate,
     underlying_permutation,
 )
 
 TX_PLUS = parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3)
 TX_MINUS = parse_braid_word("s1^5 s2^-1 s1^6 s2^4", 3)
-
-
-def random_word(rng, n, max_len):
-    if n < 2:
-        return BraidWord(n)
-    length = rng.randint(0, max_len)
-    alphabet = [i for i in range(1 - n, n) if i != 0]
-    return BraidWord(n, tuple(rng.choice(alphabet) for _ in range(length)))
 
 
 class TestStabilize:

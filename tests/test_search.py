@@ -17,17 +17,9 @@ from braidkit.search import (
     scramble,
 )
 from braidkit.transverse import self_linking
-from braidkit.words import BraidWord, ResourceLimitError, parse_braid_word
+from braidkit.words import BraidWord, ResourceLimitError, parse_braid_word, random_word
 
 BOUNDS = SearchBounds(max_strands=5, max_word_length=24, max_nodes=10_000)
-
-
-def random_word(rng, n, max_len):
-    if n < 2:
-        return BraidWord(n)
-    length = rng.randint(0, max_len)
-    alphabet = [i for i in range(1 - n, n) if i != 0]
-    return BraidWord(n, tuple(rng.choice(alphabet) for _ in range(length)))
 
 
 class TestConnect:
@@ -76,6 +68,20 @@ class TestConnect:
         r = connect(a, b, SearchBounds(4, 24, 1000, TRANSVERSE))
         assert r.outcome == "exhausted" and r.sequence is None
         assert r.stats.weak_keys > 0
+
+    def test_weak_keys_meet_at_the_summit_element(self, monkeypatch):
+        # s2 s1^5 s2 and its rotation s2^2 s1^5 have a ten-member summit set,
+        # so under a cap of 2 both get weak keys.  Their normal forms differ,
+        # but they reach the same summit element, so the keys are equal.
+        monkeypatch.setattr(garside, "MAX_SUMMIT_SET", 2)
+        monkeypatch.setattr(garside, "_key_cache", {})
+        u = parse_braid_word("s2 s1^5 s2", 3)
+        v = parse_braid_word("s2^2 s1^5", 3)
+        assert garside.left_normal_form(u) != garside.left_normal_form(v)
+        r = connect(u, v, SearchBounds(3, 10, 200))
+        assert r.found and r.stats.weak_keys == 2
+        monkeypatch.setattr(garside, "MAX_SUMMIT_SET", 10_000)
+        assert are_conjugate(replay(r.sequence), v)
 
     def test_monotone_bounds(self):
         src, dst = BraidWord(3, (1, 1, 1, 2)), BraidWord(2, (1, 1, 1))

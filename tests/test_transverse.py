@@ -13,7 +13,7 @@ from braidkit.transverse import (
     negative_stabilization_beta_drop,
     self_linking,
 )
-from braidkit.words import BraidWord, ResourceLimitError, conjugate, parse_braid_word
+from braidkit.words import BraidWord, ResourceLimitError, conjugate, parse_braid_word, random_word
 
 TX_PLUS = parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3)
 LINK_PRE = parse_braid_word("s1^3 s2^4 s1^-5 s2^-1", 3)
@@ -31,14 +31,6 @@ def stabilized_words(draw):
         letter = st.sampled_from([i for i in range(1 - w.n, w.n) if i != 0])
         w = conjugate(w, BraidWord(w.n, tuple(draw(st.lists(letter, max_size=3)))))
     return w
-
-
-def random_word(rng, n, max_len):
-    if n < 2:
-        return BraidWord(n)
-    length = rng.randint(0, max_len)
-    alphabet = [i for i in range(1 - n, n) if i != 0]
-    return BraidWord(n, tuple(rng.choice(alphabet) for _ in range(length)))
 
 
 class TestSelfLinking:

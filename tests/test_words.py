@@ -18,6 +18,7 @@ from braidkit.words import (
     mirror,
     multiply,
     parse_braid_word,
+    random_word,
     rotate,
     underlying_permutation,
     word_from_json,
@@ -26,14 +27,6 @@ from braidkit.words import (
 
 TX_PLUS = "s1^5 s2^4 s1^6 s2^-1"
 LINK_WORD = "s1^3 s2^4 s1^-5 s2^-1"
-
-
-def random_word(rng, n, max_len):
-    if n < 2:
-        return BraidWord(n)
-    length = rng.randint(0, max_len)
-    alphabet = [i for i in range(1 - n, n) if i != 0]
-    return BraidWord(n, tuple(rng.choice(alphabet) for _ in range(length)))
 
 
 class TestParse:
@@ -73,6 +66,11 @@ class TestParse:
             with pytest.raises(BraidSyntaxError):
                 parse_braid_word(text, 2)
         assert parse_braid_word("s001^-00002", 2).letters == (-1, -1)
+
+    def test_index_digits_bounded_by_strand_count(self):
+        assert parse_braid_word("s123456", 200000).letters == (123456,)
+        with pytest.raises(BraidSyntaxError, match="index of 5000 digits"):
+            parse_braid_word("s" + "9" * 5000, 200000)
 
     def test_letter_total_bounded(self, monkeypatch):
         monkeypatch.setattr(words, "MAX_PARSED_LETTERS", 4)
