@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import shlex
 import tracemalloc
 from pathlib import Path
@@ -492,3 +494,105 @@ PAPER_CHECKS = [
 def test_verify_paper_golden():
     for seed in (0, 7):
         assert [(c.label, c.detail, c.passed) for c in verify_paper(seed=seed)] == PAPER_CHECKS
+
+
+TX_PLUS, TX_MINUS = "s1^5 s2^4 s1^6 s2^-1", "s1^5 s2^-1 s1^6 s2^4"
+SEARCH_WITH_STEPS = ["search", "s1", "s1^-1", "-n", "2", "--max-length", "3", "--max-nodes", "50"]
+
+# Each call runs in text mode and again with --json.  Files are named
+# relative to a temporary working directory, so no path enters the output.
+TRANSCRIPT_CALLS = [
+    ["normalize", "-n", "3", "s1 s2 s1"],
+    ["normalize", "-n", "3", "s1^-1"],
+    ["normalize", "-n", "4", "s1 s2^-1 s3 s2 s1^-2"],
+    ["normalize", "-n", "2", ""],
+    ["conjugate", "-n", "3", "s1 s2", "s2 s1"],
+    ["conjugate", "-n", "2", "s1", "s1^-1"],
+    ["conjugate", "-n", "3", TX_PLUS, TX_MINUS],
+    ["conjugate", "-n", "4", "s1 s2^-1 s3", "s3 s1 s2^-1"],
+    ["conjugate", "-n", "3", "", ""],
+    ["invariants", "-n", "3", TX_PLUS],
+    ["invariants", "-n", "3", "s1^3 s2^4 s1^-5 s2^-1"],
+    ["invariants", "-n", "1", ""],
+    ["invariants", "-n", "4", "s1 s2^-1 s3 s2^-1"],
+    ["invariants", "-n", "5", "s1 s3"],
+    ["move", "flype", TX_PLUS, "-n", "3"],
+    ["move", "flype", "s1^2 s2 s1 s2^-1", "-n", "3", "--index", "1"],
+    ["move", "destab", "s2 s1", "-n", "3"],
+    ["move", "destab", "s1 s11", "-n", "12"],
+    ["move", "exchange", "s1 s2 s1 s2^-1", "-n", "3", "--index", "1"],
+    ["move", "stab+", "-n", "3", "s1 s2"],
+    ["move", "stab-", "-n", "2", "s1"],
+    ["move", "destab", "-n", "3", "s2"],
+    ["move", "--replay", "scrambled.json"],
+    ["move", "--replay", "found.json"],
+    ["search", "s1 s2", "s2 s1", "-n", "3"],
+    ["search", "s1 s2 s1^-1 s2^-1", "s1 s2^-1 s1^-1 s2", "-n", "3", "--max-strands", "4"],
+    ["search", TX_PLUS, TX_MINUS, "-n", "3", "--transverse", "--max-strands", "4",
+     "--max-nodes", "500"],
+    SEARCH_WITH_STEPS,
+    ["template", "check", "exchange", "--trials", "3", "--max-len", "3", "--seed", "5"],
+    ["template", "check", "flype-", "--trials", "4", "--max-len", "4", "--seed", "7"],
+    ["template", "check", "tpl.json", "--trials", "2", "--max-len", "3", "--seed", "6"],
+    ["template", "check", "unsound.json", "--trials", "3", "--max-len", "2", "--seed", "1"],
+    ["winding", "s1^-2 s2^-1", "s1^-1 s2^-2", "4", "-n", "3"],
+    ["winding", "s1", "s1", "1", "-n", "3"],
+    ["verify-paper"],
+    ["verify-paper", "--seed", "3"],
+    # usage errors
+    ["no-such-command"],
+    ["normalize", "--seed", "4", "-n", "3", "s1"],
+    ["normalize", "s1"],
+    ["normalize", "-n", "3", "s9"],
+    ["move", "-n", "3"],
+    ["template", "check", "exchange", "--trials", "2"],
+    ["template", "check", "missing.json", "--seed", "1"],
+    ["move", "--replay", "missing.json"],
+    # over-bound inputs
+    ["normalize", "-n", "200", "s1^-100"],
+    ["normalize", "-n", "2", "s1^1000000000"],
+    ["invariants", "-n", "2000", "s1"],
+    ["winding", "", "", "100000", "-n", "2"],
+    ["template", "check", "exchange", "--seed", "1", "--max-len", "-1"],
+    # no matching move
+    ["move", "flype", "s1 s1", "-n", "3"],
+    ["move", "destab", "s1 s2", "-n", "12"],
+    ["move", "exchange", "s1", "-n", "3"],
+    # --index out of range
+    ["move", "exchange", "s1 s2 s1 s2^-1", "-n", "3", "--index", "5"],
+    ["move", "flype", "s1^2 s2 s1 s2^-1", "-n", "3", "--index", "2"],
+    ["move", "destab", "s2 s1", "-n", "3", "--index", "-1"],
+]
+TRANSCRIPT_SHA256 = "3e4ba0a05474712b0b70d2a6a30b85272b7776301eacba39ae306fee9d95103b"
+
+
+def test_golden_transcript(capsys, tmp_path, monkeypatch):
+    """One digest over (argv, exit code, stdout, stderr) of every call, both modes.
+
+    Timings are masked.  argparse's own usage text differs between Python
+    versions, so a usage error is recorded as its exit code and "<usage>".
+    """
+    from braidkit import moves, search
+    from braidkit.words import parse_braid_word
+
+    monkeypatch.chdir(tmp_path)
+    _, scrambled = search.scramble(parse_braid_word(TX_PLUS, 3), 6, 11,
+                                   move_set=search.TRANSVERSE)
+    (tmp_path / "scrambled.json").write_text(json.dumps(moves.sequence_to_json(scrambled)))
+    _, out, _ = run_capture(capsys, SEARCH_WITH_STEPS + ["--json"])
+    (tmp_path / "found.json").write_text(json.dumps(json.loads(out)["sequence"]))
+    (tmp_path / "tpl.json").write_text(json.dumps(moves.template_to_json(moves.flype_template(1))))
+    unsound = {"name": "unsound", "weights": [1, 1], "left": [{"x": [1, 1]}], "right": [],
+               "blocks": {}}
+    (tmp_path / "unsound.json").write_text(json.dumps(unsound))
+
+    digest = hashlib.sha256()
+    for argv in TRANSCRIPT_CALLS:
+        for call in (argv, argv + ["--json"]):
+            code, out, err = run_capture(capsys, call)
+            out = re.sub(r'"seconds": [0-9.e-]+', '"seconds": <s>', out)
+            out = re.sub(r"\(\d+\.\ds\)", "(<s>)", out)
+            if err.startswith("usage:"):
+                err = "<usage>"
+            digest.update(json.dumps([call, code, out, err]).encode())
+    assert digest.hexdigest() == TRANSCRIPT_SHA256
