@@ -59,8 +59,9 @@ class SearchBounds:
     move_set: str = TOPOLOGICAL
 
     def __post_init__(self):
-        if self.max_strands < 1 or self.max_word_length < 0 or self.max_nodes < 1:
-            raise ValueError("all bounds must be positive")
+        for name, floor in (("max_strands", 1), ("max_word_length", 0), ("max_nodes", 1)):
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {getattr(self, name)}")
         if self.move_set not in (TOPOLOGICAL, TRANSVERSE):
             raise ValueError(f"unknown move set {self.move_set!r}")
 

@@ -62,10 +62,6 @@ class BraidWord:
     def __repr__(self) -> str:
         return f"BraidWord({self.n}, {format_word(self)!r})"
 
-    def as_pair(self) -> tuple[int, list[int]]:
-        """The (strand count, signed index list) serialization."""
-        return self.n, list(self.letters)
-
 
 @dataclass(frozen=True)
 class ComponentPartition:

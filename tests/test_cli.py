@@ -11,7 +11,7 @@ from braidkit import garside, invariants
 from braidkit.cli import run, verify_paper
 from braidkit.laurent import LaurentPolynomial
 from braidkit.moves import sequence_from_json
-from braidkit.words import word_from_json
+from braidkit.words import word_from_json, word_to_json
 
 
 def run_capture(capsys, argv):
@@ -79,7 +79,7 @@ class TestInvariants:
         assert code == 0
         payload = json.loads(out)
         w = word_from_json(payload["word"])
-        assert w.as_pair() == (3, [1, 1, 1, 2, 2, 2, 2, -1, -1, -1, -1, -1, -2])
+        assert word_to_json(w) == {"n": 3, "letters": [1, 1, 1, 2, 2, 2, 2, -1, -1, -1, -1, -1, -2]}
         assert payload["component_self_linking"] == [-1, -3]
         assert payload["pairwise_linking"] == [[[1, 2], 1]]
         jones = LaurentPolynomial.from_json(payload["jones"])

@@ -487,7 +487,7 @@ class TestAreConjugate:
             assert left_normal_form(conjugate(w, witness)) == left_normal_form(v)
 
     def test_decision_ignores_key_cache(self, monkeypatch):
-        # the answer must come from u's key, not from what the key call cached
+        # neither form of the decision reads or writes the key cache
         rng = random.Random(16)
         pairs = []
         for _ in range(20):
@@ -497,15 +497,20 @@ class TestAreConjugate:
         tx_plus = parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3)
         tx_minus = parse_braid_word("s1^5 s2^-1 s1^6 s2^4", 3)
         pairs.append((tx_plus, tx_minus, False))
-        raw = garside_module.super_summit_set
+        wants = [want for _, _, want in pairs]
 
-        def key_then_clear(*args, **kwargs):
-            key = raw(*args, **kwargs)
-            garside_module._key_cache.clear()
-            return key
+        class Poisoned(dict):
+            def _touched(self, *args):
+                raise AssertionError("_key_cache touched")
 
-        monkeypatch.setattr(garside_module, "super_summit_set", key_then_clear)
-        assert [are_conjugate(u, v) for u, v, _ in pairs] == [want for _, _, want in pairs]
+            get = __getitem__ = __setitem__ = __contains__ = setdefault = _touched
+
+        monkeypatch.setattr(garside_module, "_key_cache", Poisoned())
+        assert [are_conjugate(u, v) for u, v, _ in pairs] == wants
+        assert [are_conjugate(u, v, want_witness=True)[0] for u, v, _ in pairs] == wants
+        # the poison is reachable: the key path does read the cache
+        with pytest.raises(AssertionError, match="_key_cache touched"):
+            super_summit_set(pairs[0][0])
 
     def test_level_mismatch_needs_no_closure(self, monkeypatch):
         # s1 s2^-1 has a four-member super summit set at inf -1; the empty

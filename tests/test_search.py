@@ -238,6 +238,29 @@ def test_move_set_validation():
         SearchBounds(move_set="sideways")
 
 
+@pytest.mark.parametrize(
+    "field, option, value, message",
+    [
+        ("max_strands", "--max-strands", 0, "max_strands must be >= 1, got 0"),
+        ("max_word_length", "--max-length", -1, "max_word_length must be >= 0, got -1"),
+        ("max_word_length", "--max-length", 0, None),
+        ("max_nodes", "--max-nodes", 0, "max_nodes must be >= 1, got 0"),
+    ],
+)
+def test_bound_floor_is_named(capsys, field, option, value, message):
+    from braidkit.cli import run
+
+    code = run(["search", "-n", "3", "", "", option, str(value)])
+    err = capsys.readouterr().err
+    if message is None:
+        assert getattr(SearchBounds(**{field: value}), field) == value
+        assert code == 0 and err == ""
+    else:
+        with pytest.raises(ValueError, match=message):
+            SearchBounds(**{field: value})
+        assert code == 2 and message in err
+
+
 def test_transverse_edges_are_the_transverse_kinds_of_all_edges():
     from braidkit.transverse import TRANSVERSE_MOVE_KINDS
 

@@ -37,7 +37,7 @@ class TestParse:
 
     def test_serialization_pair(self):
         w = parse_braid_word(TX_PLUS, 3)
-        assert w.as_pair() == (3, [1, 1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, -2])
+        assert word_to_json(w) == {"n": 3, "letters": [1, 1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, -2]}
 
     def test_empty_word_is_identity(self):
         w = parse_braid_word("", 4)
