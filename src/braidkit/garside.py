@@ -13,7 +13,11 @@ summit sets coincide.  It is built from one summit element by conjugating
 each member x only by its minimal simple elements ρ_x(σᵢ), the least
 permutation braids above each generator that keep x in the set — at most
 n−1 per member rather than all n!−1 permutation braids (Franco &
-González-Meneses, J. Algebra 266, 2003).
+González-Meneses, J. Algebra 266, 2003).  Conjugation by Δ maps the set to
+itself and carries the minimal simple elements of x to those of its twin
+Δ⁻¹xΔ, so of each such pair of members only the one reached first is
+expanded; the other maps its conjugates over through τ.  A conjugacy
+decision closes the set only until it reaches the other element's summit.
 
 Canonical factors are represented by their permutations, never by words;
 left-weightedness and lattice meets are tested on inversion sets.  The
@@ -413,14 +417,15 @@ def _least_completion(p: int, factors: list[Perm], s: Perm) -> Perm:
 
 
 def _minimal_simples(nf: NormalForm) -> list[Perm]:
-    """The distinct minimal simple elements ρ_x(σᵢ), i = 1…n−1, of x ∈ SSS.
+    """The minimal simple elements ρ_x(σ₁), …, ρ_x(σₙ₋₁) of x ∈ SSS, repeats kept.
 
     ρ_x(a) is the least simple s ≽ a with x^s in the super summit set.  With
     x = Δᵖ·x₁⋯x_r, inf(x^s) ≥ p exactly when τᵖ(s) ≼ x₁⋯x_r·s, and
     sup(x^s) ≤ p + r is the same condition for x⁻¹ = Δ^{−p−r}·z₁⋯z_r,
     z_i = τ^{p+r−i+1}(∂x_{r+1−i}).  Each least completion must divide any
     valid conjugator above s, so joining them into s until nothing changes
-    reaches ρ_x(a) and nothing larger.
+    reaches ρ_x(a) and nothing larger.  The list is indexed by generator,
+    so that τ(x)'s list is this one reversed and mapped through τ.
     """
     n, p = nf.n, nf.delta_power
     xs = nf.factors
@@ -437,31 +442,67 @@ def _minimal_simples(nf: NormalForm) -> list[Perm]:
             if grown == s:
                 break
             s = grown
-        if s not in found:
-            found.append(s)
+        found.append(s)
     return found
 
 
-def _summit_closure(start: NormalForm):
+def _tau_nf(nf: NormalForm) -> NormalForm:
+    """τ(x) = Δ⁻¹·x·Δ, factor by factor: τ is an automorphism of the positive
+    monoid, so it keeps every factor simple and every pair left weighted."""
+    return NormalForm(nf.n, nf.delta_power, tuple(map(_tau, nf.factors)))
+
+
+def _expansion(nf: NormalForm) -> list[tuple[Perm, NormalForm]]:
+    """The pairs (ρ_x(σᵢ), x^{ρ_x(σᵢ)}) for i = 1…n−1, one conjugation per
+    distinct simple element."""
+    conjugates: dict[Perm, NormalForm] = {}
+    out = []
+    for s in _minimal_simples(nf):
+        if s not in conjugates:
+            conjugates[s] = _conjugate_nf(nf, s)
+        out.append((s, conjugates[s]))
+    return out
+
+
+def _summit_closure(start: NormalForm, goal: NormalForm | None = None):
     """Close a super summit element under its minimal simple elements.
 
     The simple elements s with x^s in the super summit set are closed under
     meets (Franco & González-Meneses, J. Algebra 266, 2003), so every such
     s is a product of minimal ones ρ_x(σᵢ), each step staying in the set:
-    conjugating each member by its at most n−1 distinct ρ_x(σᵢ) reaches the
-    whole set.
+    conjugating each member by its at most n−1 distinct ρ_x(σᵢ), breadth
+    first, reaches the whole set.
+
+    Conjugation by Δ maps the set to itself, and ρ_{τx}(σᵢ) = τ(ρ_x(σₙ₋ᵢ)),
+    so (τx)^{ρ_{τx}(σᵢ)} = τ(x^{ρ_x(σₙ₋ᵢ)}).  A member whose twin τ(x) was
+    expanded first takes its pairs from the twin's, reversed and mapped
+    through τ, in place of n−1 completions and normal forms.  An expansion
+    is kept only until its twin takes it, and none for a member with
+    τ(x) = x.  Members, their order and their parents are those of the
+    plain breadth-first closure.
 
     Returns a dict member -> (parent, s) with member = s⁻¹·parent·s, and
-    (None, None) for start.  Raises :class:`SuperSummitCapError` once the set
-    has more than :data:`MAX_SUMMIT_SET` members.
+    (None, None) for start.  With a goal, it returns as soon as goal is
+    recorded: a prefix of the full dict, ending at goal.  Raises
+    :class:`SuperSummitCapError` once the set has more than
+    :data:`MAX_SUMMIT_SET` members, before a goal among them is checked.
     """
     members: dict[NormalForm, tuple[NormalForm | None, Perm | None]] = {start: (None, None)}
+    if start == goal:
+        return members
+    waiting: dict[NormalForm, list[tuple[Perm, NormalForm]]] = {}  # expanded, twin not yet
     frontier = [start]
     while frontier:
         new_frontier = []
         for nf in frontier:
-            for s in _minimal_simples(nf):
-                cand = _conjugate_nf(nf, s)
+            twin = _tau_nf(nf)
+            if twin in waiting:
+                steps = [(_tau(s), _tau_nf(c)) for s, c in reversed(waiting.pop(twin))]
+            else:
+                steps = _expansion(nf)
+                if twin != nf:
+                    waiting[nf] = steps
+            for s, cand in steps:
                 if cand in members:
                     continue
                 members[cand] = (nf, s)
@@ -470,6 +511,8 @@ def _summit_closure(start: NormalForm):
                     raise SuperSummitCapError(
                         f"super summit set exceeds {MAX_SUMMIT_SET} members (MAX_SUMMIT_SET)"
                     )
+                if cand == goal:
+                    return members
         frontier = new_frontier
     return members
 
@@ -503,8 +546,11 @@ def are_conjugate(u: BraidWord, v: BraidWord, want_witness: bool = False):
 
     Both forms take the same steps.  Unequal exponent sums or summit levels
     (inf, canonical length) answer False with no closure; otherwise u's
-    super summit set is closed once, v's summit element looked up in it, and
-    a witness read from that closure.
+    super summit set is closed breadth first until v's summit element is
+    recorded, and a witness read from that closure.  So a conjugate pair
+    answers True when v's summit element is among the first
+    :data:`MAX_SUMMIT_SET` members, however large the set; a False answer
+    closes the whole set and past the cap raises :class:`SuperSummitCapError`.
     """
     if u.n != v.n:
         raise ValueError(f"strand-count mismatch: {u.n} vs {v.n}")
@@ -515,7 +561,7 @@ def are_conjugate(u: BraidWord, v: BraidWord, want_witness: bool = False):
     sv, gv = _word_summit(v)
     if (su.inf, su.canonical_length) != (sv.inf, sv.canonical_length):
         return no
-    members = _summit_closure(su)
+    members = _summit_closure(su, sv)
     if sv not in members:
         return no
     if not want_witness:

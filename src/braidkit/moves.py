@@ -5,14 +5,16 @@ Markov stabilization appends σₙ^{±1} on a new strand; destabilization
 removes it.  The exchange move rewrites P·σₙ₋₁·Q·σₙ₋₁⁻¹ into
 P·σₙ₋₁⁻¹·Q·σₙ₋₁ (P, Q away from the last strand), and the 3-braid flype
 rewrites σ₁ᵖ·σ₂ʳ·σ₁^q·σ₂^ε into σ₁ᵖ·σ₂^ε·σ₁^q·σ₂ʳ.  Each schema has one
-matcher at a given rotation; the finders scan cyclic permutations with it,
-because closed braids are conjugacy classes.  A matched site names its
-``kind``, gives its result with ``site.apply(w)`` on the word it was matched
-on, and encodes itself with ``site.move()`` as the ``(kind, params)`` that
-:func:`apply_move` replays.  The search, ``scramble`` and the ``move``
-command apply the site they have just matched; only replay re-matches a
-recorded site at its rotation, rejecting one that does not match (a
-rotation outside 0..L−1 included), and then calls the same ``apply``.
+matcher at a given rotation; the finders try cyclic permutations with it,
+because closed braids are conjugacy classes, and the flype finder tries
+only the two rotations where a σ₂ letter meets a σ₁ letter.  A matched
+site names its ``kind``, gives its result with ``site.apply(w)`` on the
+word it was matched on, and encodes itself with ``site.move()`` as the
+``(kind, params)`` that :func:`apply_move` replays.  The search,
+``scramble`` and the ``move`` command apply the site they have just
+matched; only replay re-matches a recorded site at its rotation, rejecting
+one that does not match (a rotation outside 0..L−1 included), and then
+calls the same ``apply``.
 
 Moves also exist in template form: a pair of weighted block-strand
 diagrams that close to the same link for every braiding assignment to the
@@ -263,17 +265,25 @@ def _flype_at(w: BraidWord, r0: int) -> FlypeData | None:
 
 
 def find_flype_decompositions(w: BraidWord) -> list[FlypeData]:
-    """All cyclic matches of a 3-braid word against the flype schema."""
+    """All cyclic matches of a 3-braid word against the flype schema, in O(L).
+
+    A match at rotation r starts with a σ₁ letter and ends with a σ₂ letter,
+    so |w[r]| = 1 and |w[r−1]| = 2 (cyclically).  Read by generator, a
+    matching word is cyclically 1ᵃ 2ᵇ 1ᶜ 2: it has exactly two such
+    boundaries, and only they are tried.
+    """
     if w.n != 3:
         return []
-    return [f for r0 in range(len(w.letters)) if (f := _flype_at(w, r0))]
+    ls = w.letters
+    starts = [r0 for r0 in range(len(ls)) if abs(ls[r0]) == 1 and abs(ls[r0 - 1]) == 2]
+    if len(starts) != 2:
+        return []
+    return [f for r0 in starts if (f := _flype_at(w, r0))]
 
 
 def match_flype_3braid(w: BraidWord) -> FlypeData | None:
     """First flype match by cyclic rotation, or None."""
-    if w.n != 3:
-        return None
-    return next((f for r0 in range(len(w.letters)) if (f := _flype_at(w, r0))), None)
+    return next(iter(find_flype_decompositions(w)), None)
 
 
 def apply_flype(data: FlypeData) -> BraidWord:

@@ -135,8 +135,15 @@ def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> Searc
     source = _word(source.n, free_reduce(source.letters))
     target = _word(target.n, free_reduce(target.letters))
     for w, name in ((source, "source"), (target, "target")):
-        if w.n > bounds.max_strands or len(w.letters) > bounds.max_word_length:
-            raise ValueError(f"{name} word exceeds the search bounds")
+        if w.n > bounds.max_strands:
+            raise ValueError(
+                f"{name} word has {w.n} strands, more than max_strands = {bounds.max_strands}"
+            )
+        if (k := len(w.letters)) > bounds.max_word_length:
+            raise ValueError(
+                f"{name} word has {k} letter{'s' * (k != 1)}, "
+                f"more than max_word_length = {bounds.max_word_length}"
+            )
 
     target_key, target_weak = _class_key(target)
     src_key, src_weak = _class_key(source)

@@ -4,12 +4,17 @@ The library computes a determinant as one integer determinant and never
 multiplies polynomials or matrices; the tests use these schoolbook
 operations to build inputs and to check its results independently.  The
 search builds its table of permutation-braid conjugators level by level;
-:func:`simple_conjugator_words` builds it one permutation at a time.
+:func:`simple_conjugator_words` builds it one permutation at a time.  The
+summit closure maps a member's conjugates over from its τ-twin's when the
+twin was expanded first, and may stop at a goal;
+:func:`plain_summit_closure` expands every member itself, to the end.  The flype
+finders try only the rotations where a σ₂ letter meets a σ₁ letter;
+:func:`flype_rotation_scan` tries every rotation.
 """
 
 import itertools
 
-from braidkit import garside
+from braidkit import garside, moves
 from braidkit.laurent import LaurentPolynomial, PolyMatrix
 from braidkit.words import BraidWord
 
@@ -75,3 +80,28 @@ def simple_conjugator_words(n: int) -> tuple[BraidWord, ...]:
     perms = [p for p in itertools.permutations(range(1, n + 1)) if p != tuple(range(1, n + 1))]
     words = [BraidWord(n, garside._perm_word(p)) for p in perms]
     return tuple(sorted(words, key=lambda w: (len(w.letters), w.letters)))
+
+
+def plain_summit_closure(start: garside.NormalForm) -> dict:
+    """Breadth-first closure of a super summit element under its distinct
+    minimal simple elements, each member expanded by its own conjugations:
+    member -> (parent, s), with (None, None) for start and no cap."""
+    members = {start: (None, None)}
+    frontier = [start]
+    while frontier:
+        new_frontier = []
+        for nf in frontier:
+            for s in dict.fromkeys(garside._minimal_simples(nf)):
+                cand = garside._conjugate_nf(nf, s)
+                if cand not in members:
+                    members[cand] = (nf, s)
+                    new_frontier.append(cand)
+        frontier = new_frontier
+    return members
+
+
+def flype_rotation_scan(w: BraidWord) -> list:
+    """Every flype match of a 3-braid word, trying all L rotations."""
+    if w.n != 3:
+        return []
+    return [f for r0 in range(len(w.letters)) if (f := moves._flype_at(w, r0))]

@@ -19,6 +19,7 @@ from braidkit.garside import (
     left_normal_form,
     super_summit_set,
 )
+from oracles import plain_summit_closure
 from braidkit.words import (
     BraidWord,
     ResourceLimitError,
@@ -313,6 +314,82 @@ class TestSuperSummitSet:
         for nf, conj in members.values():
             assert left_normal_form(conjugate(summit.as_word(), conj)) == nf
         assert super_summit_set(conjugate(w, g)) == super_summit_set(w)
+
+    def test_closure_matches_plain_closure(self, monkeypatch):
+        # same members in the same order with the same parents, though only
+        # about one member in two of each τ-orbit pair is expanded itself
+        expanded = []
+        expansion = garside_module._expansion
+        monkeypatch.setattr(garside_module, "_expansion",
+                            lambda nf: expanded.append(nf) or expansion(nf))
+        rng = random.Random(23)
+        members = 0
+        for _ in range(150):
+            n = rng.randint(3, 5)
+            summit, _ = _summit(left_normal_form(random_word(rng, n, rng.randint(4, 12))))
+            closure = _summit_closure(summit)
+            assert list(closure.items()) == list(plain_summit_closure(summit).items())
+            members += len(closure)
+        assert members > 5000 and len(expanded) < 0.55 * members
+
+    def test_closure_stops_at_the_goal(self):
+        # a prefix of the full closure ending at the goal: the same parents,
+        # so the same path from the start
+        def path(closure, nf):
+            steps = []
+            parent, s = closure[nf]
+            while parent is not None:
+                steps.append(s)
+                parent, s = closure[parent]
+            return steps[::-1]
+
+        rng = random.Random(29)
+        for _ in range(60):
+            n = rng.randint(3, 5)
+            summit, _ = _summit(left_normal_form(random_word(rng, n, rng.randint(4, 12))))
+            full = list(_summit_closure(summit).items())
+            for k in sorted({0, len(full) // 2, len(full) - 1}):
+                goal = full[k][0]
+                closure = _summit_closure(summit, goal)
+                assert list(closure.items()) == full[: k + 1]
+                assert path(closure, goal) == path(dict(full), goal)
+                conj = _factors_word(n, [(s, 1) for s in path(closure, goal)])
+                assert left_normal_form(conjugate(summit.as_word(), conj)) == goal
+
+    def test_conjugate_found_within_the_cap(self, monkeypatch):
+        # v's summit element is the 11th of 22 members: a cap of 11 answers
+        # True with a witness, a cap of 10 raises before reaching it
+        u = parse_braid_word("s1 s2^-1 s3 s2 s1^-1 s3^2 s2 s1", 4)
+        full = list(_summit_closure(_word_summit(u)[0]))
+        assert len(full) == 22
+        v = full[10].as_word()
+        assert _word_summit(v)[0] == full[10]
+        monkeypatch.setattr(garside_module, "_key_cache", {})
+        monkeypatch.setattr(garside_module, "MAX_SUMMIT_SET", 11)
+        with pytest.raises(SuperSummitCapError):
+            super_summit_set(u)
+        assert are_conjugate(u, v) is True
+        ok, g = are_conjugate(u, v, want_witness=True)
+        assert ok and left_normal_form(conjugate(u, g)) == left_normal_form(v)
+        monkeypatch.setattr(garside_module, "MAX_SUMMIT_SET", 10)
+        for want_witness in (False, True):
+            with pytest.raises(SuperSummitCapError):
+                are_conjugate(u, v, want_witness=want_witness)
+
+    def test_non_conjugate_pair_past_the_cap_raises(self, monkeypatch):
+        # TX± share exponent sum and summit level (-1, 14); TX+'s set has 28
+        # members, none TX-'s summit element, so a False answer needs all 28
+        u = parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3)
+        v = parse_braid_word("s1^5 s2^-1 s1^6 s2^4", 3)
+        su, sv = _word_summit(u)[0], _word_summit(v)[0]
+        assert (su.inf, su.canonical_length) == (sv.inf, sv.canonical_length) == (-1, 14)
+        assert len(_summit_closure(su)) == 28
+        monkeypatch.setattr(garside_module, "MAX_SUMMIT_SET", 28)
+        assert are_conjugate(u, v) is False
+        monkeypatch.setattr(garside_module, "MAX_SUMMIT_SET", 27)
+        for want_witness in (False, True):
+            with pytest.raises(SuperSummitCapError):
+                are_conjugate(u, v, want_witness=want_witness)
 
     def test_closure_work_bound(self, monkeypatch):
         # at most n - 1 conjugations per member, where all n! - 1 simples are 23

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import tracemalloc
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import flype_rotation_scan
 from braidkit.garside import are_conjugate, left_normal_form, super_summit_set
 from braidkit.invariants import jones_polynomial
 from braidkit import moves, search
@@ -623,6 +625,19 @@ class TestSiteMoves:
         for w in site_corpus():
             found = find_flype_decompositions(w)
             assert match_flype_3braid(w) == (found[0] if found else None)
+
+    def test_flype_finders_match_the_rotation_scan(self):
+        # every B3 word of at most 8 letters: 87 381 words, 3 920 sites on 3 120
+        words, sites = 0, 0
+        for length in range(9):
+            for letters in itertools.product((1, -1, 2, -2), repeat=length):
+                w = BraidWord(3, letters)
+                found = flype_rotation_scan(w)
+                assert find_flype_decompositions(w) == found
+                assert match_flype_3braid(w) == (found[0] if found else None)
+                words += 1
+                sites += len(found)
+        assert (words, sites) == (87_381, 3_920)
 
     def test_shifted_flype_rejected(self):
         # Destab and exchange sites too: replay re-matches a site at its

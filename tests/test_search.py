@@ -261,6 +261,31 @@ def test_bound_floor_is_named(capsys, field, option, value, message):
         assert code == 2 and message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["-n", "3", "s1", "s1", "--max-length", "0"],
+         "source word has 1 letter, more than max_word_length = 0"),
+        (["-n", "3", "s1 s1", "", "--max-length", "1"],
+         "source word has 2 letters, more than max_word_length = 1"),
+        (["-n", "3", "", "s2 s1 s2", "--max-length", "2"],
+         "target word has 3 letters, more than max_word_length = 2"),
+        (["-n", "4", "", "", "--max-strands", "3"],
+         "source word has 4 strands, more than max_strands = 3"),
+    ],
+)
+def test_word_past_a_bound_is_named(capsys, argv, message):
+    from braidkit.cli import run
+
+    code = run(["search", *argv])
+    assert code == 2 and message in capsys.readouterr().err
+
+
+def test_target_past_the_strand_bound_is_named():
+    with pytest.raises(ValueError, match="target word has 4 strands, more than max_strands = 3"):
+        connect(BraidWord(2), BraidWord(4), SearchBounds(max_strands=3))
+
+
 def test_transverse_edges_are_the_transverse_kinds_of_all_edges():
     from braidkit.transverse import TRANSVERSE_MOVE_KINDS
 
