@@ -9,7 +9,9 @@ summit closure maps a member's conjugates over from its τ-twin's when the
 twin was expanded first, and may stop at a goal;
 :func:`plain_summit_closure` expands every member itself, to the end.  The flype
 finders try only the rotations where a σ₂ letter meets a σ₁ letter;
-:func:`flype_rotation_scan` tries every rotation.
+:func:`flype_rotation_scan` tries every rotation.  The flype matcher reads
+a word's runs; :func:`built_flype_sites` writes every short schema word
+from its exponents instead.
 """
 
 import itertools
@@ -105,3 +107,16 @@ def flype_rotation_scan(w: BraidWord) -> list:
     if w.n != 3:
         return []
     return [f for r0 in range(len(w.letters)) if (f := moves._flype_at(w, r0))]
+
+
+def built_flype_sites(max_len: int) -> dict:
+    """σ₁ᵖ·σ₂ʳ·σ₁^q·σ₂^ε for every nonzero p, r, q and ε = ±1 with
+    |p|+|r|+|q|+1 ≤ max_len: letters -> the FlypeData matching it at rotation 0."""
+    out = {}
+    for a, b, c in itertools.product(range(1, max_len), repeat=3):
+        if a + b + c + 1 > max_len:
+            continue
+        for sp, sr, sq, eps in itertools.product((1, -1), repeat=4):
+            letters = (sp,) * a + (2 * sr,) * b + (sq,) * c + (2 * eps,)
+            out[letters] = moves.FlypeData(0, sp * a, sr * b, sq * c, eps)
+    return out

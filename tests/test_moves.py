@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import flype_rotation_scan
+from oracles import built_flype_sites, flype_rotation_scan
 from braidkit.garside import are_conjugate, left_normal_form, super_summit_set
 from braidkit.invariants import jones_polynomial
 from braidkit import moves, search
@@ -638,6 +638,18 @@ class TestSiteMoves:
                 words += 1
                 sites += len(found)
         assert (words, sites) == (87_381, 3_920)
+
+    def test_flype_matcher_against_built_words(self):
+        # every B3 word of at most 8 letters: the 560 words built from their
+        # exponents match at rotation 0 as built, and no other word matches
+        built = built_flype_sites(8)
+        assert len(built) == 560
+        words = 0
+        for length in range(9):
+            for letters in itertools.product((1, -1, 2, -2), repeat=length):
+                assert moves._flype_at(BraidWord(3, letters), 0) == built.get(letters)
+                words += 1
+        assert words == 87_381
 
     def test_shifted_flype_rejected(self):
         # Destab and exchange sites too: replay re-matches a site at its
