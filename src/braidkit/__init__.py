@@ -38,7 +38,6 @@ from .moves import (
     MoveSequence,
     MoveStep,
     Template,
-    apply_exchange,
     apply_flype,
     apply_move,
     builtin_templates,

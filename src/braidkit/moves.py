@@ -12,9 +12,10 @@ site names its ``kind``, gives its result with ``site.apply(w)`` on the
 word it was matched on, and encodes itself with ``site.move()`` as the
 ``(kind, params)`` that :func:`apply_move` replays.  The search,
 ``scramble`` and the ``move`` command apply the site they have just
-matched; only replay re-matches a recorded site at its rotation, rejecting
-one that does not match (a rotation outside 0..L−1 included), and then
-calls the same ``apply``.
+matched; only replay re-matches a recorded site, by one rule for all three
+schemas: the match at the recorded rotation is applied, with the same
+``apply``, only when its ``move()`` is the recorded step; otherwise the
+step fails as "recorded <kind> does not apply".
 
 Moves also exist in template form: a pair of weighted block-strand
 diagrams that close to the same link for every braiding assignment to the
@@ -36,6 +37,7 @@ from .words import (
     MAX_PARSED_LETTERS,
     BraidWord,
     ResourceLimitError,
+    _runs,
     _word,
     conjugate,
     free_reduce,
@@ -210,13 +212,6 @@ def find_exchange_decompositions(w: BraidWord) -> list[ExchangeDecomposition]:
     return sorted(out, key=lambda d: d.rotation)
 
 
-def apply_exchange(w: BraidWord, d: ExchangeDecomposition) -> BraidWord:
-    """Toggle the two σₙ₋₁ signs at the given decomposition."""
-    if _exchange_at(w, d.rotation) != d:
-        raise ValueError("invalid exchange decomposition for this word")
-    return d.apply(w)
-
-
 @dataclass(frozen=True)
 class FlypeData:
     """A match of a 3-braid word against σ₁ᵖ·σ₂ʳ·σ₁^q·σ₂^ε (cyclically)."""
@@ -239,29 +234,15 @@ class FlypeData:
         return apply_flype(self)
 
 
-def _run(letters: tuple[int, ...], start: int, index: int) -> int:
-    """Signed length of the maximal constant-sign run of |x| == index at start."""
-    if start >= len(letters) or abs(letters[start]) != index:
-        return 0
-    lead = letters[start]
-    j = start
-    while j < len(letters) and letters[j] == lead:
-        j += 1
-    return (j - start) * (1 if lead > 0 else -1)
-
-
 def _flype_at(w: BraidWord, r0: int) -> FlypeData | None:
     """The flype match of a 3-braid word at rotation r0, or None."""
     if w.n != 3 or not 0 <= r0 < len(w.letters):
         return None
-    ls = rotate(w, r0).letters
-    p = _run(ls, 0, 1)
-    rr = _run(ls, abs(p), 2) if p else 0
-    q = _run(ls, abs(p) + abs(rr), 1) if rr else 0
-    i = abs(p) + abs(rr) + abs(q)
-    if q == 0 or i != len(ls) - 1 or abs(ls[i]) != 2:
+    runs = _runs(rotate(w, r0).letters)
+    if [i for i, _ in runs] != [1, 2, 1, 2] or abs(runs[3][1]) != 1:
         return None
-    return FlypeData(r0, p, rr, q, 1 if ls[i] > 0 else -1)
+    (_, p), (_, r), (_, q), (_, eps) = runs
+    return FlypeData(r0, p, r, q, eps)
 
 
 def find_flype_decompositions(w: BraidWord) -> list[FlypeData]:
@@ -288,14 +269,10 @@ def match_flype_3braid(w: BraidWord) -> FlypeData | None:
 
 def apply_flype(data: FlypeData) -> BraidWord:
     """Rewrite the matched word σ₁ᵖ σ₂ʳ σ₁^q σ₂^ε into σ₁ᵖ σ₂^ε σ₁^q σ₂ʳ."""
-
-    def run(index: int, count: int) -> tuple[int, ...]:
-        sign = 1 if count > 0 else -1
-        return (sign * index,) * abs(count)
-
-    return BraidWord(
-        3, run(1, data.p) + run(2, data.eps) + run(1, data.q) + run(2, data.r)
-    )
+    letters: tuple[int, ...] = ()
+    for index, count in ((1, data.p), (2, data.eps), (1, data.q), (2, data.r)):
+        letters += (index if count > 0 else -index,) * abs(count)
+    return BraidWord(3, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -595,36 +572,35 @@ class MoveSequence:
 def apply_move(w: BraidWord, kind: str, params: dict) -> BraidWord:
     """Re-apply a recorded move; deterministic given the recorded parameters.
 
-    The destab, exchange and flype params come from the site's ``.move()``;
-    the site is re-matched at its recorded rotation, then applied with the
-    same ``site.apply`` the search uses.  A missing or ill-typed parameter is
-    a ValueError naming it; a recorded site that does not match w, a
-    rotation outside 0..L−1 included, is a ValueError too.
+    Conjugation and stabilization apply directly.  A destab, exchange or
+    flype step is re-matched at its recorded rotation (on u = g⁻¹·w·g for a
+    destabilization) and applied with the search's ``site.apply`` only when
+    the match's ``site.move()`` is exactly ``(kind, params)``.  A missing or
+    ill-typed parameter is a ValueError naming it; any other mismatch (a
+    rotation outside 0..L−1, another site, an extra key) is the ValueError
+    "recorded <kind> does not apply".
     """
     where = f"{kind} params"
-
-    def get(key: str) -> int:
-        return json_field(params, key, int, where)
-
     if kind == "conjugation":
-        site = Conjugation(BraidWord(w.n, json_ints(params, "by", where)))
-    elif kind in ("stab+", "stab-"):
-        site = Stabilization(1 if kind == "stab+" else -1)
-    elif kind in ("destab+", "destab-"):
+        return conjugate(w, BraidWord(w.n, json_ints(params, "by", where)))
+    if kind in ("stab+", "stab-"):
+        return stabilize(w, 1 if kind == "stab+" else -1)
+
+    def rotation(*others: str) -> int:
+        """The recorded rotation, once it and the other int fields are read."""
+        return [json_field(params, key, int, where) for key in ("rotation", *others)][0]
+
+    if kind in ("destab+", "destab-"):
         g = BraidWord(w.n, json_ints(params, "conjugator", where))
-        site = _destab_at(conjugate(w, g), g, get("rotation"))
-        if site is None or site.kind != kind:
-            raise ValueError("recorded destabilization does not apply")
+        site = _destab_at(conjugate(w, g), g, rotation())
     elif kind == "exchange":
-        return apply_exchange(w, ExchangeDecomposition(get("rotation"), get("p_len"), get("sign")))
+        site = _exchange_at(w, rotation("p_len", "sign"))
     elif kind in ("flype+", "flype-"):
-        site = FlypeData(
-            get("rotation"), get("p"), get("r"), get("q"), 1 if kind == "flype+" else -1
-        )
-        if _flype_at(w, site.rotation) != site:
-            raise ValueError("recorded flype does not apply")
+        site = _flype_at(w, rotation("p", "r", "q"))
     else:
         raise ValueError(f"unknown move kind {kind!r}")
+    if site is None or site.move() != (kind, params):
+        raise ValueError(f"recorded {kind} does not apply")
     return site.apply(w)
 
 

@@ -133,19 +133,19 @@ def parse_braid_word(text: str, n: int) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
+def _runs(letters: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The maximal runs of equal letters, as (generator, signed length) pairs."""
+    runs, start = [], 0
+    for j in range(1, len(letters) + 1):
+        if j == len(letters) or letters[j] != letters[start]:
+            runs.append((abs(letters[start]), j - start if letters[start] > 0 else start - j))
+            start = j
+    return runs
+
+
 def format_word(w: BraidWord) -> str:
-    """Render a word back into the ``s<i>^<k>`` grammar, merging equal runs."""
-    parts = []
-    i = 0
-    letters = w.letters
-    while i < len(letters):
-        j = i
-        while j < len(letters) and letters[j] == letters[i]:
-            j += 1
-        idx, k = abs(letters[i]), (j - i) * (1 if letters[i] > 0 else -1)
-        parts.append(f"s{idx}" if k == 1 else f"s{idx}^{k}")
-        i = j
-    return " ".join(parts)
+    """Render a word back into the ``s<i>^<k>`` grammar, one token per run."""
+    return " ".join(f"s{i}" if k == 1 else f"s{i}^{k}" for i, k in _runs(w.letters))
 
 
 def exponent_sum(w: BraidWord) -> int:

@@ -247,7 +247,7 @@ class TestMove:
         path = tmp_path / "seq.json"
         path.write_text(json.dumps({"initial": {"n": 3, "letters": [1, 2, -2]}, "steps": [step]}))
         code, _, err = run_capture(capsys, ["move", "--replay", str(path)])
-        assert code == 2 and "invalid exchange decomposition" in err
+        assert code == 2 and "recorded exchange does not apply" in err
 
     @pytest.mark.parametrize(
         "initial, step, message",
@@ -256,16 +256,22 @@ class TestMove:
                 [1, 2, -2],
                 {"move": "exchange", "params": {"rotation": -300, "p_len": 1, "sign": 1},
                  "result_word": {"n": 3, "letters": [1, -2, 2]}},
-                "invalid exchange decomposition",
+                "recorded exchange does not apply",
             ),
             (
                 [2, 1],
                 {"move": "destab+", "params": {"conjugator": [], "rotation": -5},
                  "result_word": {"n": 2, "letters": [1]}},
-                "recorded destabilization does not apply",
+                "recorded destab+ does not apply",
+            ),
+            (
+                [1, 2, 1, -2],
+                {"move": "flype-", "params": {"rotation": -4, "p": 1, "r": 1, "q": 1},
+                 "result_word": {"n": 3, "letters": [1, -2, 1, 2]}},
+                "recorded flype- does not apply",
             ),
         ],
-        ids=["exchange", "destab"],
+        ids=["exchange", "destab", "flype"],
     )
     def test_replay_rotation_out_of_range_exit_two(self, capsys, tmp_path, initial, step, message):
         # Read modulo the word length, each rotation would name the site
@@ -274,6 +280,20 @@ class TestMove:
         path.write_text(json.dumps({"initial": {"n": 3, "letters": initial}, "steps": [step]}))
         code, _, err = run_capture(capsys, ["move", "--replay", str(path)])
         assert code == 2 and message in err
+
+    def test_replay_extra_param_exit_two(self, capsys, tmp_path):
+        # The source paper's flype TX+ -> TX-, recorded with a key its site
+        # does not record: the step replays without the key, not with it.
+        tx_plus, tx_minus = [1] * 5 + [2] * 4 + [1] * 6 + [-2], [1] * 5 + [-2] + [1] * 6 + [2] * 4
+        params = {"rotation": 0, "p": 5, "r": 4, "q": 6}
+        path = tmp_path / "seq.json"
+        for extra, want in [({}, 0), ({"eps": -1}, 2)]:
+            step = {"move": "flype-", "params": {**params, **extra},
+                    "result_word": {"n": 3, "letters": tx_minus}}
+            path.write_text(json.dumps({"initial": {"n": 3, "letters": tx_plus}, "steps": [step]}))
+            code, _, err = run_capture(capsys, ["move", "--replay", str(path)])
+            assert code == want
+        assert "recorded flype- does not apply" in err
 
     def test_replay_boolean_letter_exit_two(self, capsys, tmp_path):
         path = tmp_path / "seq.json"

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -19,7 +20,6 @@ from braidkit.moves import (
     MoveSequence,
     MoveStep,
     Template,
-    apply_exchange,
     apply_flype,
     apply_move,
     builtin_templates,
@@ -223,12 +223,12 @@ class TestExchange:
         w = BraidWord(3, (1, 2, -1, -2))
         decs = find_exchange_decompositions(w)
         assert decs
-        assert apply_exchange(w, decs[0]) == BraidWord(3, (1, -2, -1, 2))
+        assert decs[0].apply(w) == BraidWord(3, (1, -2, -1, 2))
 
     def test_sign_bookkeeping(self):
         for a, b in [(3, 2), (1, 4), (2, 0)]:
             w = BraidWord(3, (1,) * a + (2,) + (1,) * b + (-2,))
-            out = apply_exchange(w, find_exchange_decompositions(w)[0])
+            out = find_exchange_decompositions(w)[0].apply(w)
             assert out == BraidWord(3, (1,) * a + (-2,) + (1,) * b + (2,))
             assert exponent_sum(out) == a + b
 
@@ -244,9 +244,9 @@ class TestExchange:
                 continue
             done += 1
             d = decs[0]
-            out = apply_exchange(w, d)
+            out = d.apply(w)
             back_decs = find_exchange_decompositions(out)
-            roundtrip = [apply_exchange(out, b) for b in back_decs]
+            roundtrip = [b.apply(out) for b in back_decs]
             assert any(r.letters == rotate(w, d.rotation).letters for r in roundtrip)
 
     def test_jones_preserved(self):
@@ -261,18 +261,18 @@ class TestExchange:
             if not decs:
                 continue
             done += 1
-            out = apply_exchange(w, decs[0])
+            out = decs[0].apply(w)
             assert jones_polynomial(out) == jones_polynomial(w)
             assert exponent_sum(out) == exponent_sum(w) and out.n == w.n
 
     def test_invalid_decomposition(self):
         from braidkit.moves import ExchangeDecomposition
 
-        with pytest.raises(ValueError):
-            apply_exchange(BraidWord(3, (1, 2, 1, -2)), ExchangeDecomposition(0, 0, 1))
+        with pytest.raises(ValueError, match="recorded exchange does not apply"):
+            apply_move(BraidWord(3, (1, 2, 1, -2)), *ExchangeDecomposition(0, 0, 1).move())
         # Below 3 strands there is no exchange site, so none replays.
-        with pytest.raises(ValueError, match="invalid exchange decomposition"):
-            apply_exchange(BraidWord(2, (1, -1)), ExchangeDecomposition(0, 0, 1))
+        with pytest.raises(ValueError, match="recorded exchange does not apply"):
+            apply_move(BraidWord(2, (1, -1)), *ExchangeDecomposition(0, 0, 1).move())
 
     @pytest.mark.parametrize("p_len", [-10, -2, 3])
     def test_p_len_out_of_range(self, p_len):
@@ -280,9 +280,9 @@ class TestExchange:
         from braidkit.moves import ExchangeDecomposition
 
         w = BraidWord(3, (1, 2, -2))
-        assert apply_exchange(w, ExchangeDecomposition(0, 1, 1)) == BraidWord(3, (1, -2, 2))
-        with pytest.raises(ValueError, match="invalid exchange decomposition"):
-            apply_exchange(w, ExchangeDecomposition(0, p_len, 1))
+        assert apply_move(w, *ExchangeDecomposition(0, 1, 1).move()) == BraidWord(3, (1, -2, 2))
+        with pytest.raises(ValueError, match="recorded exchange does not apply"):
+            apply_move(w, *ExchangeDecomposition(0, p_len, 1).move())
 
 
 class TestFlype:
@@ -360,7 +360,7 @@ class TestMovePreservation:
             if found is not None:
                 assert closure_components(found.word).n_components == n_comp
             for d in find_exchange_decompositions(w):
-                assert closure_components(apply_exchange(w, d)).n_components == n_comp
+                assert closure_components(d.apply(w)).n_components == n_comp
 
 
 class TestExpandWeights:
@@ -614,17 +614,14 @@ class TestSiteMoves:
                 assert apply_move(w, *found.move()) == found.word
                 sites["destab"] += 1
             for d in find_exchange_decompositions(w):
-                assert apply_move(w, *d.move()) == apply_exchange(w, d)
+                assert apply_move(w, *d.move()) == d.apply(w)
                 sites["exchange"] += 1
-            for f in find_flype_decompositions(w):
+            found = find_flype_decompositions(w)
+            assert match_flype_3braid(w) == (found[0] if found else None)
+            for f in found:
                 assert apply_move(w, *f.move()) == apply_flype(f)
                 sites["flype"] += 1
         assert min(sites.values()) >= 50, sites
-
-    def test_match_is_first_decomposition(self):
-        for w in site_corpus():
-            found = find_flype_decompositions(w)
-            assert match_flype_3braid(w) == (found[0] if found else None)
 
     def test_flype_finders_match_the_rotation_scan(self):
         # every B3 word of at most 8 letters: 87 381 words, 3 920 sites on 3 120
@@ -654,28 +651,26 @@ class TestSiteMoves:
     def test_shifted_flype_rejected(self):
         # Destab and exchange sites too: replay re-matches a site at its
         # rotation, read on the word the site matches (u = g⁻¹·w·g for a
-        # destabilization), so a shifted or out-of-range rotation fails.
+        # destabilization), so a shifted or out-of-range rotation fails,
+        # and so does a step whose params hold a key the site does not record.
         checked = {"destab": 0, "exchange": 0, "flype": 0}
         for w in site_corpus():
             for f in find_flype_decompositions(w):
                 kind, params = f.move()
-                for rotation in (f.rotation - 1, f.rotation + 1, len(w), -1):
-                    with pytest.raises(ValueError, match="recorded flype does not apply"):
-                        apply_move(w, kind, {**params, "rotation": rotation})
-                with pytest.raises(ValueError, match="recorded flype does not apply"):
+                with pytest.raises(ValueError, match=re.escape(f"recorded {kind} does not apply")):
                     apply_move(BraidWord(4, w.letters), kind, params)
-                checked["flype"] += 1
-            sites = [(d, len(w), "invalid exchange decomposition")
-                     for d in find_exchange_decompositions(w)]
+            sites = [(d, len(w)) for d in find_exchange_decompositions(w)]
+            sites += [(f, len(w)) for f in find_flype_decompositions(w)]
             found = try_destabilize(w) if w.n >= 2 else None
             if found is not None:
-                u = conjugate(w, found.conjugator)
-                sites.append((found, len(u), "recorded destabilization does not apply"))
-            for site, length, message in sites:
+                sites.append((found, len(conjugate(w, found.conjugator))))
+            for site, length in sites:
                 kind, params = site.move()
-                for rotation in (site.rotation - 1, site.rotation + 1, length, -1):
-                    with pytest.raises(ValueError, match=message):
-                        apply_move(w, kind, {**params, "rotation": rotation})
+                shifted = [{**params, "rotation": rotation}
+                           for rotation in (site.rotation - 1, site.rotation + 1, length, -1)]
+                for bad in shifted + [{**params, "eps": 1}]:
+                    with pytest.raises(ValueError, match=re.escape(f"recorded {kind} does not apply")):
+                        apply_move(w, kind, bad)
                 checked[kind.rstrip("+-")] += 1
         assert min(checked.values()) >= 100, checked
 

@@ -85,6 +85,22 @@ class TestParse:
             assert parse_braid_word(format_word(w), w.n) == w
 
 
+class TestRuns:
+    def test_paper_word(self):
+        assert words._runs(parse_braid_word(TX_PLUS, 3).letters) == [(1, 5), (2, 4), (1, 6), (2, -1)]
+
+    def test_runs_expand_back_and_are_maximal(self):
+        rng = random.Random(22)
+        corpus = [BraidWord(3)] + [random_word(rng, n, 12) for n in range(1, 9) for _ in range(40)]
+        for w in corpus:
+            runs = words._runs(w.letters)
+            expanded = tuple(x for i, k in runs for x in [i if k > 0 else -i] * abs(k))
+            assert expanded == w.letters
+            assert all(k != 0 for _, k in runs)
+            assert all((i, k > 0) != (j, m > 0) for (i, k), (j, m) in zip(runs, runs[1:]))
+        assert words._runs(()) == []
+
+
 class TestExponentSum:
     def test_flype_pair_words(self):
         assert exponent_sum(parse_braid_word(TX_PLUS, 3)) == 14
@@ -278,7 +294,7 @@ class TestTrustedWords:
         site = BraidWord(n + 1, u.letters + (n,) + g.letters + (-n,))
         decompositions = moves.find_exchange_decompositions(site)
         assert decompositions
-        built += [moves.apply_exchange(site, d) for d in decompositions]
+        built += [d.apply(site) for d in decompositions]
         built.append(garside.left_normal_form(u).as_word())
         built.append(garside.are_conjugate(u, conjugate(u, g), want_witness=True)[1])
         for w in built:
