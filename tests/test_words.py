@@ -86,13 +86,10 @@ class TestParse:
 
 
 class TestRuns:
-    def test_paper_word(self):
-        assert words._runs(parse_braid_word(TX_PLUS, 3).letters) == [(1, 5), (2, 4), (1, 6), (2, -1)]
-
     def test_runs_expand_back_and_are_maximal(self):
+        assert words._runs(parse_braid_word(TX_PLUS, 3).letters) == [(1, 5), (2, 4), (1, 6), (2, -1)]
         rng = random.Random(22)
-        corpus = [BraidWord(3)] + [random_word(rng, n, 12) for n in range(1, 9) for _ in range(40)]
-        for w in corpus:
+        for w in [random_word(rng, n, 12) for n in range(1, 9) for _ in range(40)]:
             runs = words._runs(w.letters)
             expanded = tuple(x for i, k in runs for x in [i if k > 0 else -i] * abs(k))
             assert expanded == w.letters
