@@ -294,6 +294,14 @@ class TestMove:
             code, _, err = run_capture(capsys, ["move", "--replay", str(path)])
             assert code == want
         assert "recorded flype- does not apply" in err
+        # A stabilization step records no params, so any key is extra.
+        for extra, want in [({}, 0), ({"sign": -1}, 2)]:
+            step = {"move": "stab+", "params": extra,
+                    "result_word": {"n": 4, "letters": tx_plus + [3]}}
+            path.write_text(json.dumps({"initial": {"n": 3, "letters": tx_plus}, "steps": [step]}))
+            code, _, err = run_capture(capsys, ["move", "--replay", str(path)])
+            assert code == want
+        assert "recorded stab+ does not apply" in err
 
     def test_replay_boolean_letter_exit_two(self, capsys, tmp_path):
         path = tmp_path / "seq.json"

@@ -8,6 +8,8 @@ definition.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,3 +55,20 @@ def unreferenced(root: Path = ROOT) -> list[str]:
 
 def test_every_definition_is_referenced():
     assert unreferenced() == []
+
+
+def test_tracer_patches_resolve():
+    # perfbench/tracing.py patches braidkit names and perfbench/worker.py
+    # reads BRACKET_BACKEND; deleting one of them breaks the benchmark.
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "import braidkit, tracing\n"
+        "tracing.install(tracing.Tracer())\n"
+        "print(braidkit.BRACKET_BACKEND)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip()

@@ -677,6 +677,21 @@ class TestSiteMoves:
                 checked[kind.rstrip("+-")] += 1
         assert min(checked.values()) >= 100, checked
 
+    def test_extra_stab_and_conjugation_params_rejected(self):
+        # Stabilization and conjugation steps replay through their sites by
+        # the same rule: a record that is not exactly site.move() fails.
+        w = BraidWord(3, (1, 2))
+        assert apply_move(w, "stab+", {}) == BraidWord(4, (1, 2, 3))
+        assert apply_move(w, "stab-", {}) == BraidWord(4, (1, 2, -3))
+        assert apply_move(w, "conjugation", {"by": [1]}) == BraidWord(3, (2, 1))
+        for kind, params in [
+            ("stab+", {"sign": -1}),
+            ("stab-", {"x": 0}),
+            ("conjugation", {"by": [1], "junk": 1}),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(f"recorded {kind} does not apply")):
+                apply_move(w, kind, params)
+
 
 class TestWinding:
     def test_trivial_assignment(self):
