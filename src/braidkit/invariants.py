@@ -24,8 +24,8 @@ template fuzzer:
 * a seeded fuzzer asserting that both sides of a template close to links
   with equal component counts, Jones, and Alexander polynomials.
 
-:func:`bracket_coeff_table` keeps the exhaustive 2^L-state sum of
-:mod:`braidkit._bracket_py` as the reference the tests compare against.
+:func:`bracket_coeff_table` is the exhaustive 2^L-state sum, the
+reference the tests compare the bracket against.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from .laurent import LaurentPolynomial, PolyMatrix, table_determinant
 from .moves import instantiate_template, random_assignment
 from .transverse import InternalConsistencyError
 from .words import BraidWord, ResourceLimitError, closure_components, exponent_sum
-
-from . import _bracket_py
 
 # Most work units min(Catalan(n), 2^L)·(L·(L+1) + n²) a bracket may take for
 # L letters on n strands: a 100-letter B8 word is 1.5·10⁷ units, 2.9 s with
@@ -160,14 +158,67 @@ def alexander_polynomial(w: BraidWord) -> LaurentPolynomial:
 def bracket_coeff_table(w: BraidWord) -> tuple[dict[int, int], int]:
     """Exhaustive bracket coefficient table over the A-exponent, plus states touched.
 
-    This is the 2^L-state reference sum of :mod:`braidkit._bracket_py`; the
-    tests check :func:`kauffman_bracket` against it.  More than
+    The reference the tests check :func:`kauffman_bracket` against.  It
+    enumerates all 2^L smoothing states of the closure diagram, counts the
+    loops of each with a union-find, and adds A^(a−b)·(−A² − A⁻²)^(loops−1).
+    State bit 0 is the A-smoothing and bit 1 the B-smoothing; for a positive
+    letter the A-smoothing is the identity smoothing and the B-smoothing the
+    cup-cap, for a negative letter the other way round.  More than
     :data:`MAX_STATE_SUM_LETTERS` letters raise :class:`CrossingCapExceeded`.
     """
-    L = len(w.letters)
+    n, L = w.n, len(w.letters)
     if L > MAX_STATE_SUM_LETTERS:
         raise CrossingCapExceeded(f"{L} letters > MAX_STATE_SUM_LETTERS = {MAX_STATE_SUM_LETTERS}")
-    return _bracket_py.bracket_coeffs(w.n, w.letters), 1 << L
+    idx = [abs(x) - 1 for x in w.letters]
+    neg = [1 if x < 0 else 0 for x in w.letters]
+    max_nodes = n + L
+    binoms = [[comb(c, k) for k in range(c + 1)] for c in range(max_nodes + 1)]
+    coeffs: dict[int, int] = {}
+
+    for s in range(1 << L):
+        parent = list(range(max_nodes))
+        cur = list(range(n))
+        nodes = n
+        bcount = 0
+        for j in range(L):
+            bit = (s >> j) & 1
+            bcount += bit
+            if bit ^ neg[j]:
+                p = idx[j]
+                a, b = cur[p], cur[p + 1]
+                while parent[a] != a:
+                    parent[a] = parent[parent[a]]
+                    a = parent[a]
+                while parent[b] != b:
+                    parent[b] = parent[parent[b]]
+                    b = parent[b]
+                if a != b:
+                    parent[a] = b
+                cur[p] = cur[p + 1] = nodes
+                nodes += 1
+        for j in range(n):
+            a, b = cur[j], j
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a != b:
+                parent[a] = b
+        loops = 0
+        for x in range(nodes):
+            if parent[x] == x:
+                loops += 1
+        e0 = L - 2 * bcount
+        c1 = loops - 1
+        sgn = -1 if c1 % 2 else 1
+        row = binoms[c1]
+        base = e0 - 2 * c1
+        for k in range(c1 + 1):
+            e = base + 4 * k
+            coeffs[e] = coeffs.get(e, 0) + sgn * row[k]
+    return {e: c for e, c in coeffs.items() if c != 0}, 1 << L
 
 
 def _d_power(k: int) -> dict[int, int]:

@@ -8,9 +8,7 @@ Kauffman bracket / Jones polynomial are elements of ℤ[A, A⁻¹] and
 :func:`table_determinant` is the one determinant: it takes rows of
 exponent → coefficient tables, evaluates them at t = 2^K as one integer
 determinant and reads its base-2^K digits back as coefficients.
-:meth:`PolyMatrix.determinant` adapts a matrix to it.  Products of
-polynomials or matrices are not needed here; the tests keep them, with the
-cofactor expansion, as oracles.
+:meth:`PolyMatrix.determinant` adapts a matrix to it.
 """
 
 from __future__ import annotations

@@ -7,15 +7,15 @@ P·σₙ₋₁⁻¹·Q·σₙ₋₁ (P, Q away from the last strand), and the 3-
 rewrites σ₁ᵖ·σ₂ʳ·σ₁^q·σ₂^ε into σ₁ᵖ·σ₂^ε·σ₁^q·σ₂ʳ.  Each schema has one
 matcher at a given rotation; the finders try cyclic permutations with it,
 because closed braids are conjugacy classes, and the flype finder tries
-only the two rotations where a σ₂ letter meets a σ₁ letter.  A matched
-site names its ``kind``, gives its result with ``site.apply(w)`` on the
-word it was matched on, and encodes itself with ``site.move()`` as the
-``(kind, params)`` that :func:`apply_move` replays.  The search,
-``scramble`` and the ``move`` command apply the site they have just
-matched; only replay re-matches a recorded site, by one rule for all three
-schemas: the match at the recorded rotation is applied, with the same
-``apply``, only when its ``move()`` is the recorded step; otherwise the
-step fails as "recorded <kind> does not apply".
+only the two rotations where a σ₂ letter meets a σ₁ letter.  A site (a
+matched schema, a stabilization or a conjugation) names its ``kind``,
+gives its result with ``site.apply(w)`` on the word it was matched on,
+and encodes itself with ``site.move()`` as the ``(kind, params)`` that
+:func:`apply_move` replays.  The search, ``scramble`` and the ``move``
+command apply the site they have just made; only replay rebuilds a
+recorded site, by one rule for every kind: the site the step names is
+applied, with the same ``apply``, only when its ``move()`` is the recorded
+step; otherwise the step fails as "recorded <kind> does not apply".
 
 Moves also exist in template form: a pair of weighted block-strand
 diagrams that close to the same link for every braiding assignment to the
@@ -572,25 +572,26 @@ class MoveSequence:
 def apply_move(w: BraidWord, kind: str, params: dict) -> BraidWord:
     """Re-apply a recorded move; deterministic given the recorded parameters.
 
-    Conjugation and stabilization apply directly.  A destab, exchange or
-    flype step is re-matched at its recorded rotation (on u = g⁻¹·w·g for a
-    destabilization) and applied with the search's ``site.apply`` only when
-    the match's ``site.move()`` is exactly ``(kind, params)``.  A missing or
-    ill-typed parameter is a ValueError naming it; any other mismatch (a
+    Every kind replays by one rule.  The step names a site: the conjugation
+    by its ``by`` word, the stabilization of its sign, or the destab,
+    exchange or flype match at its recorded rotation (on u = g⁻¹·w·g for a
+    destabilization).  The site is applied with the search's ``site.apply``
+    only when its ``site.move()`` is exactly ``(kind, params)``.  A missing
+    or ill-typed parameter is a ValueError naming it; any other mismatch (a
     rotation outside 0..L−1, another site, an extra key) is the ValueError
     "recorded <kind> does not apply".
     """
     where = f"{kind} params"
-    if kind == "conjugation":
-        return conjugate(w, BraidWord(w.n, json_ints(params, "by", where)))
-    if kind in ("stab+", "stab-"):
-        return stabilize(w, 1 if kind == "stab+" else -1)
 
     def rotation(*others: str) -> int:
         """The recorded rotation, once it and the other int fields are read."""
         return [json_field(params, key, int, where) for key in ("rotation", *others)][0]
 
-    if kind in ("destab+", "destab-"):
+    if kind == "conjugation":
+        site = Conjugation(BraidWord(w.n, json_ints(params, "by", where)))
+    elif kind in ("stab+", "stab-"):
+        site = Stabilization(1 if kind == "stab+" else -1)
+    elif kind in ("destab+", "destab-"):
         g = BraidWord(w.n, json_ints(params, "conjugator", where))
         site = _destab_at(conjugate(w, g), g, rotation())
     elif kind == "exchange":
