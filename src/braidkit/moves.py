@@ -573,7 +573,7 @@ def apply_move(w: BraidWord, kind: str, params: dict) -> BraidWord:
     """Re-apply a recorded move; deterministic given the recorded parameters.
 
     Every kind replays by one rule.  The step names a site: the conjugation
-    by its ``by`` word, the stabilization of its sign, or the destab,
+    by its ``by`` word, the stabilization of its kind's sign, or the destab,
     exchange or flype match at its recorded rotation (on u = g⁻¹·w·g for a
     destabilization).  The site is applied with the search's ``site.apply``
     only when its ``site.move()`` is exactly ``(kind, params)``.  A missing

@@ -4,7 +4,8 @@ The check is by name only, over ``src``, ``tests`` and ``perfbench``: a
 definition counts as used when its name appears as a variable, an
 attribute, an import alias or an identifier string anywhere.  So it is
 coarse: an unrelated local variable of the same name hides a dead
-definition.
+definition.  A second check installs the benchmark's tracer, which fails
+when a name it patches is gone.
 """
 
 import ast
