@@ -11,12 +11,15 @@ twin was expanded first, and may stop at a goal;
 finders try only the rotations where a σ₂ letter meets a σ₁ letter;
 :func:`flype_rotation_scan` tries every rotation.  The flype matcher reads
 a word's runs; :func:`built_flype_sites` writes every short schema word
-from its exponents instead.
+from its exponents instead.  ``search.scramble`` builds only the site it
+draws; :func:`scramble_all_sites` builds every site of each step and then
+draws one of them.
 """
 
 import itertools
+import random
 
-from braidkit import garside, moves
+from braidkit import garside, moves, search
 from braidkit.laurent import LaurentPolynomial, PolyMatrix
 from braidkit.words import BraidWord
 
@@ -120,3 +123,32 @@ def built_flype_sites(max_len: int) -> dict:
             letters = (sp,) * a + (2 * sr,) * b + (sq,) * c + (2 * eps,)
             out[letters] = moves.FlypeData(0, sp * a, sr * b, sq * c, eps)
     return out
+
+
+def scramble_all_sites(w, k, seed, move_set=search.TOPOLOGICAL, max_strands=None):
+    """``search.scramble`` by building every site of a step (``search._sites``
+    and one drawn conjugation) and drawing one of them with ``rng.choice``."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    rng = random.Random(seed)
+    bounds = search.SearchBounds(
+        max_strands=max_strands if max_strands is not None else w.n + 2,
+        max_word_length=10_000,
+        move_set=move_set,
+    )
+    cur = w
+    steps = []
+    for _ in range(k):
+        options = search._sites(cur, bounds)
+        simples = search._simple_conjugator_words(cur.n)
+        if simples:
+            options.append(moves.Conjugation(rng.choice(simples)))
+        if not options:
+            raise ValueError(
+                f"no legal move on {cur.n} strand(s) with max_strands = {bounds.max_strands}"
+            )
+        site = rng.choice(options)
+        result = site.apply(cur)
+        steps.append(moves.MoveStep(*site.move(), result))
+        cur = result
+    return cur, moves.MoveSequence(w, tuple(steps))

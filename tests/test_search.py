@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import pytest
 
-from oracles import simple_conjugator_words
+from oracles import scramble_all_sites, simple_conjugator_words
 from braidkit.garside import are_conjugate
 from braidkit import garside, search
 from braidkit.moves import Conjugation, apply_move, replay, sequence_to_json, stabilize
@@ -142,6 +142,48 @@ class TestScramble:
         # a destabilization down to one strand leaves no move after it
         with pytest.raises(ValueError, match="max_strands = 1"):
             scramble(BraidWord(2, (1,)), 50, 0, max_strands=1)
+
+    @pytest.mark.parametrize(
+        "k, kwargs, message",
+        [
+            (0, {"max_strands": 0}, "max_strands must be >= 1, got 0"),
+            (3, {"max_strands": 0}, "max_strands must be >= 1, got 0"),
+            (0, {"max_strands": -3}, "max_strands must be >= 1, got -3"),
+            (2, {"max_strands": -3}, "max_strands must be >= 1, got -3"),
+            (0, {"move_set": "x"}, "unknown move set 'x'"),
+            (1, {"move_set": "x"}, "unknown move set 'x'"),
+            (-1, {}, "k must be >= 0"),
+        ],
+    )
+    def test_argument_errors_are_named(self, k, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            scramble(BraidWord(3, (1, 2)), k, 5, **kwargs)
+        assert str(err.value) == message
+
+    def test_same_draws_as_building_every_site(self):
+        """scramble against the oracle that builds every site and then draws:
+        the same word and sequence, or the same error with the same message."""
+        rng = random.Random(2024)
+        outcomes = set()
+        for _ in range(2000):
+            n = rng.randint(1, 6)
+            w = random_word(rng, n, 14)
+            args = (w, rng.randint(0, 8), rng.randrange(1 << 30),
+                    rng.choice((TOPOLOGICAL, TRANSVERSE)), rng.choice((None, n, n + 1, n + 3)))
+            try:
+                expected = scramble_all_sites(*args)
+            except ValueError as e:
+                with pytest.raises(type(e)) as err:
+                    scramble(*args)
+                assert str(err.value) == str(e), args
+                outcomes.add(type(e).__name__)
+                continue
+            assert scramble(*args) == expected, args
+            outcomes |= {step.kind for step in expected[1].steps}
+        assert outcomes == {
+            "ValueError", "ResourceLimitError", "conjugation",
+            "destab+", "destab-", "exchange", "flype+", "flype-", "stab+", "stab-",
+        }
 
 
 def test_simple_conjugator_words_match_the_bubble_sort_oracle():
