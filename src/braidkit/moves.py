@@ -5,9 +5,9 @@ Markov stabilization appends σₙ^{±1} on a new strand; destabilization
 removes it.  The exchange move rewrites P·σₙ₋₁·Q·σₙ₋₁⁻¹ into
 P·σₙ₋₁⁻¹·Q·σₙ₋₁ (P, Q away from the last strand), and the 3-braid flype
 rewrites σ₁ᵖ·σ₂ʳ·σ₁^q·σ₂^ε into σ₁ᵖ·σ₂^ε·σ₁^q·σ₂ʳ.  Each schema has one
-matcher at a given rotation; the finders try cyclic permutations with it,
-because closed braids are conjugacy classes, and the flype finder tries
-only the two rotations where a σ₂ letter meets a σ₁ letter.  A site (a
+matcher at a given rotation and one private finder of the rotations (of
+the cyclic reduction, for a destabilization) where it matches, as closed
+braids are conjugacy classes; sites are built only there.  A site (a
 matched schema, a stabilization or a conjugation) names its ``kind``,
 gives its result with ``site.apply(w)`` on the word it was matched on,
 and encodes itself with ``site.move()`` as the ``(kind, params)`` that
@@ -100,17 +100,23 @@ class Conjugation:
         return conjugate(w, self.by)
 
 
+def _cyclic_reduction(letters: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The letters of :func:`cyclic_free_reduce`'s (u, g)."""
+    r = free_reduce(letters)
+    k = 0
+    while k < len(r) - 1 - k and r[k] == -r[-1 - k]:
+        k += 1
+    return r[k : len(r) - k], r[:k]
+
+
 def cyclic_free_reduce(w: BraidWord) -> tuple[BraidWord, BraidWord]:
     """Freely and cyclically reduce; returns (reduced word u, conjugator g).
 
     With r = free_reduce(w) and k the number of end pairs r[i] = −r[−1−i]
     stripped, u = r[k:len−k] and g = r[:k], so ``conjugate(w, g) == u``.
     """
-    r = free_reduce(w.letters)
-    k = 0
-    while k < len(r) - 1 - k and r[k] == -r[-1 - k]:
-        k += 1
-    return _word(w.n, r[k : len(r) - k]), _word(w.n, r[:k])
+    u, g = _cyclic_reduction(w.letters)
+    return _word(w.n, u), _word(w.n, g)
 
 
 @dataclass(frozen=True)
@@ -138,15 +144,25 @@ class DestabResult:
         return self.word
 
 
-def _destab_at(u: BraidWord, g: BraidWord, r: int) -> DestabResult | None:
-    """The destabilization of u = g⁻¹·w·g ending in u's only σₙ₋₁ letter at rotation r."""
-    if u.n < 2 or not 0 <= r < len(u.letters):
+def _destab_at(n: int, u: tuple[int, ...], g: tuple[int, ...], r: int) -> DestabResult | None:
+    """The destabilization of u = g⁻¹·w·g (letters) ending in its only σₙ₋₁ at rotation r."""
+    if n < 2 or not 0 <= r < len(u):
         return None
-    top = u.n - 1
-    ls = rotate(u, r).letters
+    top = n - 1
+    ls = u[r:] + u[:r]
     if abs(ls[-1]) != top or ls.count(top) + ls.count(-top) != 1:
         return None
-    return DestabResult(_word(u.n - 1, ls[:-1]), 1 if ls[-1] > 0 else -1, g, r)
+    return DestabResult(_word(n - 1, ls[:-1]), 1 if ls[-1] > 0 else -1, _word(n, g), r)
+
+
+def _destab_place(w: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
+    """By :func:`try_destabilize`'s rule, the ``(u, g, r)`` where :func:`_destab_at`
+    destabilizes w: its cyclic reduction's letters and the rotation ending in u's σₙ₋₁."""
+    u, g = _cyclic_reduction(w.letters)
+    top = w.n - 1
+    if u.count(top) + u.count(-top) != 1:
+        return None
+    return u, g, ((u.index(top) if top in u else u.index(-top)) + 1) % len(u)
 
 
 def try_destabilize(w: BraidWord) -> DestabResult | None:
@@ -162,11 +178,8 @@ def try_destabilize(w: BraidWord) -> DestabResult | None:
     """
     if w.n < 2:
         raise ValueError("destabilization needs at least 2 strands")
-    u, g = cyclic_free_reduce(w)
-    hits = [j for j, x in enumerate(u.letters) if abs(x) == w.n - 1]
-    if len(hits) != 1:
-        return None
-    return _destab_at(u, g, (hits[0] + 1) % len(u.letters))
+    place = _destab_place(w)
+    return None if place is None else _destab_at(w.n, *place)
 
 
 @dataclass(frozen=True)
@@ -201,15 +214,18 @@ def _exchange_at(w: BraidWord, r: int) -> ExchangeDecomposition | None:
     return ExchangeDecomposition(r, ls.index(-ls[-1]), -1 if ls[-1] > 0 else 1)
 
 
+def _exchange_rotations(w: BraidWord) -> list[int]:
+    """The rotations where :func:`_exchange_at` matches w, ascending: when w
+    holds two σₙ₋₁ letters and they are opposite, one ending in each."""
+    top, ls = w.n - 1, w.letters
+    if w.n < 3 or ls.count(top) != 1 or ls.count(-top) != 1:
+        return []
+    return sorted([(ls.index(top) + 1) % len(ls), (ls.index(-top) + 1) % len(ls)])
+
+
 def find_exchange_decompositions(w: BraidWord) -> list[ExchangeDecomposition]:
     """All exchange-move sites of a word (cyclic scans included)."""
-    if w.n < 3:
-        return []
-    hits = [j for j, x in enumerate(w.letters) if abs(x) == w.n - 1]
-    if len(hits) != 2:
-        return []
-    out = [d for j in hits if (d := _exchange_at(w, (j + 1) % len(w.letters)))]
-    return sorted(out, key=lambda d: d.rotation)
+    return [_exchange_at(w, r) for r in _exchange_rotations(w)]
 
 
 @dataclass(frozen=True)
@@ -245,8 +261,8 @@ def _flype_at(w: BraidWord, r0: int) -> FlypeData | None:
     return FlypeData(r0, p, r, q, eps)
 
 
-def find_flype_decompositions(w: BraidWord) -> list[FlypeData]:
-    """All cyclic matches of a 3-braid word against the flype schema, in O(L).
+def _flype_rotations(w: BraidWord) -> list[int]:
+    """The rotations where :func:`_flype_at` matches a 3-braid word, in O(L).
 
     A match at rotation r starts with a σ₁ letter and ends with a σ₂ letter,
     so |w[r]| = 1 and |w[r−1]| = 2 (cyclically).  Read by generator, a
@@ -259,7 +275,12 @@ def find_flype_decompositions(w: BraidWord) -> list[FlypeData]:
     starts = [r0 for r0 in range(len(ls)) if abs(ls[r0]) == 1 and abs(ls[r0 - 1]) == 2]
     if len(starts) != 2:
         return []
-    return [f for r0 in starts if (f := _flype_at(w, r0))]
+    return [r0 for r0 in starts if _flype_at(w, r0)]
+
+
+def find_flype_decompositions(w: BraidWord) -> list[FlypeData]:
+    """All cyclic matches of a 3-braid word against the flype schema."""
+    return [_flype_at(w, r0) for r0 in _flype_rotations(w)]
 
 
 def match_flype_3braid(w: BraidWord) -> FlypeData | None:
@@ -593,7 +614,7 @@ def apply_move(w: BraidWord, kind: str, params: dict) -> BraidWord:
         site = Stabilization(1 if kind == "stab+" else -1)
     elif kind in ("destab+", "destab-"):
         g = BraidWord(w.n, json_ints(params, "conjugator", where))
-        site = _destab_at(conjugate(w, g), g, rotation())
+        site = _destab_at(w.n, conjugate(w, g).letters, g.letters, rotation())
     elif kind == "exchange":
         site = _exchange_at(w, rotation("p_len", "sign"))
     elif kind in ("flype+", "flype-"):

@@ -17,10 +17,11 @@ have the same super summit set, so a weak node's class is capped on every
 word, the target's included: a weak node reaches the target only through
 an equal summit element, and a capped class may be missed.
 
-Both the search and :func:`scramble` apply each move site they have just
-matched (``site.apply``) and encode only the moves they record
-(``site.move()``); :func:`moves.apply_move` re-matches a recorded site and
-is the replay path.
+One scan, :func:`_places`, finds where a word's move sites are; the search
+builds every site there, and :func:`scramble` only the one it draws.  Both
+apply each site they have just built (``site.apply``) and encode only the
+moves they record (``site.move()``); :func:`moves.apply_move` re-matches a
+recorded site and is the replay path.
 
 A ``found`` result carries a replayable :class:`MoveSequence`; an
 ``exhausted`` result means the bounded graph was used up, which is
@@ -33,16 +34,16 @@ import functools
 import random
 from dataclasses import dataclass
 
-from . import garside
+from . import garside, moves
 from .moves import (
     Conjugation,
     MoveSequence,
     MoveStep,
     Stabilization,
     apply_move,  # not called here: perfbench/tracing.py looks it up on this module
-    find_exchange_decompositions,
-    find_flype_decompositions,
-    try_destabilize,
+    find_exchange_decompositions,  # not called here, likewise
+    find_flype_decompositions,  # not called here, likewise
+    try_destabilize,  # not called here, likewise
 )
 from .transverse import TRANSVERSE_MOVE_KINDS
 from .words import BraidWord, ResourceLimitError, _word, free_reduce
@@ -99,30 +100,36 @@ def _class_key(w: BraidWord) -> tuple[str, bool]:
         return "nf:" + str(w.n) + ":" + garside._word_summit(w)[0].serialize(), True
 
 
-_STABILIZATIONS = (Stabilization(1), Stabilization(-1))
+_STABILIZATIONS = tuple((Stabilization(sign).kind, Stabilization, sign) for sign in (1, -1))
+
+
+def _places(w: BraidWord, bounds: SearchBounds) -> list[tuple]:
+    """Where w's move sites are, in site order: destabilization, exchanges,
+    flypes and the two stabilizations when there is room.  A place is
+    ``(kind, build, *args)``, and ``build(*args)`` is its site, built by the
+    schema's matcher.  The transverse move set keeps the kinds in
+    ``TRANSVERSE_MOVE_KINDS``; it holds no flype, so the flype finder is
+    not run for it."""
+    transverse = bounds.move_set == TRANSVERSE
+    places: list[tuple] = []
+    # a rotation r ends in letter r − 1, whose sign names the destab or flype kind
+    if (d := moves._destab_place(w)) is not None:
+        places.append(("destab+" if d[0][d[2] - 1] > 0 else "destab-", moves._destab_at, w.n, *d))
+    places += [("exchange", moves._exchange_at, w, r) for r in moves._exchange_rotations(w)]
+    if not transverse:
+        for r in moves._flype_rotations(w):
+            places.append(("flype+" if w.letters[r - 1] > 0 else "flype-", moves._flype_at, w, r))
+    if w.n < bounds.max_strands and len(w.letters) + 1 <= bounds.max_word_length:
+        places += _STABILIZATIONS
+    if transverse:
+        return [place for place in places if place[0] in TRANSVERSE_MOVE_KINDS]
+    return places
 
 
 def _sites(w: BraidWord, bounds: SearchBounds) -> list:
-    """Deterministically ordered move sites matched on w.
-
-    Destabilization, then exchanges, flypes and the two stabilizations when
-    there is room.  Each site names its ``kind``, gives its result with
-    ``site.apply(w)`` and its replayable params with ``site.move()``.  The
-    transverse move set keeps the kinds in ``TRANSVERSE_MOVE_KINDS``.  That
-    set holds no flype, so the flype finder is not run for it.
-    """
-    transverse = bounds.move_set == TRANSVERSE
-    sites = []
-    if w.n >= 2 and (d := try_destabilize(w)) is not None:
-        sites.append(d)
-    sites += find_exchange_decompositions(w)
-    if not transverse:
-        sites += find_flype_decompositions(w)
-    if w.n < bounds.max_strands and len(w.letters) + 1 <= bounds.max_word_length:
-        sites += _STABILIZATIONS
-    if transverse:
-        return [site for site in sites if site.kind in TRANSVERSE_MOVE_KINDS]
-    return sites
+    """Every move site of w in :func:`_places` order: each names its ``kind``,
+    gives its result by ``site.apply(w)`` and its params by ``site.move()``."""
+    return [build(*args) for _, build, *args in _places(w, bounds)]
 
 
 def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> SearchResult:
@@ -244,6 +251,7 @@ def scramble(
 ) -> tuple[BraidWord, MoveSequence]:
     """Apply k seeded random legal moves; returns the result and the ground truth.
 
+    A step draws one of the word's move places and builds only its site.
     Conjugation counts as a move here (it is one of the closed-braid moves),
     realized by a random permutation-braid conjugator, so a word above
     ``search.MAX_SIMPLE_STRANDS`` strands raises ``ResourceLimitError``.  A
@@ -261,15 +269,16 @@ def scramble(
     cur = w
     steps = []
     for _ in range(k):
-        options = _sites(cur, bounds)
+        places = _places(cur, bounds)
         simples = _simple_conjugator_words(cur.n)
         if simples:
-            options.append(Conjugation(rng.choice(simples)))
-        if not options:
+            places.append((Conjugation.kind, Conjugation, rng.choice(simples)))
+        if not places:
             raise ValueError(
                 f"no legal move on {cur.n} strand(s) with max_strands = {bounds.max_strands}"
             )
-        site = rng.choice(options)
+        _, build, *args = rng.choice(places)
+        site = build(*args)
         result = site.apply(cur)
         steps.append(MoveStep(*site.move(), result))
         cur = result

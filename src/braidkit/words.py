@@ -19,7 +19,8 @@ form :mod:`braidkit.garside` uses for its factors.
 letter.  Words built from outside input go through it (parsed text, JSON,
 replayed move parameters, template block words).  Words whose letters come
 from already valid words (the group operations here, the elementary moves,
-normal-form words, the search's reduced endpoints) are built by the private
+normal-form words, the search's reduced endpoints) or are drawn from the
+alphabet of n strands (:func:`random_word`) are built by the private
 :func:`_word`, which trusts its tuple and checks nothing.
 """
 
@@ -180,7 +181,7 @@ def random_word(rng, n: int, max_len: int) -> BraidWord:
         return BraidWord(n)
     length = rng.randint(0, max_len)
     alphabet = [i for i in range(1 - n, n) if i != 0]
-    return BraidWord(n, tuple(rng.choice(alphabet) for _ in range(length)))
+    return _word(n, tuple(rng.choice(alphabet) for _ in range(length)))
 
 
 def _require_same_strands(u: BraidWord, v: BraidWord) -> None:

@@ -7,9 +7,11 @@ search builds its table of permutation-braid conjugators level by level;
 :func:`simple_conjugator_words` builds it one permutation at a time.  The
 summit closure maps a member's conjugates over from its τ-twin's when the
 twin was expanded first, and may stop at a goal;
-:func:`plain_summit_closure` expands every member itself, to the end.  The flype
-finders try only the rotations where a σ₂ letter meets a σ₁ letter;
-:func:`flype_rotation_scan` tries every rotation.  The flype matcher reads
+:func:`plain_summit_closure` expands every member itself, to the end.  The
+move finders try only the rotations their place rule names (after the only
+σₙ₋₁ letter, after each of two opposite ones, where a σ₂ letter meets a σ₁
+letter); :func:`destab_rotation_scan`, :func:`exchange_rotation_scan` and
+:func:`flype_rotation_scan` try every rotation.  The flype matcher reads
 a word's runs; :func:`built_flype_sites` writes every short schema word
 from its exponents instead.  ``search.scramble`` builds only the site it
 draws; :func:`scramble_all_sites` builds every site of each step and then
@@ -103,6 +105,21 @@ def plain_summit_closure(start: garside.NormalForm) -> dict:
                     new_frontier.append(cand)
         frontier = new_frontier
     return members
+
+
+def destab_rotation_scan(w: BraidWord) -> list:
+    """Every destabilization of w, trying all rotations of its cyclic reduction."""
+    if w.n < 2:
+        return []
+    u, g = moves.cyclic_free_reduce(w)
+    return [
+        d for r in range(len(u.letters)) if (d := moves._destab_at(w.n, u.letters, g.letters, r))
+    ]
+
+
+def exchange_rotation_scan(w: BraidWord) -> list:
+    """Every exchange site of w, trying all L rotations."""
+    return [d for r in range(len(w.letters)) if (d := moves._exchange_at(w, r))]
 
 
 def flype_rotation_scan(w: BraidWord) -> list:

@@ -5,10 +5,24 @@ from dataclasses import asdict
 
 import pytest
 
-from oracles import scramble_all_sites, simple_conjugator_words
+from oracles import (
+    destab_rotation_scan,
+    exchange_rotation_scan,
+    flype_rotation_scan,
+    scramble_all_sites,
+    simple_conjugator_words,
+)
 from braidkit.garside import are_conjugate
 from braidkit import garside, search
-from braidkit.moves import Conjugation, apply_move, replay, sequence_to_json, stabilize
+from braidkit.moves import (
+    Conjugation,
+    apply_move,
+    find_exchange_decompositions,
+    replay,
+    sequence_to_json,
+    stabilize,
+    try_destabilize,
+)
 from braidkit.search import (
     TOPOLOGICAL,
     TRANSVERSE,
@@ -16,7 +30,7 @@ from braidkit.search import (
     connect,
     scramble,
 )
-from braidkit.transverse import self_linking
+from braidkit.transverse import TRANSVERSE_MOVE_KINDS, self_linking
 from braidkit.words import BraidWord, ResourceLimitError, parse_braid_word, random_word
 
 BOUNDS = SearchBounds(max_strands=5, max_word_length=24, max_nodes=10_000)
@@ -191,20 +205,49 @@ def test_simple_conjugator_words_match_the_bubble_sort_oracle():
         assert search._simple_conjugator_words(n) == simple_conjugator_words(n)
 
 
-def test_each_applied_site_gives_the_replayed_word():
-    """Replay (``apply_move``) re-matches a recorded site: an oracle for the
-    result the search and scramble take straight from the site."""
-    rng = random.Random(24)
+def _site_words(seed: int, count: int) -> list[BraidWord]:
+    """Two flype words, then seeded B1–B6 words, some stabilized and then
+    conjugated letter for letter (g⁻¹·w·σₙ^{±1}·g)."""
+    rng = random.Random(seed)
     words = [parse_braid_word(t, 3) for t in ("s1^5 s2^4 s1^6 s2^-1", "s1^-5 s2^-4 s1^-6 s2")]
-    for _ in range(300):
+    for _ in range(count):
         n = rng.randint(1, 6)
         w = random_word(rng, n, 10)
         if n < 6 and rng.random() < 0.4:
-            # stabilized, then conjugated letter for letter: g⁻¹·w·σₙ^{±1}·g
             w = stabilize(w, rng.choice((1, -1)))
             g = random_word(rng, w.n, 3)
             w = BraidWord(w.n, tuple(-x for x in reversed(g.letters)) + w.letters + g.letters)
         words.append(w)
+    return words
+
+
+def test_finders_and_sites_match_the_rotation_scans():
+    """The place rules against trying every rotation: each finder, and the
+    search's sites in order (destab, exchanges, flypes, stabilizations)."""
+    found = {"destab": 0, "exchange": 0, "flype": 0}
+    for w in _site_words(25, 600):
+        if w.n < 2:
+            continue
+        destabs, exchanges = destab_rotation_scan(w), exchange_rotation_scan(w)
+        assert len(destabs) <= 1 and try_destabilize(w) == next(iter(destabs), None), w
+        assert find_exchange_decompositions(w) == exchanges, w
+        flypes = flype_rotation_scan(w)
+        stabs = [("stab+", {}), ("stab-", {})] if w.n < 7 else []
+        topological = [site.move() for site in destabs + exchanges + flypes] + stabs
+        transverse = [move for move in topological if move[0] in TRANSVERSE_MOVE_KINDS]
+        for move_set, expected in ((TOPOLOGICAL, topological), (TRANSVERSE, transverse)):
+            sites = search._sites(w, SearchBounds(max_strands=7, move_set=move_set))
+            assert [site.move() for site in sites] == expected, (w, move_set)
+        found["destab"] += len(destabs)
+        found["exchange"] += len(exchanges)
+        found["flype"] += len(flypes)
+    assert min(found.values()) > 0, found
+
+
+def test_each_applied_site_gives_the_replayed_word():
+    """Replay (``apply_move``) re-matches a recorded site: an oracle for the
+    result the search and scramble take straight from the site."""
+    words = _site_words(24, 300)
     kinds, conjugated_destabs = set(), 0
     for w in words:
         for move_set in (TOPOLOGICAL, TRANSVERSE):
@@ -329,8 +372,6 @@ def test_target_past_the_strand_bound_is_named():
 
 
 def test_transverse_edges_are_the_transverse_kinds_of_all_edges():
-    from braidkit.transverse import TRANSVERSE_MOVE_KINDS
-
     rng = random.Random(21)
     words = [random_word(rng, rng.randint(2, 4), 12) for _ in range(300)]
     words.append(parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3))  # a flype word

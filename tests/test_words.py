@@ -298,6 +298,13 @@ class TestTrustedWords:
             assert type(w.letters) is tuple
             assert BraidWord(w.n, w.letters) == w
 
+    def test_random_words_revalidate(self):
+        rng = random.Random(17)
+        for _ in range(500):
+            w = random_word(rng, rng.randint(1, 8), 12)
+            assert type(w.letters) is tuple
+            assert BraidWord(w.n, w.letters) == w
+
 
 class TestOutsideInputIsValidated:
     """Words read from outside input are validated (parsed text: TestParse)."""
