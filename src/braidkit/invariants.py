@@ -18,7 +18,12 @@ template fuzzer:
   Temperley–Lieb quotient of the braid group: a transfer over the letters
   whose states are the at most min(Catalan(n), 2^L) non-crossing matchings
   of 2n points, so the work is polynomial in the word length, and bounded
-  by :data:`MAX_BRACKET_WORK` before any step is taken;
+  by :data:`MAX_BRACKET_WORK` before any step is taken.  Each state carries
+  its polynomial Kronecker-packed into one int (evaluated at A² = 2^K), so
+  a letter is a few shifts and adds per state; K is sized from a running
+  bound on the states' 1-norm, and when that bound nears 2^{K−1} the
+  states are read back to their digits and packed again at the width
+  their exact 1-norm needs (see :func:`_bracket_table`);
 * the Jones polynomial X = (−A³)^{−writhe}·⟨·⟩ with t = A⁻⁴, returned in
   the variable q = t^{1/2} (so q = A⁻²);
 * a seeded fuzzer asserting that both sides of a template close to links
@@ -34,14 +39,15 @@ import random
 from dataclasses import dataclass, field
 from math import comb
 
-from .laurent import LaurentPolynomial, PolyMatrix, table_determinant
+from .laurent import LaurentPolynomial, PolyMatrix, _pack, _read_digits, _width, table_determinant
 from .moves import instantiate_template, random_assignment
 from .transverse import InternalConsistencyError
 from .words import BraidWord, ResourceLimitError, closure_components, exponent_sum
 
 # Most work units min(Catalan(n), 2^L)·(L·(L+1) + n²) a bracket may take for
-# L letters on n strands: a 100-letter B8 word is 1.5·10⁷ units, 2.9 s with
-# Python 3.11 on a 2-CPU Xeon, and the empty B4000 word 1.6·10⁷, 1.3 s.
+# L letters on n strands: a 100-letter B8 word is 1.5·10⁷ units, 0.2–0.3 s
+# with Python 3.11 on a 2-CPU Xeon, and the empty B4000 word 1.6·10⁷, 0.1 s.
+# Words whose coefficients grow take longest: (σ₁σ₂⁻¹)⁹⁰⁰ on B3, 1.6·10⁷, 2.6 s.
 MAX_BRACKET_WORK = 20_000_000
 MAX_STATE_SUM_LETTERS = 24  # letters of the exhaustive 2^L test oracle
 # Most units d²·(d³ + L³), d = n − 1, of Alexander for L letters on n strands:
@@ -221,56 +227,87 @@ def bracket_coeff_table(w: BraidWord) -> tuple[dict[int, int], int]:
     return {e: c for e, c in coeffs.items() if c != 0}, 1 << L
 
 
-def _d_power(k: int) -> dict[int, int]:
-    """(−A² − A⁻²)^k as an A-exponent table."""
-    return {2 * k - 4 * j: (-1) ** k * comb(k, j) for j in range(k + 1)}
-
-
 def _bracket_table(w: BraidWord) -> dict[int, int]:
     """Kauffman bracket of the closure by a Temperley–Lieb transfer over the letters.
 
     Points 0 … n−1 are the top of the braid and n … 2n−1 the current bottom;
     a state is a non-crossing matching of them (``m[p]`` is the partner of
-    p) carrying an A-exponent table.  Each letter σᵢ^{±1} splits a state into
-    the identity smoothing, weight A^{±1}, and the cup-cap, weight A^{∓1},
-    which joins the partners of bottom points i and i+1 and matches those two
-    points with each other; if they were already matched a loop closes and
-    the table is multiplied by d = −A² − A⁻².  Equal matchings are merged.
-    The closure joins top j to bottom j; the tables summed by loop count l take d^{l−1}.
+    p).  Each letter σᵢ^{±1} splits a state into the identity smoothing,
+    weight A^{±1}, and the cup-cap, weight A^{∓1}, which joins the partners
+    of bottom points i and i+1 and matches those two points with each other;
+    if they were already matched a loop closes and the weight takes a factor
+    d = −A² − A⁻².  Equal matchings are merged.
+
+    A state carries one Python int instead of an exponent table: its
+    A-table times A^e, where e grows by 3 for each σᵢ and by 1 for each
+    σᵢ⁻¹ read so far, is a polynomial in X = A², and the int is its value
+    at X = 2^K (Kronecker substitution).  A letter then costs a shift or
+    two and an add per state: σᵢ multiplies the identity smoothing by X²
+    and the cup-cap by X, σᵢ⁻¹ the identity by 1 and the cup-cap by X, and
+    where a loop closes the cup-cap's −(X² + 1) lands on the identity's own
+    matching, which gets −1 or −X² in all.  The coefficients are the
+    balanced base-2^K digits of the int as long as each stays below
+    2^{K−1} in absolute value.
+
+    K is a whole number of bytes (:func:`braidkit.laurent._width`).
+    ``mass`` bounds the 1-norm summed over all states: it starts at 1 and
+    triples each letter, and the closure multiplies it by at most 2^{n−1}.
+    K is sized for mass·2^{n−1}·3^{min(letters left, 20)}.  Before a letter
+    that would take 3·mass·2^{n−1} to 2^{K−1}, every state is read back to
+    its digits (:func:`braidkit.laurent._read_digits`), ``mass`` becomes
+    their exact 1-norm, the low zero digits that all states share are
+    dropped into the exponent of digit 0, and the states are packed again
+    at the width the new bound needs.  So K follows the real coefficients,
+    far narrower than the worst case 3^L.
+
+    The closure joins top j to bottom j.  The states summed by loop count l
+    take d^{l−1}, as (−1)^{l−1}(X² + 1)^{l−1}X^{n−l}, packed from its
+    binomial coefficients, to keep every power of X whole; the digits of
+    the sum of the groups are read once.
     """
     n, L = w.n, len(w.letters)
     # At most min(Catalan(n), 2^L) states (Catalan(n) ≥ 2^(n−1) ≥ 2^L once
-    # n > L), each with a table of ≤ L + 1 exponents per letter; at the
+    # n > L), each with O(L) coefficients touched per letter; at the
     # closure each walks 2n points, and d^{l−1}, l ≤ n, is expanded per l.
     peak = min(1 << L, comb(2 * n, n) // (n + 1)) if n <= L else 1 << L
     if peak * (L * (L + 1) + n * n) > MAX_BRACKET_WORK:
         raise CrossingCapExceeded(
             f"bracket of {L} letters on {n} strands exceeds MAX_BRACKET_WORK = {MAX_BRACKET_WORK}"
         )
-    states = {tuple(range(n, 2 * n)) + tuple(range(n)): {0: 1}}
-    for x in w.letters:
+    spread = 1 << (n - 1)  # 1-norm of (X² + 1)^{l−1}X^{n−l}, l ≤ n
+    mass, low = 1, 0  # low: the A-exponent of digit 0
+    width = _width(mass * spread * 3 ** min(L, 20))
+    states = {tuple(range(n, 2 * n)) + tuple(range(n)): 1}
+    for i, x in enumerate(w.letters):
+        if 3 * mass * spread >> (8 * width - 1):
+            tables = {m: _read_digits(v, width) for m, v in states.items() if v}
+            mass = sum(sum(map(abs, digits)) for digits in tables.values())
+            width = _width(mass * spread * 3 ** min(L - i, 20))
+            drop = min(next(j for j, c in enumerate(d) if c) for d in tables.values())
+            low += 2 * drop
+            states = {m: _pack(digits[drop:], width) for m, digits in tables.items()}
+        mass *= 3
+        k = 8 * width
         p = n + abs(x) - 1
-        s = 1 if x > 0 else -1
-        nxt: dict[tuple[int, ...], dict[int, int]] = {}
-        for m, table in states.items():
-            a, b = m[p], m[p + 1]
+        # σᵢ: identity X², cup-cap X; σᵢ⁻¹: identity 1, cup-cap X.  Where a
+        # loop closes, the cup-cap's −(X² + 1) lands on the identity's state.
+        ident, closed = (2 * k, 0) if x > 0 else (0, 2 * k)
+        low -= 3 if x > 0 else 1
+        nxt: dict[tuple[int, ...], int] = {}
+        for m, v in states.items():
+            a = m[p]
             if a == p + 1:
-                cup = m
-                terms = [(e - s + t, -c) for e, c in table.items() for t in (2, -2)]
-            else:
-                joined = list(m)
-                joined[a], joined[b], joined[p], joined[p + 1] = b, a, p + 1, p
-                cup = tuple(joined)
-                terms = [(e - s, c) for e, c in table.items()]
-            out = nxt.setdefault(m, {})
-            for e, c in table.items():
-                out[e + s] = out.get(e + s, 0) + c
-            out = nxt.setdefault(cup, {})
-            for e, c in terms:
-                out[e] = out.get(e, 0) + c
+                nxt[m] = nxt.get(m, 0) - (v << closed)
+                continue
+            b = m[p + 1]
+            joined = list(m)
+            joined[a], joined[b], joined[p], joined[p + 1] = b, a, p + 1, p
+            cup = tuple(joined)
+            nxt[m] = nxt.get(m, 0) + (v << ident)
+            nxt[cup] = nxt.get(cup, 0) + (v << k)
         states = nxt
-    by_loops: dict[int, dict[int, int]] = {}
-    for m, table in states.items():
+    by_loops: dict[int, int] = {}
+    for m, v in states.items():
         seen = [False] * (2 * n)
         loops = 0
         for q in range(2 * n):
@@ -279,16 +316,18 @@ def _bracket_table(w: BraidWord) -> dict[int, int]:
                 while not seen[q]:
                     seen[q] = seen[m[q]] = True
                     q = (m[q] + n) % (2 * n)
-        group = by_loops.setdefault(loops, {})
-        for e, c in table.items():
-            group[e] = group.get(e, 0) + c
-    result: dict[int, int] = {}
-    for loops, table in by_loops.items():
-        closing = _d_power(loops - 1)
-        for e, c in table.items():
-            for f, k in closing.items():
-                result[e + f] = result.get(e + f, 0) + c * k
-    return {e: c for e, c in result.items() if c != 0}
+        by_loops[loops] = by_loops.get(loops, 0) + v
+    total = 0
+    for loops, v in by_loops.items():
+        closing = [0] * (2 * loops - 1)
+        c = 1
+        for j in range(loops):
+            closing[2 * j] = c
+            c = c * (loops - 1 - j) // (j + 1)
+        term = v * _pack([0] * (n - loops) + closing, width)
+        total += -term if loops % 2 == 0 else term
+    low -= 2 * (n - 1)  # each group took X^{n−1} more than d^{l−1}
+    return {low + 2 * j: c for j, c in enumerate(_read_digits(total, width)) if c}
 
 
 def kauffman_bracket(w: BraidWord) -> LaurentPolynomial:

@@ -9,6 +9,12 @@ Kauffman bracket / Jones polynomial are elements of ℤ[A, A⁻¹] and
 exponent → coefficient tables, evaluates them at t = 2^K as one integer
 determinant and reads its base-2^K digits back as coefficients.
 :meth:`PolyMatrix.determinant` adapts a matrix to it.
+
+Kronecker packing (a polynomial as its value at 2^K, K a whole number of
+bytes) serves both that determinant and the Kauffman bracket transfer of
+:mod:`braidkit.invariants`: :func:`_width` picks K for a coefficient
+bound, :func:`_pack` writes balanced digits into an int and
+:func:`_read_digits` reads them back, each in time linear in the digits.
 """
 
 from __future__ import annotations
@@ -141,20 +147,21 @@ def table_determinant(rows: Sequence[Sequence[dict[int, int]]]) -> dict[int, int
 
     One integer determinant by Kronecker substitution: rows are shifted to
     start at t⁰ and evaluated at t = 2^K; as ‖det‖₁ ≤ P = ∏ᵢ Σⱼ ‖mᵢⱼ‖₁,
-    K = P.bit_length() + 1 makes the coefficients the balanced base-2^K
-    digits of the integer determinant.  Bareiss finds it (divisions exact by
-    Sylvester's identity; a zero pivot row swaps with a later one, negated to
-    keep det); a zero row or pivot column gives 0.  The result has no zero
-    coefficient, its exponents ascending.
+    K = 8·_width(P) bits makes the coefficients the balanced base-2^K
+    digits of the integer determinant, which :func:`_read_digits` reads.
+    Bareiss finds it (divisions exact by Sylvester's identity; a zero pivot
+    row swaps with a later one, negated to keep det); a zero row or pivot
+    column gives 0.  The result has no zero coefficient, its exponents
+    ascending.
     """
     d = len(rows)
     if any(not any(row) for row in rows):
         return {}
     lows = [min(min(p) for p in row if p) for row in rows]
     bound = prod(sum(abs(c) for p in row for c in p.values()) for row in rows)
-    k_bits = bound.bit_length() + 1
+    width = _width(bound)
     a = [
-        [sum(c << (k_bits * (e - low)) for e, c in p.items()) for p in row]
+        [sum(c << (8 * width * (e - low)) for e, c in p.items()) for p in row]
         for row, low in zip(rows, lows)
     ]
     prev = 1
@@ -169,13 +176,44 @@ def table_determinant(rows: Sequence[Sequence[dict[int, int]]]) -> dict[int, int
                 a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     value = a[d - 1][d - 1] if d else 1
-    mask, half = (1 << k_bits) - 1, 1 << (k_bits - 1)
-    coeffs, e = {}, sum(lows)
-    while value:
-        value += half  # the balanced digit is the low K bits minus half
-        digit = (value & mask) - half
-        if digit:
-            coeffs[e] = digit
-        value >>= k_bits
-        e += 1
-    return coeffs
+    digits = _read_digits(value, width)
+    return {e: c for e, c in enumerate(digits, sum(lows)) if c}
+
+
+def _width(bound: int) -> int:
+    """The fewest bytes w with bound < 2^(8w − 1): balanced digits in w-byte
+    slots then hold every coefficient of absolute value at most bound."""
+    return bound.bit_length() // 8 + 1
+
+
+def _halves(width: int, count: int) -> int:
+    """Σⱼ 2^(8·width − 1)·2^(8·width·j) over j < count: half of every slot."""
+    return int.from_bytes((b"\0" * (width - 1) + b"\x80") * count, "little")
+
+
+def _pack(digits: Sequence[int], width: int) -> int:
+    """Σⱼ dⱼ·2^(8·width·j) for balanced digits |dⱼ| < 2^(8·width − 1), in linear time.
+
+    The digits are written in two's complement, one width-byte slot each;
+    flipping the top bit of every slot adds half a slot to each digit, and
+    the halves are taken off once, so no shift touches the whole integer.
+    """
+    raw = b"".join(d.to_bytes(width, "little", signed=True) for d in digits)
+    halves = _halves(width, len(digits))
+    return (int.from_bytes(raw, "little") ^ halves) - halves
+
+
+def _read_digits(value: int, width: int) -> list[int]:
+    """The balanced base-2^(8·width) digits of value, lowest first, in linear time.
+
+    The inverse of :func:`_pack` (either list may end in zero digits): half
+    a slot is added to every digit at once, the top bit of every slot is
+    flipped back, and each slot is read as a two's complement digit.
+    """
+    count = abs(value).bit_length() // (8 * width) + 1
+    halves = _halves(width, count)
+    raw = ((value + halves) ^ halves).to_bytes(width * count, "little")
+    return [
+        int.from_bytes(raw[i : i + width], "little", signed=True)
+        for i in range(0, len(raw), width)
+    ]

@@ -261,8 +261,8 @@ def _flype_at(w: BraidWord, r0: int) -> FlypeData | None:
     return FlypeData(r0, p, r, q, eps)
 
 
-def _flype_rotations(w: BraidWord) -> list[int]:
-    """The rotations where :func:`_flype_at` matches a 3-braid word, in O(L).
+def _flype_starts(w: BraidWord) -> list[int]:
+    """The rotations where :func:`_flype_at` may match a 3-braid word, in O(L).
 
     A match at rotation r starts with a σ₁ letter and ends with a σ₂ letter,
     so |w[r]| = 1 and |w[r−1]| = 2 (cyclically).  Read by generator, a
@@ -273,14 +273,17 @@ def _flype_rotations(w: BraidWord) -> list[int]:
         return []
     ls = w.letters
     starts = [r0 for r0 in range(len(ls)) if abs(ls[r0]) == 1 and abs(ls[r0 - 1]) == 2]
-    if len(starts) != 2:
-        return []
-    return [r0 for r0 in starts if _flype_at(w, r0)]
+    return starts if len(starts) == 2 else []
+
+
+def _flype_rotations(w: BraidWord) -> list[int]:
+    """The rotations where :func:`_flype_at` matches a 3-braid word."""
+    return [r0 for r0 in _flype_starts(w) if _flype_at(w, r0)]
 
 
 def find_flype_decompositions(w: BraidWord) -> list[FlypeData]:
     """All cyclic matches of a 3-braid word against the flype schema."""
-    return [_flype_at(w, r0) for r0 in _flype_rotations(w)]
+    return [f for r0 in _flype_starts(w) if (f := _flype_at(w, r0))]
 
 
 def match_flype_3braid(w: BraidWord) -> FlypeData | None:

@@ -15,11 +15,14 @@ letter); :func:`destab_rotation_scan`, :func:`exchange_rotation_scan` and
 a word's runs; :func:`built_flype_sites` writes every short schema word
 from its exponents instead.  ``search.scramble`` builds only the site it
 draws; :func:`scramble_all_sites` builds every site of each step and then
-draws one of them.
+draws one of them.  The bracket transfer carries each state as one
+Kronecker-packed int; :func:`dict_transfer_bracket` carries an exponent →
+coefficient table instead.
 """
 
 import itertools
 import random
+from math import comb
 
 from braidkit import garside, moves, search
 from braidkit.laurent import LaurentPolynomial, PolyMatrix
@@ -169,3 +172,55 @@ def scramble_all_sites(w, k, seed, move_set=search.TOPOLOGICAL, max_strands=None
         steps.append(moves.MoveStep(*site.move(), result))
         cur = result
     return cur, moves.MoveSequence(w, tuple(steps))
+
+
+def dict_transfer_bracket(w: BraidWord) -> dict[int, int]:
+    """The Kauffman bracket of w's closure as an A-exponent table, by the
+    Temperley–Lieb transfer with an exponent → coefficient table per state:
+    each letter σᵢ^{±1} adds A^{±1} to the identity smoothing and A^{∓1} to
+    the cup-cap, times d = −A² − A⁻² where a loop closes; the closure sums
+    the tables by loop count l and expands d^{l−1} once per l.  No bound."""
+    n = w.n
+    states = {tuple(range(n, 2 * n)) + tuple(range(n)): {0: 1}}
+    for x in w.letters:
+        p = n + abs(x) - 1
+        s = 1 if x > 0 else -1
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        for m, table in states.items():
+            a, b = m[p], m[p + 1]
+            if a == p + 1:
+                cup = m
+                terms = [(e - s + t, -c) for e, c in table.items() for t in (2, -2)]
+            else:
+                joined = list(m)
+                joined[a], joined[b], joined[p], joined[p + 1] = b, a, p + 1, p
+                cup = tuple(joined)
+                terms = [(e - s, c) for e, c in table.items()]
+            out = nxt.setdefault(m, {})
+            for e, c in table.items():
+                out[e + s] = out.get(e + s, 0) + c
+            out = nxt.setdefault(cup, {})
+            for e, c in terms:
+                out[e] = out.get(e, 0) + c
+        states = nxt
+    by_loops: dict[int, dict[int, int]] = {}
+    for m, table in states.items():
+        seen = [False] * (2 * n)
+        loops = 0
+        for q in range(2 * n):
+            if not seen[q]:
+                loops += 1
+                while not seen[q]:
+                    seen[q] = seen[m[q]] = True
+                    q = (m[q] + n) % (2 * n)
+        group = by_loops.setdefault(loops, {})
+        for e, c in table.items():
+            group[e] = group.get(e, 0) + c
+    result: dict[int, int] = {}
+    for loops, table in by_loops.items():
+        k = loops - 1  # d^k = Σⱼ (−1)^k·C(k, j)·A^(2k − 4j)
+        closing = {2 * k - 4 * j: (-1) ** k * comb(k, j) for j in range(k + 1)}
+        for e, c in table.items():
+            for f, coeff in closing.items():
+                result[e + f] = result.get(e + f, 0) + c * coeff
+    return {e: c for e, c in result.items() if c != 0}

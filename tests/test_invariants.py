@@ -32,7 +32,13 @@ from braidkit.words import (
     rotate,
 )
 
-from oracles import cofactor_determinant, identity, matrix_mul, matrix_sub
+from oracles import (
+    cofactor_determinant,
+    dict_transfer_bracket,
+    identity,
+    matrix_mul,
+    matrix_sub,
+)
 
 TX_PLUS = parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3)
 TX_MINUS = parse_braid_word("s1^5 s2^-1 s1^6 s2^4", 3)
@@ -372,6 +378,60 @@ class TestBracketJones:
         for w in cases:
             table, _ = bracket_coeff_table(w)
             assert kauffman_bracket(w).as_dict() == table, w
+
+    # seeded long words per strand count, as long as the dict transfer
+    # finishes them in well under a second
+    LONG_WORD_LETTERS = {2: 300, 3: 300, 4: 150, 5: 70, 6: 45, 7: 35, 8: 30}
+
+    def test_packed_transfer_matches_dict_transfer(self, monkeypatch):
+        # B2–B8 words of 25–300 letters, positive ones, and the alternating
+        # (σ₁σ₂⁻¹)^k, whose coefficients grow past 8-byte digits
+        rng = random.Random(48)
+        cases = [BraidWord(3, (1, -2) * k) for k in (13, 40, 150)]
+        cases.append(BraidWord(4, (1, -2, 3) * 50))
+        for n, most in self.LONG_WORD_LETTERS.items():
+            alphabet = [i for i in range(1 - n, n) if i != 0]
+            for _ in range(4):
+                length = rng.randint(25, most)
+                cases.append(BraidWord(n, tuple(rng.choice(alphabet) for _ in range(length))))
+            length = rng.randint(25, most)
+            cases.append(BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(length))))
+        expected = [dict_transfer_bracket(w) for w in cases]
+        joneses = [jones_polynomial(w) for w in cases]
+        for w, table in zip(cases, expected):
+            assert kauffman_bracket(w).as_dict() == table, w
+        monkeypatch.setattr(invariants, "_bracket_table", dict_transfer_bracket)
+        assert [jones_polynomial(w) for w in cases] == joneses
+
+    def test_empty_words_match_dict_transfer(self):
+        # the n-component unlinks: one state, n loops, no letter
+        for n in range(1, 301):
+            w = BraidWord(n)
+            assert kauffman_bracket(w).as_dict() == dict_transfer_bracket(w), n
+
+    def test_long_words_repack(self, monkeypatch):
+        # each re-pack reads every state back, then packs them again; the
+        # closure packs each loop group, then reads the sum once
+        calls = []
+        read, pack = invariants._read_digits, invariants._pack
+        monkeypatch.setattr(
+            invariants, "_read_digits", lambda v, width: calls.append("read") or read(v, width)
+        )
+        monkeypatch.setattr(
+            invariants, "_pack", lambda digits, width: calls.append("pack") or pack(digits, width)
+        )
+        rng = random.Random(49)
+        for w in (
+            BraidWord(3, (1, -2) * 30),
+            BraidWord(3, tuple(rng.choice((1, 2, -1, -2)) for _ in range(80))),
+            BraidWord(3, (1, 2) * 40),
+        ):
+            calls.clear()
+            table = kauffman_bracket(w).as_dict()
+            assert calls[-1] == "read"
+            repacks = sum(1 for a, b in zip(calls, calls[1:]) if (a, b) == ("read", "pack"))
+            assert repacks >= 2, (w, calls)
+            assert table == dict_transfer_bracket(w)
 
 
 def _eval_at_minus_one(p):

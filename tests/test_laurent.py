@@ -4,6 +4,7 @@ import random
 import pytest
 
 from braidkit.invariants import burau_reduced
+from braidkit import laurent
 from braidkit.laurent import LaurentPolynomial, PolyMatrix
 from braidkit.words import BraidWord, random_word
 
@@ -89,6 +90,33 @@ class TestText:
     def test_json_rejects_non_integer_terms(self, obj):
         with pytest.raises(ValueError, match="'terms'"):
             LaurentPolynomial.from_json(obj)
+
+
+class TestKroneckerPacking:
+    def test_width_holds_the_bound(self):
+        # the fewest bytes w with bound < 2^(8w − 1)
+        for bits in range(0, 200):
+            for bound in ((1 << bits) - 1, 1 << bits):
+                w = laurent._width(bound)
+                assert bound < 1 << (8 * w - 1)
+                assert w == 1 or bound >= 1 << (8 * w - 9)
+
+    def test_read_inverts_pack(self):
+        # balanced digits of every slot width, the extreme ones and a
+        # negative top digit included; either list may end in zero digits
+        rng = random.Random(39)
+        for width in range(1, 21):
+            top = (1 << (8 * width - 1)) - 1
+            for _ in range(40):
+                digits = [
+                    rng.choice((rng.randint(-top, top), top, -top, 0))
+                    for _ in range(rng.randint(0, 30))
+                ]
+                value = laurent._pack(digits, width)
+                assert value == sum(d << (8 * width * j) for j, d in enumerate(digits))
+                read = laurent._read_digits(value, width)
+                size = max(len(read), len(digits))
+                assert read + [0] * (size - len(read)) == digits + [0] * (size - len(digits))
 
 
 class TestPolyMatrix:
