@@ -10,10 +10,14 @@ template fuzzer:
   polynomial of the closure via det(ψ(w) − I) / (1 + t + ⋯ + t^{n−1}),
   bounded by :data:`MAX_ALEXANDER_WORK` before any step (a word missing
   some σᵢ closes to a split link and gives 0 at once).  Both build the
-  Burau image as exponent → coefficient tables, one column update per
-  letter; Alexander hands those tables, less 1 on the diagonal, straight
-  to the integer determinant :func:`braidkit.laurent.table_determinant`,
-  and only :func:`burau_reduced` wraps them in a matrix;
+  Burau image one column update per letter, each entry Kronecker-packed
+  into one int (evaluated at t = 2^K, K fixed before the product from a
+  bound on the coefficients), so a letter is a few shifts and adds per
+  row; the entries are read back once into exponent → coefficient tables
+  (see :func:`_burau_columns`).  Alexander hands those tables, less 1 on
+  the diagonal, straight to the integer determinant
+  :func:`braidkit.laurent.table_determinant`, and only
+  :func:`burau_reduced` wraps them in a matrix;
 * the Kauffman bracket by Kauffman's state model carried through the
   Temperley–Lieb quotient of the braid group: a transfer over the letters
   whose states are the at most min(Catalan(n), 2^L) non-crossing matchings
@@ -70,8 +74,20 @@ def _burau_columns(w: BraidWord) -> list[list[dict[int, int]]]:
     Right multiplication by the image of σᵢ^{±1} changes only column
     j = i − 1, so each letter is one column update: σᵢ gives
     t·col(j−1) − t·col(j) + col(j+1), σᵢ⁻¹ gives col(j−1) − t⁻¹·col(j) +
-    t⁻¹·col(j+1), a missing column counting as zero.  Every table is a new
-    dict, so the caller may change them.  Past :data:`MAX_ALEXANDER_WORK` it
+    t⁻¹·col(j+1), a missing column counting as zero.
+
+    Each entry is one int, its polynomial evaluated at t = 2^K (Kronecker
+    substitution), and column c is t^{off[c]} times its d ints.  A letter
+    takes the smallest of the three terms' exponents as the new column's
+    offset and shifts each term up to it, so the update is three shifts
+    and two adds per row, and σᵢ⁻¹ needs no negative shift.  K is fixed
+    before the product: if every entry of column c has 1-norm at most
+    b[c], the update gives the new column's entries 1-norm at most
+    b[j−1] + b[j] + b[j+1], so b starts at 1 and follows the letters, and
+    K = 8·:func:`braidkit.laurent._width` (max b) holds every coefficient
+    as a balanced base-2^K digit.  The entries are read back once
+    (:func:`braidkit.laurent._read_digits`).  Every table is a new dict,
+    so the caller may change them.  Past :data:`MAX_ALEXANDER_WORK` it
     raises :class:`AlexanderCapExceeded` before any table.
     """
     d, L = w.n - 1, len(w.letters)
@@ -79,25 +95,33 @@ def _burau_columns(w: BraidWord) -> list[list[dict[int, int]]]:
         raise AlexanderCapExceeded(
             f"Alexander of {L} letters on {w.n} strands exceeds MAX_ALEXANDER_WORK = {MAX_ALEXANDER_WORK}"
         )
-    cols = [[{0: 1} if r == c else {} for r in range(d)] for c in range(d)]
-    zero = [{}] * d
+    # Column c sits at index c + 1; the zero columns at 0 and d + 1 stand
+    # for the missing ones, their offset above any a letter can give.
+    bound = [0] + [1] * d + [0]
     for x in w.letters:
-        j = abs(x) - 1
-        left, mid, right = (1, 1, 0) if x > 0 else (0, -1, -1)  # t-powers
-        terms = (
-            (cols[j - 1] if j > 0 else zero, left, 1),
-            (cols[j], mid, -1),
-            (cols[j + 1] if j < d - 1 else zero, right, 1),
-        )
-        new = []
-        for r in range(d):
-            entry: dict[int, int] = {}
-            for col, shift, sign in terms:
-                for e, c in col[r].items():
-                    entry[e + shift] = entry.get(e + shift, 0) + sign * c
-            new.append({e: c for e, c in entry.items() if c})
-        cols[j] = new
-    return cols
+        i = abs(x)
+        bound[i] += bound[i - 1] + bound[i + 1]
+    width = _width(max(bound))
+    k = 8 * width
+    zero = [0] * d
+    cols = [zero] + [[int(r == c) for r in range(d)] for c in range(d)] + [zero]
+    off = [L + 1] + [0] * d + [L + 1]
+    for x in w.letters:
+        i = abs(x)
+        if x > 0:
+            left, mid, right = off[i - 1] + 1, off[i] + 1, off[i + 1]
+        else:
+            left, mid, right = off[i - 1], off[i] - 1, off[i + 1] - 1
+        low = left if left < mid else mid
+        if right < low:
+            low = right
+        sl, sm, sr = k * (left - low), k * (mid - low), k * (right - low)
+        cols[i] = [(a << sl) - (b << sm) + (c << sr) for a, b, c in zip(cols[i - 1], cols[i], cols[i + 1])]
+        off[i] = low
+    return [
+        [{e: c for e, c in enumerate(_read_digits(v, width), off[i]) if c} if v else {} for v in cols[i]]
+        for i in range(1, d + 1)
+    ]
 
 
 def burau_reduced(w: BraidWord) -> PolyMatrix:

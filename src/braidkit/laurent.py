@@ -11,10 +11,11 @@ determinant and reads its base-2^K digits back as coefficients.
 :meth:`PolyMatrix.determinant` adapts a matrix to it.
 
 Kronecker packing (a polynomial as its value at 2^K, K a whole number of
-bytes) serves both that determinant and the Kauffman bracket transfer of
-:mod:`braidkit.invariants`: :func:`_width` picks K for a coefficient
-bound, :func:`_pack` writes balanced digits into an int and
-:func:`_read_digits` reads them back, each in time linear in the digits.
+bytes) serves that determinant and two transfers of
+:mod:`braidkit.invariants`, the Burau product and the Kauffman bracket:
+:func:`_width` picks K for a coefficient bound, :func:`_pack` writes
+balanced digits into an int and :func:`_read_digits` reads them back,
+each in time linear in the digits.
 """
 
 from __future__ import annotations

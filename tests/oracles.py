@@ -17,7 +17,8 @@ from its exponents instead.  ``search.scramble`` builds only the site it
 draws; :func:`scramble_all_sites` builds every site of each step and then
 draws one of them.  The bracket transfer carries each state as one
 Kronecker-packed int; :func:`dict_transfer_bracket` carries an exponent →
-coefficient table instead.
+coefficient table instead.  The Burau product carries each entry as one
+Kronecker-packed int; :func:`dict_burau_columns` carries a table instead.
 """
 
 import itertools
@@ -224,3 +225,30 @@ def dict_transfer_bracket(w: BraidWord) -> dict[int, int]:
             for f, coeff in closing.items():
                 result[e + f] = result.get(e + f, 0) + c * coeff
     return {e: c for e, c in result.items() if c != 0}
+
+
+def dict_burau_columns(w: BraidWord) -> list[list[dict[int, int]]]:
+    """Columns of the reduced Burau image of w as exponent → coefficient
+    tables, one column update per letter: σᵢ sets column j = i − 1 to
+    t·col(j−1) − t·col(j) + col(j+1), σᵢ⁻¹ to col(j−1) − t⁻¹·col(j) +
+    t⁻¹·col(j+1), a missing column counting as zero.  No bound."""
+    d = w.n - 1
+    cols = [[{0: 1} if r == c else {} for r in range(d)] for c in range(d)]
+    zero = [{}] * d
+    for x in w.letters:
+        j = abs(x) - 1
+        left, mid, right = (1, 1, 0) if x > 0 else (0, -1, -1)  # t-powers
+        terms = (
+            (cols[j - 1] if j > 0 else zero, left, 1),
+            (cols[j], mid, -1),
+            (cols[j + 1] if j < d - 1 else zero, right, 1),
+        )
+        new = []
+        for r in range(d):
+            entry: dict[int, int] = {}
+            for col, shift, sign in terms:
+                for e, c in col[r].items():
+                    entry[e + shift] = entry.get(e + shift, 0) + sign * c
+            new.append({e: c for e, c in entry.items() if c})
+        cols[j] = new
+    return cols

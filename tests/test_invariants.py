@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -17,7 +19,7 @@ from braidkit.invariants import (
     kauffman_bracket,
     template_soundness_check,
 )
-from braidkit.laurent import LaurentPolynomial, PolyMatrix
+from braidkit.laurent import LaurentPolynomial, PolyMatrix, _width
 from braidkit.moves import builtin_templates, flype_template, stabilize
 from braidkit.transverse import InternalConsistencyError
 from braidkit.words import (
@@ -34,6 +36,7 @@ from braidkit.words import (
 
 from oracles import (
     cofactor_determinant,
+    dict_burau_columns,
     dict_transfer_bracket,
     identity,
     matrix_mul,
@@ -42,6 +45,9 @@ from oracles import (
 
 TX_PLUS = parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3)
 TX_MINUS = parse_braid_word("s1^5 s2^-1 s1^6 s2^4", 3)
+# sha256 of alexander_with_flag (terms and flag) over 1 000 words of
+# random_word(rng, rng.randint(1, 16), 80), rng = random.Random(26)
+ALEXANDER_SHA256 = "327df4723ac08066434dc38903bde83bf7cc3de9d21cf684b7712bdd76464c88"
 
 
 class Untouched(tuple):
@@ -111,6 +117,40 @@ class TestBurau:
                 dense = matrix_mul(dense, letter(n, x))
             assert burau_reduced(w) == dense, w
         assert signs == {True, False}
+
+    def test_packed_columns_match_dict_columns(self, monkeypatch):
+        # Oracle: the same column updates on exponent → coefficient tables.
+        # Every entry of column c has 1-norm at most b[c], where b starts at
+        # 1 and each letter sets b[j] to b[j−1] + b[j] + b[j+1]; K is sized
+        # for the largest b.
+        widths = []
+        monkeypatch.setattr(invariants, "_width", lambda bound: widths.append(bound) or _width(bound))
+        rng = random.Random(44)
+        corpus = [random_word(rng, rng.randint(1, 12), 80) for _ in range(300)]
+        trivial = []  # words that cancel to the identity
+        for n in range(2, 9):
+            pos = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(1, 60)))
+            corpus += [BraidWord(n, pos), BraidWord(n, tuple(-x for x in pos))]
+            w = random_word(rng, n, 30)
+            i = rng.randint(1, n - 1)
+            trivial.append(BraidWord(n, w.letters + tuple(-x for x in reversed(w.letters))))
+            trivial.append(BraidWord(n, (i, -i) * 20 + (-i, i) * 20))
+        wide_bound = BraidWord(3, (1, -2) * 60)
+        for w in corpus + trivial + [wide_bound]:
+            d = w.n - 1
+            b = [0] + [1] * d + [0]
+            for x in w.letters:
+                b[abs(x)] += b[abs(x) - 1] + b[abs(x) + 1]
+            widths.clear()
+            cols = invariants._burau_columns(w)
+            assert cols == dict_burau_columns(w), w
+            assert widths == [max(b)], w
+            for c, col in enumerate(cols):
+                assert all(sum(map(abs, entry.values())) <= b[c + 1] for entry in col), w
+            if w in trivial:
+                assert cols == [[{0: 1} if r == c else {} for r in range(d)] for c in range(d)]
+            if w == wide_bound:
+                assert _width(max(b)) > 8
 
 
 class TestAlexander:
@@ -202,6 +242,14 @@ class TestAlexander:
             burau_reduced(wide)
         with pytest.raises(AlexanderCapExceeded, match="MAX_ALEXANDER_WORK"):
             alexander_polynomial(BraidWord(1000, tuple(range(1, 1000))))
+
+    def test_pinned_digest(self):
+        rng = random.Random(26)
+        digest = hashlib.sha256()
+        for _ in range(1000):
+            res = alexander_with_flag(random_word(rng, rng.randint(1, 16), 80))
+            digest.update(json.dumps([res.polynomial.terms, res.normalized]).encode())
+        assert digest.hexdigest() == ALEXANDER_SHA256
 
     def test_split_link_vanishes(self):
         res = alexander_with_flag(BraidWord(2))
