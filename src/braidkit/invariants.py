@@ -55,8 +55,9 @@ from .words import BraidWord, ResourceLimitError, closure_components, exponent_s
 MAX_BRACKET_WORK = 20_000_000
 MAX_STATE_SUM_LETTERS = 24  # letters of the exhaustive 2^L test oracle
 # Most units d²·(d³ + L³), d = n − 1, of Alexander for L letters on n strands:
-# B80 s1 … s79 is 6.2·10⁹ (0.3–0.4 s), 300 positive letters on B20 9.8·10⁹
-# (11–12 s), with Python 3.11 on a 2-CPU Xeon.
+# B80 s1 … s79 is 6.2·10⁹ (0.35–0.4 s), 300 positive letters on B20 9.8·10⁹
+# (10–12 s), with Python 3.11 on a 2-CPU Xeon.  The determinant takes nearly
+# all of it: the packed Burau product of either word takes about 0.01 s.
 MAX_ALEXANDER_WORK = 10_000_000_000
 
 
@@ -96,7 +97,8 @@ def _burau_columns(w: BraidWord) -> list[list[dict[int, int]]]:
             f"Alexander of {L} letters on {w.n} strands exceeds MAX_ALEXANDER_WORK = {MAX_ALEXANDER_WORK}"
         )
     # Column c sits at index c + 1; the zero columns at 0 and d + 1 stand
-    # for the missing ones, their offset above any a letter can give.
+    # for the missing ones.  Their offset L + 1 puts their term at or above
+    # the middle one, so no shift is negative.
     bound = [0] + [1] * d + [0]
     for x in w.letters:
         i = abs(x)
@@ -112,11 +114,13 @@ def _burau_columns(w: BraidWord) -> list[list[dict[int, int]]]:
             left, mid, right = off[i - 1] + 1, off[i] + 1, off[i + 1]
         else:
             left, mid, right = off[i - 1], off[i] - 1, off[i + 1] - 1
-        low = left if left < mid else mid
+        low = left if left < mid else mid  # min() costs 8% more on short B2–B3 words
         if right < low:
             low = right
         sl, sm, sr = k * (left - low), k * (mid - low), k * (right - low)
-        cols[i] = [(a << sl) - (b << sm) + (c << sr) for a, b, c in zip(cols[i - 1], cols[i], cols[i + 1])]
+        cols[i] = [
+            (a << sl) - (b << sm) + (c << sr) for a, b, c in zip(cols[i - 1], cols[i], cols[i + 1])
+        ]
         off[i] = low
     return [
         [{e: c for e, c in enumerate(_read_digits(v, width), off[i]) if c} if v else {} for v in cols[i]]
