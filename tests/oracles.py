@@ -15,7 +15,9 @@ letter); :func:`destab_rotation_scan`, :func:`exchange_rotation_scan` and
 a word's runs; :func:`built_flype_sites` writes every short schema word
 from its exponents instead.  ``search.scramble`` builds only the site it
 draws; :func:`scramble_all_sites` builds every site of each step and then
-draws one of them.  The bracket transfer carries each state as one
+draws one of them.  ``search.connect`` closes a super summit set only when
+a cheaper test cannot tell two nodes apart; :func:`eager_connect` keys
+every node by its super summit set.  The bracket transfer carries each state as one
 Kronecker-packed int; :func:`dict_transfer_bracket` carries an exponent →
 coefficient table instead.  The Burau product carries each entry as one
 Kronecker-packed int; :func:`dict_burau_columns` carries a table instead.
@@ -27,7 +29,7 @@ from math import comb
 
 from braidkit import garside, moves, search
 from braidkit.laurent import LaurentPolynomial, PolyMatrix
-from braidkit.words import BraidWord
+from braidkit.words import BraidWord, free_reduce
 
 
 def poly_mul(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
@@ -173,6 +175,79 @@ def scramble_all_sites(w, k, seed, move_set=search.TOPOLOGICAL, max_strands=None
         steps.append(moves.MoveStep(*site.move(), result))
         cur = result
     return cur, moves.MoveSequence(w, tuple(steps))
+
+
+def eager_connect(source: BraidWord, target: BraidWord, bounds: search.SearchBounds):
+    """``search.connect`` keying every node by its class key
+    (``search._class_key``): its super summit set, or past the cap the weak
+    ``"nf:"`` key of its summit element, sorting siblings by key text."""
+    source = BraidWord(source.n, free_reduce(source.letters))
+    target = BraidWord(target.n, free_reduce(target.letters))
+    for w, name in ((source, "source"), (target, "target")):
+        if w.n > bounds.max_strands:
+            raise ValueError(
+                f"{name} word has {w.n} strands, more than max_strands = {bounds.max_strands}"
+            )
+        if (k := len(w.letters)) > bounds.max_word_length:
+            raise ValueError(
+                f"{name} word has {k} letter{'s' * (k != 1)}, "
+                f"more than max_word_length = {bounds.max_word_length}"
+            )
+
+    target_key, target_weak = search._class_key(target)
+    src_key, src_weak = search._class_key(source)
+    weak_keys = int(src_weak) + int(target_weak)
+    dedup_hits = 0
+    nodes_expanded = 0
+    frontier_peak = 1
+    # parents[key] = (parent key, MoveStep) for path reconstruction
+    parents: dict[str, tuple[str | None, moves.MoveStep | None]] = {src_key: (None, None)}
+
+    def done(outcome: str, key: str | None = None) -> search.SearchResult:
+        stats = search.SearchStats(nodes_expanded, frontier_peak, dedup_hits, weak_keys)
+        if key is None:
+            return search.SearchResult(outcome, stats)
+        steps = []
+        parent, step = parents[key]
+        while parent is not None:
+            steps.append(step)
+            parent, step = parents[parent]
+        return search.SearchResult(
+            outcome, stats, moves.MoveSequence(source, tuple(reversed(steps)))
+        )
+
+    if src_key == target_key:
+        return done("found", src_key)
+
+    frontier = [(src_key, source)]
+    while frontier:
+        frontier_peak = max(frontier_peak, len(frontier))
+        next_frontier: list[tuple[str, BraidWord]] = []
+        for key, w in frontier:
+            nodes_expanded += 1
+            neighbors = []
+            for site in search._sites(w, bounds):
+                result = site.apply(w)
+                if len(result.letters) > bounds.max_word_length:
+                    continue
+                nkey, weak = search._class_key(result)
+                if nkey in parents:
+                    dedup_hits += 1
+                    continue
+                weak_keys += int(weak)
+                neighbors.append((nkey, moves.MoveStep(*site.move(), result)))
+            for nkey, step in sorted(neighbors, key=lambda kv: kv[0]):
+                if nkey in parents:
+                    dedup_hits += 1
+                    continue
+                parents[nkey] = (key, step)
+                if nkey == target_key:
+                    return done("found", nkey)
+                if len(parents) >= bounds.max_nodes:
+                    return done("exhausted")
+                next_frontier.append((nkey, step.result))
+        frontier = next_frontier
+    return done("exhausted")
 
 
 def dict_transfer_bracket(w: BraidWord) -> dict[int, int]:

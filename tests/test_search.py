@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     destab_rotation_scan,
+    eager_connect,
     exchange_rotation_scan,
     flype_rotation_scan,
     scramble_all_sites,
@@ -114,6 +115,92 @@ class TestConnect:
             assert r.found
             final = replay(r.sequence)
             assert are_conjugate(final, w)
+
+
+
+def _connect_corpus(seed: int, count: int) -> list[tuple]:
+    """(source, target, bounds) triples on both move sets: half as the
+    roundtrip benchmark's ops (a B2–B3 word of at most 6 letters, scrambled
+    by 0–3 moves within 4 strands, searched back to it), half seeded B1–B5
+    word pairs under log-uniform max_nodes from 5 to 2 000."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        move_set = rng.choice((TOPOLOGICAL, TRANSVERSE))
+        if rng.random() < 0.5:
+            w = random_word(rng, rng.randint(2, 3), 6)
+            src, _ = scramble(w, rng.randint(0, 3), rng.randrange(1 << 30), move_set, max_strands=4)
+            if len(src.letters) > 24:
+                src = w
+            out.append((src, w, SearchBounds(4, 24, 10_000, move_set)))
+        else:
+            n = rng.randint(1, 5)
+            u, v = random_word(rng, n, 8), random_word(rng, n, 8)
+            max_nodes = round(5 * 400 ** rng.random())
+            out.append((u, v, SearchBounds(rng.randint(n, 5), rng.randint(8, 16), max_nodes, move_set)))
+    return out
+
+
+class TestLazyKeys:
+    """``connect`` keys a class only when a cheaper test cannot separate two
+    nodes; ``eager_connect`` keys every node."""
+
+    def test_same_results_as_eager_connect(self, monkeypatch):
+        """Outcome, stats and sequence, each search from an empty key cache;
+        and from that cache, no more members closed than the eager search."""
+        cache: dict = {}
+        monkeypatch.setattr(garside, "_key_cache", cache)
+        outcomes = set()
+        for args in _connect_corpus(27, 400):
+            cache.clear()
+            lazy = connect(*args)
+            lazy_members = len(cache)
+            cache.clear()
+            eager = eager_connect(*args)
+            assert lazy == eager, args
+            assert lazy_members <= len(cache), args
+            outcomes.add((lazy.outcome, args[2].move_set, args[2].max_nodes < 30))
+        assert len(outcomes) == 8, outcomes
+
+    def test_cold_and_warm_key_cache_agree(self, monkeypatch):
+        """A cache holding every class the eager search met changes nothing."""
+        cache: dict = {}
+        monkeypatch.setattr(garside, "_key_cache", cache)
+        for args in _connect_corpus(28, 150):
+            cache.clear()
+            cold = connect(*args)
+            eager_connect(*args)
+            assert connect(*args) == cold, args
+
+    @pytest.mark.parametrize("max_strands", [4, 5])
+    def test_flype_pair_search_closes_only_its_ends(self, monkeypatch, max_strands):
+        """verify-paper's check (i) closes the two B3 classes, 56 members, and
+        no class of the 4- or 5-strand nodes it reaches."""
+        cache: dict = {}
+        monkeypatch.setattr(garside, "_key_cache", cache)
+        tx_plus = parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3)
+        tx_minus = parse_braid_word("s1^5 s2^-1 s1^6 s2^4", 3)
+        r = connect(tx_plus, tx_minus, SearchBounds(max_strands, 24, 100_000, TRANSVERSE))
+        assert r.outcome == "exhausted" and r.stats.weak_keys == 0
+        assert r.stats.nodes_expanded == max_strands - 2
+        assert len(cache) == 56
+        assert set(cache.values()) == {
+            garside.super_summit_set(tx_plus), garside.super_summit_set(tx_minus)
+        }
+
+    def test_capped_found_sequences_replay_into_the_target_class(self, monkeypatch):
+        monkeypatch.setattr(garside, "_key_cache", {})
+        monkeypatch.setattr(garside, "MAX_SUMMIT_SET", 2)
+        found = []
+        weak = 0
+        for args in _connect_corpus(29, 200):
+            r = connect(*args)
+            weak += r.stats.weak_keys
+            if r.found:
+                found.append((replay(r.sequence), args[1]))
+        monkeypatch.setattr(garside, "MAX_SUMMIT_SET", 10_000)
+        assert all(are_conjugate(final, target) for final, target in found)
+        assert len(found) > 50 and weak > 50, (len(found), weak)
 
 
 class TestScramble:
