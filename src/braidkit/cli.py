@@ -44,7 +44,7 @@ def _text(w: BraidWord | None) -> str:
 
 def _cmd_normalize(args):
     nf = garside.left_normal_form(_parse_word(args.word, args.n))
-    return 0, {**asdict(nf), "serialized": nf.serialize()}, nf.serialize()
+    return 0, {**nf._asdict(), "serialized": nf.serialize()}, nf.serialize()
 
 
 def _cmd_conjugate(args):

@@ -49,7 +49,8 @@ only for a witness of ``are_conjugate`` and for ``NormalForm.as_word``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .words import BraidWord, ResourceLimitError, _word, exponent_sum, free_reduce
 
@@ -166,9 +167,13 @@ def _factors_word(n: int, factors: list[Factor]) -> BraidWord:
     return _word(n, free_reduce(letters))
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    """Left normal form Δᵏ·A₁⋯A_l with left-weighted permutation-braid factors."""
+class NormalForm(NamedTuple):
+    """Left normal form Δᵏ·A₁⋯A_l with left-weighted permutation-braid factors.
+
+    A tuple ``(n, delta_power, factors)``, so that building, hashing and
+    comparing one runs in C: the search hashes summit elements for every
+    neighbour it meets.
+    """
 
     n: int
     delta_power: int
@@ -212,8 +217,13 @@ class ConjugacyKey:
     n: int
     entries: tuple[str, ...]
 
-    def __str__(self) -> str:
+    @cached_property
+    def _text(self) -> str:
+        # stored in the instance __dict__, outside the fields that eq, hash and repr read
         return f"B{self.n}{{" + " ; ".join(self.entries) + "}"
+
+    def __str__(self) -> str:
+        return self._text
 
 
 @lru_cache(maxsize=_TABLE_SIZE)

@@ -37,6 +37,7 @@ from .words import (
     MAX_PARSED_LETTERS,
     BraidWord,
     ResourceLimitError,
+    _require_same_strands,
     _runs,
     _word,
     conjugate,
@@ -85,19 +86,26 @@ class Stabilization:
 
 
 class Conjugation:
-    """Conjugation by ``by``, a word on the strands of the word it applies to."""
+    """Conjugation by ``by``, a word on the strands of the word it applies to.
 
-    __slots__ = ("by",)
+    The letters of by⁻¹ are stored with the site, so a site built once
+    applies with no reversal.
+    """
+
+    __slots__ = ("by", "inverse")
     kind = "conjugation"
 
     def __init__(self, by: BraidWord):
         self.by = by
+        self.inverse = tuple(-x for x in reversed(by.letters))
 
     def move(self) -> tuple[str, dict]:
         return self.kind, {"by": list(self.by.letters)}
 
     def apply(self, w: BraidWord) -> BraidWord:
-        return conjugate(w, self.by)
+        """by⁻¹·w·by, freely reduced, as :func:`words.conjugate` gives it."""
+        _require_same_strands(w, self.by)
+        return _word(w.n, free_reduce(self.inverse + w.letters + self.by.letters))
 
 
 def _cyclic_reduction(letters: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -274,11 +282,6 @@ def _flype_starts(w: BraidWord) -> list[int]:
     ls = w.letters
     starts = [r0 for r0 in range(len(ls)) if abs(ls[r0]) == 1 and abs(ls[r0 - 1]) == 2]
     return starts if len(starts) == 2 else []
-
-
-def _flype_rotations(w: BraidWord) -> list[int]:
-    """The rotations where :func:`_flype_at` matches a 3-braid word."""
-    return [r0 for r0 in _flype_starts(w) if _flype_at(w, r0)]
 
 
 def find_flype_decompositions(w: BraidWord) -> list[FlypeData]:

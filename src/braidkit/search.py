@@ -10,18 +10,27 @@ number.  Flypes are excluded from the transverse set: their transverse
 legality is not a given, and the negative flype in particular changes the
 transverse type of the pinned examples.
 
-A node's key is its class's super summit set, or, past
-``garside.MAX_SUMMIT_SET`` members, the weak key of its summit element.
-The search ends when a node's key equals the target's.  Conjugate words
-have the same super summit set, so a weak node's class is capped on every
-word, the target's included: a weak node reaches the target only through
-an equal summit element, and a capped class may be missed.
+A node is a conjugacy class, told apart from the others by the cheapest
+exact test first.  Every member of a super summit set has the same inf and
+canonical length, so nodes whose summit elements differ in strand count,
+inf or canonical length are different classes, and nodes with equal summit
+elements are one class.  Only two nodes that pass both tests are keyed by
+their super summit sets, or, past ``garside.MAX_SUMMIT_SET`` members, by
+the weak key of their summit elements; the source and the target are
+always keyed.  New siblings enter the frontier in the order of their key
+text, read from its ``B{n}{D^{inf} |`` prefix when that decides it, so a
+set is closed for the order only when two siblings tie on the prefix.
+The search ends on the target's class.  Conjugate words have the same super
+summit set, so a weak node's class is capped on every word, the target's
+included: a weak node reaches the target only through an equal summit
+element, and a capped class may be missed.
 
-One scan, :func:`_places`, finds where a word's move sites are; the search
-builds every site there, and :func:`scramble` only the one it draws.  Both
-apply each site they have just built (``site.apply``) and encode only the
-moves they record (``site.move()``); :func:`moves.apply_move` re-matches a
-recorded site and is the replay path.
+One scan, :func:`_places`, finds where a word's move sites are; a flype
+site is built by the match that finds it, the others are built only when
+taken: the search takes every site there, and :func:`scramble` only the
+one it draws.  Both apply each site they have just built (``site.apply``)
+and encode only the moves they record (``site.move()``);
+:func:`moves.apply_move` re-matches a recorded site and is the replay path.
 
 A ``found`` result carries a replayable :class:`MoveSequence`; an
 ``exhausted`` result means the bounded graph was used up, which is
@@ -72,7 +81,7 @@ class SearchStats:
     nodes_expanded: int
     frontier_peak: int
     dedup_hits: int
-    weak_keys: int  # nodes keyed by summit element only (summit-set cap exceeded)
+    weak_keys: int  # nodes keyed and found capped: keyed by their summit element only
 
 
 @dataclass(frozen=True)
@@ -100,6 +109,88 @@ def _class_key(w: BraidWord) -> tuple[str, bool]:
         return "nf:" + str(w.n) + ":" + garside._word_summit(w)[0].serialize(), True
 
 
+class _Classes:
+    """The classes a search has met, each named by the first summit element
+    seen in it, and the keys of those it has keyed.
+
+    A summit element seen before names its class at once.  A new one is a
+    new class when no other class shares its bucket (strand count, inf,
+    canonical length); otherwise it and the bucket's classes are keyed, so a
+    bucket of two or more classes holds only keyed ones.
+    """
+
+    __slots__ = ("ids", "words", "keys", "by_key", "buckets", "capped")
+
+    def __init__(self, capped: int):
+        self.ids: dict[garside.NormalForm, garside.NormalForm] = {}  # summit element -> class
+        self.words: dict[garside.NormalForm, BraidWord] = {}  # unkeyed class -> a word of it
+        self.keys: dict[garside.NormalForm, str] = {}  # keyed class -> key text
+        self.by_key: dict[str, garside.NormalForm] = {}
+        # bucket -> its one class, or None once it holds two or more
+        self.buckets: dict[tuple[int, int, int], garside.NormalForm | None] = {}
+        self.capped = capped  # classes keyed weak (see _class_key)
+
+    def key(self, c: garside.NormalForm) -> str:
+        """The key text of class c, keying it when it is not yet keyed."""
+        text = self.keys.get(c)
+        if text is None:
+            text, weak = _class_key(self.words.pop(c))
+            self.capped += weak
+            self.keys[c] = text
+            self.by_key[text] = c
+        return text
+
+    def find(self, w: BraidWord, text: str | None = None) -> garside.NormalForm:
+        """The class of w, added when new; ``text`` is w's key when known."""
+        s = garside._word_summit(w)[0]
+        c = self.ids.get(s)
+        if c is not None:
+            return c
+        bucket = (s.n, s.delta_power, len(s.factors))
+        other = self.buckets.setdefault(bucket, s)
+        if other is not s:  # the bucket holds another class: compare keys
+            if other is not None:
+                self.key(other)
+            if text is None:
+                text, weak = _class_key(w)
+                self.capped += weak
+            c = self.by_key.get(text)
+            if c is None:
+                self.buckets[bucket] = None
+        if c is None:
+            c = s
+            if text is None:
+                self.words[s] = w
+            else:
+                self.keys[s] = text
+                self.by_key[text] = s
+        self.ids[s] = c
+        return c
+
+    def sort(self, neighbors: list[tuple[garside.NormalForm, MoveStep]]) -> list:
+        """New siblings in the order of their classes' key text.  Distinct
+        ``B{n}{D^{inf} |`` prefixes end inside both texts, so they decide it;
+        classes that tie on the prefix are keyed."""
+        if len(neighbors) > 1:
+            first: dict[tuple[int, int], garside.NormalForm] = {}
+            for c, _ in neighbors:
+                d = first.setdefault((c.n, c.delta_power), c)
+                if d is not c:
+                    self.key(d)
+                    self.key(c)
+            neighbors.sort(key=self._sort_text)
+        return neighbors
+
+    def _sort_text(self, neighbor: tuple[garside.NormalForm, MoveStep]) -> str:
+        c = neighbor[0]
+        return self.keys.get(c) or f"B{c.n}{{D^{c.delta_power} |"
+
+
+def _prebuilt(site):
+    """A place's build when the scan has built its site already."""
+    return site
+
+
 _STABILIZATIONS = tuple((Stabilization(sign).kind, Stabilization, sign) for sign in (1, -1))
 
 
@@ -117,8 +208,7 @@ def _places(w: BraidWord, bounds: SearchBounds) -> list[tuple]:
         places.append(("destab+" if d[0][d[2] - 1] > 0 else "destab-", moves._destab_at, w.n, *d))
     places += [("exchange", moves._exchange_at, w, r) for r in moves._exchange_rotations(w)]
     if not transverse:
-        for r in moves._flype_rotations(w):
-            places.append(("flype+" if w.letters[r - 1] > 0 else "flype-", moves._flype_at, w, r))
+        places += [(f.kind, _prebuilt, f) for f in moves.find_flype_decompositions(w)]
     if w.n < bounds.max_strands and len(w.letters) + 1 <= bounds.max_word_length:
         places += _STABILIZATIONS
     if transverse:
@@ -135,9 +225,10 @@ def _sites(w: BraidWord, bounds: SearchBounds) -> list:
 def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> SearchResult:
     """Search for a certified move sequence from source to target's class.
 
-    Breadth first over class keys, ending when a key equals the target's; a
-    weak node (see :func:`_class_key`) reaches the target only through an
-    equal summit element, since its class is capped and so is the target's.
+    Breadth first over classes (see :class:`_Classes`), ending on the
+    target's; a weak node (see :func:`_class_key`) reaches the target only
+    through an equal summit element, since its class is capped and so is
+    the target's.
     """
     source = _word(source.n, free_reduce(source.letters))
     target = _word(target.n, free_reduce(target.letters))
@@ -154,56 +245,58 @@ def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> Searc
 
     target_key, target_weak = _class_key(target)
     src_key, src_weak = _class_key(source)
-    weak_keys = int(src_weak) + int(target_weak)
+    if src_key == target_key:
+        stats = SearchStats(0, 1, 0, int(src_weak) + int(target_weak))
+        return SearchResult("found", stats, MoveSequence(source))
+    classes = _Classes(int(src_weak) + int(target_weak))
+    goal = classes.find(target, target_key)
+    start = classes.find(source, src_key)
     dedup_hits = 0
     nodes_expanded = 0
     frontier_peak = 1
-    # parents[key] = (parent key, MoveStep) for path reconstruction
-    parents: dict[str, tuple[str | None, MoveStep | None]] = {src_key: (None, None)}
-
-    def done(outcome: str, key: str | None = None) -> SearchResult:
-        stats = SearchStats(nodes_expanded, frontier_peak, dedup_hits, weak_keys)
-        if key is None:
-            return SearchResult(outcome, stats)
-        steps = []
-        parent, step = parents[key]
-        while parent is not None:
-            steps.append(step)
-            parent, step = parents[parent]
-        return SearchResult(outcome, stats, MoveSequence(source, tuple(reversed(steps))))
-
-    if src_key == target_key:
-        return done("found", src_key)
-
-    frontier = [(src_key, source)]
+    # parents[class] = (parent class, MoveStep) for path reconstruction
+    parents: dict[garside.NormalForm, tuple] = {start: (None, None)}
+    frontier = [(start, source)]
     while frontier:
         frontier_peak = max(frontier_peak, len(frontier))
-        next_frontier: list[tuple[str, BraidWord]] = []
-        for key, w in frontier:
+        next_frontier: list[tuple[garside.NormalForm, BraidWord]] = []
+        for c, w in frontier:
             nodes_expanded += 1
             neighbors = []
             for site in _sites(w, bounds):
                 result = site.apply(w)
                 if len(result.letters) > bounds.max_word_length:
                     continue
-                nkey, weak = _class_key(result)
-                if nkey in parents:
+                nc = classes.find(result)
+                if nc in parents:
                     dedup_hits += 1
                     continue
-                weak_keys += int(weak)
-                neighbors.append((nkey, MoveStep(*site.move(), result)))
-            for nkey, step in sorted(neighbors, key=lambda kv: kv[0]):
-                if nkey in parents:
+                neighbors.append((nc, MoveStep(*site.move(), result)))
+            for nc, step in classes.sort(neighbors):
+                if nc in parents:
                     dedup_hits += 1
                     continue
-                parents[nkey] = (key, step)
-                if nkey == target_key:
-                    return done("found", nkey)
+                parents[nc] = (c, step)
+                if nc is goal:
+                    stats = SearchStats(nodes_expanded, frontier_peak, dedup_hits, classes.capped)
+                    return SearchResult("found", stats, _path(source, parents, nc))
                 if len(parents) >= bounds.max_nodes:
-                    return done("exhausted")
-                next_frontier.append((nkey, step.result))
+                    stats = SearchStats(nodes_expanded, frontier_peak, dedup_hits, classes.capped)
+                    return SearchResult("exhausted", stats)
+                next_frontier.append((nc, step.result))
         frontier = next_frontier
-    return done("exhausted")
+    stats = SearchStats(nodes_expanded, frontier_peak, dedup_hits, classes.capped)
+    return SearchResult("exhausted", stats)
+
+
+def _path(source: BraidWord, parents: dict, end) -> MoveSequence:
+    """The moves from source to class ``end``, read back through ``parents``."""
+    steps = []
+    parent, step = parents[end]
+    while parent is not None:
+        steps.append(step)
+        parent, step = parents[parent]
+    return MoveSequence(source, tuple(reversed(steps)))
 
 
 # Largest strand count whose n! − 1 simple elements are enumerated (8! − 1 = 40 319).
@@ -242,6 +335,13 @@ def _simple_conjugator_words(n: int) -> tuple[BraidWord, ...]:
     return tuple(_word(n, letters) for letters in out)
 
 
+@functools.lru_cache(maxsize=8)
+def _conjugation_sites(n: int) -> tuple[Conjugation, ...]:
+    """A :class:`Conjugation` site for each of :func:`_simple_conjugator_words`,
+    built once per strand count."""
+    return tuple(Conjugation(g) for g in _simple_conjugator_words(n))
+
+
 def scramble(
     w: BraidWord,
     k: int,
@@ -270,9 +370,10 @@ def scramble(
     steps = []
     for _ in range(k):
         places = _places(cur, bounds)
-        simples = _simple_conjugator_words(cur.n)
-        if simples:
-            places.append((Conjugation.kind, Conjugation, rng.choice(simples)))
+        # the words table is where MAX_SIMPLE_STRANDS is checked; the sites
+        # table alone would keep answering after the bound is lowered
+        if _simple_conjugator_words(cur.n):
+            places.append((Conjugation.kind, _prebuilt, rng.choice(_conjugation_sites(cur.n))))
         if not places:
             raise ValueError(
                 f"no legal move on {cur.n} strand(s) with max_strands = {bounds.max_strands}"
