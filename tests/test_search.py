@@ -188,6 +188,25 @@ class TestLazyKeys:
             garside.super_summit_set(tx_plus), garside.super_summit_set(tx_minus)
         }
 
+    def test_siblings_sort_as_their_key_texts(self):
+        """The search's order of a node's neighbours, keying only those tied
+        on the ``B{n}{D^{inf} |`` prefix, is the stable order of their key
+        texts; it sees ties whose canonical lengths differ."""
+        ties = 0
+        for w in _site_words(26, 150):
+            if w.n > 4:
+                continue
+            for move_set in (TOPOLOGICAL, TRANSVERSE):
+                sites = search._sites(w, SearchBounds(max_strands=5, move_set=move_set))
+                results = [site.apply(w) for site in sites]
+                classes = search._Classes(0)
+                neighbors = [(classes.find(r), r) for r in results]
+                by_key = sorted(results, key=lambda r: search._class_key(r)[0])
+                assert [r for _, r in classes.sort(neighbors)] == by_key, (w, move_set)
+                prefixes = {(c.n, c.delta_power, len(c.factors)) for c, _ in neighbors}
+                ties += len(prefixes) > len({p[:2] for p in prefixes})
+        assert ties > 5, ties
+
     def test_capped_found_sequences_replay_into_the_target_class(self, monkeypatch):
         monkeypatch.setattr(garside, "_key_cache", {})
         monkeypatch.setattr(garside, "MAX_SUMMIT_SET", 2)
