@@ -1,36 +1,40 @@
 """
 Bounded breadth-first search over the closed-braid move graph.
 
-Nodes are conjugacy classes (deduplicated by Garside super-summit keys),
-edges are the implemented moves.  Two move sets are supported: the full
-topological set (stabilization and destabilization of both signs, exchange,
-3-braid flypes) and the transverse set (positive stabilization and
-destabilization, exchange) whose moves all preserve the self-linking
-number.  Flypes are excluded from the transverse set: their transverse
-legality is not a given, and the negative flype in particular changes the
-transverse type of the pinned examples.
+Nodes are conjugacy classes and edges are the implemented moves.  Two
+move sets are supported: the full topological set (stabilization and
+destabilization of both signs, exchange, 3-braid flypes) and the
+transverse set (positive stabilization and destabilization, exchange)
+whose moves all preserve the self-linking number.  Flypes are excluded
+from the transverse set: their transverse legality is not a given, and the
+negative flype in particular changes the transverse type of the pinned
+examples.
 
 A node is a conjugacy class, told apart from the others by the cheapest
 exact test first.  Every member of a super summit set has the same inf and
 canonical length, so nodes whose summit elements differ in strand count,
 inf or canonical length are different classes, and nodes with equal summit
-elements are one class.  Only two nodes that pass both tests are keyed by
-their super summit sets, or, past ``garside.MAX_SUMMIT_SET`` members, by
-the weak key of their summit elements; the source and the target are
-always keyed.  New siblings enter the frontier in the order of their key
-text, read from its ``B{n}{D^{inf} |`` prefix when that decides it, so a
-set is closed for the order only when two siblings tie on the prefix.
+elements are one class.  Only when neither test decides are the two nodes
+keyed by their super summit sets, or, past ``garside.MAX_SUMMIT_SET``
+members, by the weak keys of their summit elements; the source and the
+target are keyed whenever their summit elements share strand count, inf
+and canonical length, so a search between two words of one class ends on
+key equality before any move.  New siblings enter the frontier in the order of
+their key text, read from its ``B{n}{D^{inf} |`` prefix when that decides
+it, so a set is closed for the order only when two siblings tie on the
+prefix.
 The search ends on the target's class.  Conjugate words have the same super
 summit set, so a weak node's class is capped on every word, the target's
 included: a weak node reaches the target only through an equal summit
 element, and a capped class may be missed.
 
 One scan, :func:`_places`, finds where a word's move sites are; a flype
-site is built by the match that finds it, the others are built only when
-taken: the search takes every site there, and :func:`scramble` only the
-one it draws.  Both apply each site they have just built (``site.apply``)
-and encode only the moves they record (``site.move()``);
-:func:`moves.apply_move` re-matches a recorded site and is the replay path.
+site is built by the match that finds it, and the others only when taken:
+the search takes every site there, and :func:`scramble` only the one it
+draws, its conjugation sites built once per strand count.  Both apply
+each site they have just built (``site.apply``) and encode only the moves
+they record (``site.move()``); :func:`moves.apply_move` re-matches a
+recorded site and is the replay path.
 
 A ``found`` result carries a replayable :class:`MoveSequence`; an
 ``exhausted`` result means the bounded graph was used up, which is
@@ -109,6 +113,11 @@ def _class_key(w: BraidWord) -> tuple[str, bool]:
         return "nf:" + str(w.n) + ":" + garside._word_summit(w)[0].serialize(), True
 
 
+def _bucket(summit: garside.NormalForm) -> tuple[int, int, int]:
+    """(strand count, inf, canonical length): shared by a whole super summit set."""
+    return summit.n, summit.delta_power, len(summit.factors)
+
+
 class _Classes:
     """The classes a search has met, each named by the first summit element
     seen in it, and the keys of those it has keyed.
@@ -146,7 +155,7 @@ class _Classes:
         c = self.ids.get(s)
         if c is not None:
             return c
-        bucket = (s.n, s.delta_power, len(s.factors))
+        bucket = _bucket(s)
         other = self.buckets.setdefault(bucket, s)
         if other is not s:  # the bucket holds another class: compare keys
             if other is not None:
@@ -243,12 +252,17 @@ def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> Searc
                 f"more than max_word_length = {bounds.max_word_length}"
             )
 
-    target_key, target_weak = _class_key(target)
-    src_key, src_weak = _class_key(source)
-    if src_key == target_key:
-        stats = SearchStats(0, 1, 0, int(src_weak) + int(target_weak))
-        return SearchResult("found", stats, MoveSequence(source))
-    classes = _Classes(int(src_weak) + int(target_weak))
+    # Ends in one bucket are keyed, equal summit elements included, and a
+    # search between two words of one class stops here on key equality.
+    target_key = src_key = None
+    capped = 0
+    if _bucket(garside._word_summit(target)[0]) == _bucket(garside._word_summit(source)[0]):
+        target_key, target_weak = _class_key(target)
+        src_key, src_weak = _class_key(source)
+        capped = int(src_weak) + int(target_weak)
+        if src_key == target_key:
+            return SearchResult("found", SearchStats(0, 1, 0, capped), MoveSequence(source))
+    classes = _Classes(capped)
     goal = classes.find(target, target_key)
     start = classes.find(source, src_key)
     dedup_hits = 0

@@ -137,7 +137,8 @@ def _connect_corpus(seed: int, count: int) -> list[tuple]:
             n = rng.randint(1, 5)
             u, v = random_word(rng, n, 8), random_word(rng, n, 8)
             max_nodes = round(5 * 400 ** rng.random())
-            out.append((u, v, SearchBounds(rng.randint(n, 5), rng.randint(8, 16), max_nodes, move_set)))
+            bounds = SearchBounds(rng.randint(n, 5), rng.randint(8, 16), max_nodes, move_set)
+            out.append((u, v, bounds))
     return out
 
 
