@@ -99,18 +99,23 @@ class SearchResult:
         return self.outcome == "found"
 
 
-def _class_key(w: BraidWord) -> tuple[str, bool]:
-    """Conjugacy key string, and whether it is weak.
+def _class_key(w: BraidWord, summit: garside.NormalForm) -> tuple[str, bool]:
+    """Conjugacy key string of w, whose summit element is ``summit``, and
+    whether it is weak.
 
-    The key is the super summit set, or past ``MAX_SUMMIT_SET`` members the
-    weak ``"nf:"`` form: the normal form of w's summit element, which the
-    failed closure has just computed.  Equal summit elements are conjugate,
-    but conjugates reaching different summit elements become different nodes.
+    The key is the super summit set: the cached key of summit's class, or
+    else a closure.  Past ``MAX_SUMMIT_SET`` members it is the weak ``"nf:"``
+    form: the normal form of the summit element.  Equal summit elements are
+    conjugate, but conjugates reaching different summit elements become
+    different nodes.
     """
-    try:
-        return str(garside.super_summit_set(w)), False
-    except garside.SuperSummitCapError:
-        return "nf:" + str(w.n) + ":" + garside._word_summit(w)[0].serialize(), True
+    key = garside._key_cache.get(summit)
+    if key is None:
+        try:
+            key = garside.super_summit_set(w)
+        except garside.SuperSummitCapError:
+            return "nf:" + str(w.n) + ":" + summit.serialize(), True
+    return str(key), False
 
 
 def _bucket(summit: garside.NormalForm) -> tuple[int, int, int]:
@@ -143,15 +148,15 @@ class _Classes:
         """The key text of class c, keying it when it is not yet keyed."""
         text = self.keys.get(c)
         if text is None:
-            text, weak = _class_key(self.words.pop(c))
+            text, weak = _class_key(self.words.pop(c), c)
             self.capped += weak
             self.keys[c] = text
             self.by_key[text] = c
         return text
 
-    def find(self, w: BraidWord, text: str | None = None) -> garside.NormalForm:
-        """The class of w, added when new; ``text`` is w's key when known."""
-        s = garside._word_summit(w)[0]
+    def find(self, w: BraidWord, s: garside.NormalForm, text: str | None = None):
+        """The class of w, whose summit element is s, added when new; ``text``
+        is w's key when known."""
         c = self.ids.get(s)
         if c is not None:
             return c
@@ -161,7 +166,7 @@ class _Classes:
             if other is not None:
                 self.key(other)
             if text is None:
-                text, weak = _class_key(w)
+                text, weak = _class_key(w, s)
                 self.capped += weak
             c = self.by_key.get(text)
             if c is None:
@@ -254,17 +259,19 @@ def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> Searc
 
     # Ends in one bucket are keyed, equal summit elements included, and a
     # search between two words of one class stops here on key equality.
+    target_summit = garside._word_summit(target)[0]
+    src_summit = garside._word_summit(source)[0]
     target_key = src_key = None
     capped = 0
-    if _bucket(garside._word_summit(target)[0]) == _bucket(garside._word_summit(source)[0]):
-        target_key, target_weak = _class_key(target)
-        src_key, src_weak = _class_key(source)
+    if src_summit == target_summit or _bucket(src_summit) == _bucket(target_summit):
+        target_key, target_weak = _class_key(target, target_summit)
+        src_key, src_weak = _class_key(source, src_summit)
         capped = int(src_weak) + int(target_weak)
         if src_key == target_key:
             return SearchResult("found", SearchStats(0, 1, 0, capped), MoveSequence(source))
     classes = _Classes(capped)
-    goal = classes.find(target, target_key)
-    start = classes.find(source, src_key)
+    goal = classes.find(target, target_summit, target_key)
+    start = classes.find(source, src_summit, src_key)
     dedup_hits = 0
     nodes_expanded = 0
     frontier_peak = 1
@@ -281,7 +288,7 @@ def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> Searc
                 result = site.apply(w)
                 if len(result.letters) > bounds.max_word_length:
                     continue
-                nc = classes.find(result)
+                nc = classes.find(result, garside._word_summit(result)[0])
                 if nc in parents:
                     dedup_hits += 1
                     continue

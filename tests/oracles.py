@@ -177,10 +177,19 @@ def scramble_all_sites(w, k, seed, move_set=search.TOPOLOGICAL, max_strands=None
     return cur, moves.MoveSequence(w, tuple(steps))
 
 
+def eager_class_key(w: BraidWord) -> tuple[str, bool]:
+    """The key text of w's super summit set, or past ``MAX_SUMMIT_SET``
+    members the weak ``"nf:"`` key of its summit element; and whether it is
+    weak."""
+    try:
+        return str(garside.super_summit_set(w)), False
+    except garside.SuperSummitCapError:
+        return "nf:" + str(w.n) + ":" + garside._word_summit(w)[0].serialize(), True
+
+
 def eager_connect(source: BraidWord, target: BraidWord, bounds: search.SearchBounds):
-    """``search.connect`` keying every node by its class key
-    (``search._class_key``): its super summit set, or past the cap the weak
-    ``"nf:"`` key of its summit element, sorting siblings by key text."""
+    """``search.connect`` keying every node by :func:`eager_class_key` and
+    sorting siblings by key text."""
     source = BraidWord(source.n, free_reduce(source.letters))
     target = BraidWord(target.n, free_reduce(target.letters))
     for w, name in ((source, "source"), (target, "target")):
@@ -194,8 +203,8 @@ def eager_connect(source: BraidWord, target: BraidWord, bounds: search.SearchBou
                 f"more than max_word_length = {bounds.max_word_length}"
             )
 
-    target_key, target_weak = search._class_key(target)
-    src_key, src_weak = search._class_key(source)
+    target_key, target_weak = eager_class_key(target)
+    src_key, src_weak = eager_class_key(source)
     weak_keys = int(src_weak) + int(target_weak)
     dedup_hits = 0
     nodes_expanded = 0
@@ -230,7 +239,7 @@ def eager_connect(source: BraidWord, target: BraidWord, bounds: search.SearchBou
                 result = site.apply(w)
                 if len(result.letters) > bounds.max_word_length:
                     continue
-                nkey, weak = search._class_key(result)
+                nkey, weak = eager_class_key(result)
                 if nkey in parents:
                     dedup_hits += 1
                     continue

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     destab_rotation_scan,
+    eager_class_key,
     eager_connect,
     exchange_rotation_scan,
     flype_rotation_scan,
@@ -201,8 +202,8 @@ class TestLazyKeys:
                 sites = search._sites(w, SearchBounds(max_strands=5, move_set=move_set))
                 results = [site.apply(w) for site in sites]
                 classes = search._Classes(0)
-                neighbors = [(classes.find(r), r) for r in results]
-                by_key = sorted(results, key=lambda r: search._class_key(r)[0])
+                neighbors = [(classes.find(r, garside._word_summit(r)[0]), r) for r in results]
+                by_key = sorted(results, key=lambda r: eager_class_key(r)[0])
                 assert [r for _, r in classes.sort(neighbors)] == by_key, (w, move_set)
                 prefixes = {(c.n, c.delta_power, len(c.factors)) for c, _ in neighbors}
                 ties += len(prefixes) > len({p[:2] for p in prefixes})
