@@ -17,16 +17,15 @@ inf or canonical length are different classes, and nodes with equal summit
 elements are one class.  Only when neither test decides are the two nodes
 keyed by their super summit sets, or, past ``garside.MAX_SUMMIT_SET``
 members, by the weak keys of their summit elements; the source and the
-target are keyed whenever their summit elements share strand count, inf
-and canonical length, so a search between two words of one class ends on
-key equality before any move.  New siblings enter the frontier in the order of
+target are keyed whenever their summit elements share strand count, inf and
+canonical length, so a search between two words of one class ends on key
+equality before any move.  New siblings enter the frontier in the order of
 their key text, read from its ``B{n}{D^{inf} |`` prefix when that decides
 it, so a set is closed for the order only when two siblings tie on the
-prefix.
-The search ends on the target's class.  Conjugate words have the same super
-summit set, so a weak node's class is capped on every word, the target's
-included: a weak node reaches the target only through an equal summit
-element, and a capped class may be missed.
+prefix.  The search ends on the target's class.  Conjugate words have the
+same super summit set, so a weak node's class is capped on every word, the
+target's included: a weak node reaches the target only through an equal
+summit element, and a capped class may be missed.
 
 One scan, :func:`_places`, finds where a word's move sites are; a flype
 site is built by the match that finds it, and the others only when taken:
