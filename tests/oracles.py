@@ -188,8 +188,8 @@ def eager_class_key(w: BraidWord) -> tuple[str, bool]:
 
 
 def eager_connect(source: BraidWord, target: BraidWord, bounds: search.SearchBounds):
-    """``search.connect`` keying every node by :func:`eager_class_key` and
-    sorting siblings by key text."""
+    """``search.connect`` keying every node by :func:`eager_class_key`, the
+    two ends included; siblings enter the frontier in site order."""
     source = BraidWord(source.n, free_reduce(source.letters))
     target = BraidWord(target.n, free_reduce(target.letters))
     for w, name in ((source, "source"), (target, "target")):
@@ -234,7 +234,6 @@ def eager_connect(source: BraidWord, target: BraidWord, bounds: search.SearchBou
         next_frontier: list[tuple[str, BraidWord]] = []
         for key, w in frontier:
             nodes_expanded += 1
-            neighbors = []
             for site in search._sites(w, bounds):
                 result = site.apply(w)
                 if len(result.letters) > bounds.max_word_length:
@@ -244,17 +243,12 @@ def eager_connect(source: BraidWord, target: BraidWord, bounds: search.SearchBou
                     dedup_hits += 1
                     continue
                 weak_keys += int(weak)
-                neighbors.append((nkey, moves.MoveStep(*site.move(), result)))
-            for nkey, step in sorted(neighbors, key=lambda kv: kv[0]):
-                if nkey in parents:
-                    dedup_hits += 1
-                    continue
-                parents[nkey] = (key, step)
+                parents[nkey] = (key, moves.MoveStep(*site.move(), result))
                 if nkey == target_key:
                     return done("found", nkey)
                 if len(parents) >= bounds.max_nodes:
                     return done("exhausted")
-                next_frontier.append((nkey, step.result))
+                next_frontier.append((nkey, result))
         frontier = next_frontier
     return done("exhausted")
 

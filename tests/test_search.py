@@ -7,7 +7,6 @@ import pytest
 
 from oracles import (
     destab_rotation_scan,
-    eager_class_key,
     eager_connect,
     exchange_rotation_scan,
     flype_rotation_scan,
@@ -33,7 +32,13 @@ from braidkit.search import (
     scramble,
 )
 from braidkit.transverse import TRANSVERSE_MOVE_KINDS, self_linking
-from braidkit.words import BraidWord, ResourceLimitError, parse_braid_word, random_word
+from braidkit.words import (
+    BraidWord,
+    ResourceLimitError,
+    parse_braid_word,
+    random_word,
+    rotate,
+)
 
 BOUNDS = SearchBounds(max_strands=5, max_word_length=24, max_nodes=10_000)
 
@@ -87,15 +92,18 @@ class TestConnect:
 
     def test_weak_keys_meet_at_the_summit_element(self, monkeypatch):
         # s2 s1^5 s2 and its rotation s2^2 s1^5 have a ten-member summit set,
-        # so under a cap of 2 both get weak keys.  Their normal forms differ,
-        # but they reach the same summit element, so the keys are equal.
+        # which a cap of 2 would make weak.  Their normal forms differ, but
+        # they reach the same summit element, so they are one class and
+        # neither is keyed.
+        cache: dict = {}
         monkeypatch.setattr(garside, "MAX_SUMMIT_SET", 2)
-        monkeypatch.setattr(garside, "_key_cache", {})
+        monkeypatch.setattr(garside, "_key_cache", cache)
         u = parse_braid_word("s2 s1^5 s2", 3)
         v = parse_braid_word("s2^2 s1^5", 3)
         assert garside.left_normal_form(u) != garside.left_normal_form(v)
         r = connect(u, v, SearchBounds(3, 10, 200))
-        assert r.found and r.stats.weak_keys == 2
+        assert r.found and r.stats.weak_keys == 0
+        assert cache == {}
         monkeypatch.setattr(garside, "MAX_SUMMIT_SET", 10_000)
         assert are_conjugate(replay(r.sequence), v)
 
@@ -190,24 +198,19 @@ class TestLazyKeys:
             garside.super_summit_set(tx_plus), garside.super_summit_set(tx_minus)
         }
 
-    def test_siblings_sort_as_their_key_texts(self):
-        """The search's order of a node's neighbours, keying only those tied
-        on the ``B{n}{D^{inf} |`` prefix, is the stable order of their key
-        texts; it sees ties whose canonical lengths differ."""
-        ties = 0
-        for w in _site_words(26, 150):
-            if w.n > 4:
-                continue
-            for move_set in (TOPOLOGICAL, TRANSVERSE):
-                sites = search._sites(w, SearchBounds(max_strands=5, move_set=move_set))
-                results = [site.apply(w) for site in sites]
-                classes = search._Classes(0)
-                neighbors = [(classes.find(r, garside._word_summit(r)[0]), r) for r in results]
-                by_key = sorted(results, key=lambda r: eager_class_key(r)[0])
-                assert [r for _, r in classes.sort(neighbors)] == by_key, (w, move_set)
-                prefixes = {(c.n, c.delta_power, len(c.factors)) for c, _ in neighbors}
-                ties += len(prefixes) > len({p[:2] for p in prefixes})
-        assert ties > 5, ties
+    def test_ends_in_one_bucket_are_keyed(self, monkeypatch):
+        """TX+ and its rotation reach different summit elements of one
+        bucket, so both are keyed, and the search ends on key equality
+        before any move, having closed TX+'s 28-member summit set once."""
+        cache: dict = {}
+        monkeypatch.setattr(garside, "_key_cache", cache)
+        tx_plus = parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3)
+        rotated = rotate(tx_plus, 1)
+        assert garside._word_summit(tx_plus)[0] != garside._word_summit(rotated)[0]
+        r = connect(tx_plus, rotated, SearchBounds(4, 24, 1000, TRANSVERSE))
+        assert r.found and r.sequence.steps == ()
+        assert r.stats.nodes_expanded == 0 and r.stats.weak_keys == 0
+        assert len(cache) == 28
 
     def test_capped_found_sequences_replay_into_the_target_class(self, monkeypatch):
         monkeypatch.setattr(garside, "_key_cache", {})
