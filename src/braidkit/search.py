@@ -16,13 +16,10 @@ canonical length, so nodes whose summit elements differ in strand count,
 inf or canonical length are different classes, and nodes with equal summit
 elements are one class.  Only when neither test decides are the two nodes
 keyed by their super summit sets, or, past ``garside.MAX_SUMMIT_SET``
-members, by the weak keys of their summit elements; the source and the
-target are keyed whenever their summit elements share strand count, inf and
-canonical length, so a search between two words of one class ends on key
-equality before any move.  New siblings enter the frontier in the order of
-their key text, read from its ``B{n}{D^{inf} |`` prefix when that decides
-it, so a set is closed for the order only when two siblings tie on the
-prefix.  The search ends on the target's class.  Conjugate words have the
+members, by the weak keys of their summit elements.  The source and the
+target are found the same way, so a search between two words of one class
+ends before any move.  A node's new siblings enter the frontier in site
+order, and the search ends on the target's class.  Conjugate words have the
 same super summit set, so a weak node's class is capped on every word, the
 target's included: a weak node reaches the target only through an equal
 summit element, and a capped class may be missed.
@@ -84,7 +81,9 @@ class SearchStats:
     nodes_expanded: int
     frontier_peak: int
     dedup_hits: int
-    weak_keys: int  # nodes keyed and found capped: keyed by their summit element only
+    # summit elements keyed and found capped, so keyed by the summit element
+    # only; ends with equal summit elements key nothing
+    weak_keys: int
 
 
 @dataclass(frozen=True)
@@ -98,25 +97,6 @@ class SearchResult:
         return self.outcome == "found"
 
 
-def _class_key(w: BraidWord, summit: garside.NormalForm) -> tuple[str, bool]:
-    """Conjugacy key string of w, whose summit element is ``summit``, and
-    whether it is weak.
-
-    The key is the super summit set: the cached key of summit's class, or
-    else a closure.  Past ``MAX_SUMMIT_SET`` members it is the weak ``"nf:"``
-    form: the normal form of the summit element.  Equal summit elements are
-    conjugate, but conjugates reaching different summit elements become
-    different nodes.
-    """
-    key = garside._key_cache.get(summit)
-    if key is None:
-        try:
-            key = garside.super_summit_set(w)
-        except garside.SuperSummitCapError:
-            return "nf:" + str(w.n) + ":" + summit.serialize(), True
-    return str(key), False
-
-
 def _bucket(summit: garside.NormalForm) -> tuple[int, int, int]:
     """(strand count, inf, canonical length): shared by a whole super summit set."""
     return summit.n, summit.delta_power, len(summit.factors)
@@ -124,79 +104,59 @@ def _bucket(summit: garside.NormalForm) -> tuple[int, int, int]:
 
 class _Classes:
     """The classes a search has met, each named by the first summit element
-    seen in it, and the keys of those it has keyed.
+    seen in it.
 
     A summit element seen before names its class at once.  A new one is a
-    new class when no other class shares its bucket (strand count, inf,
-    canonical length); otherwise it and the bucket's classes are keyed, so a
-    bucket of two or more classes holds only keyed ones.
+    new class, left unkeyed, when no other summit element has reached its
+    bucket (strand count, inf, canonical length); otherwise it and the
+    bucket's unkeyed class are keyed, so a bucket that two summit elements
+    have reached holds only keyed classes.
     """
 
-    __slots__ = ("ids", "words", "keys", "by_key", "buckets", "capped")
+    __slots__ = ("ids", "buckets", "by_key", "capped")
 
-    def __init__(self, capped: int):
+    def __init__(self):
         self.ids: dict[garside.NormalForm, garside.NormalForm] = {}  # summit element -> class
-        self.words: dict[garside.NormalForm, BraidWord] = {}  # unkeyed class -> a word of it
-        self.keys: dict[garside.NormalForm, str] = {}  # keyed class -> key text
-        self.by_key: dict[str, garside.NormalForm] = {}
-        # bucket -> its one class, or None once it holds two or more
-        self.buckets: dict[tuple[int, int, int], garside.NormalForm | None] = {}
-        self.capped = capped  # classes keyed weak (see _class_key)
+        # bucket -> (word, summit element) of its one class, unkeyed; None
+        # once a second summit element reaches it
+        self.buckets: dict[tuple[int, int, int], tuple | None] = {}
+        self.by_key: dict[str, garside.NormalForm] = {}  # key text -> keyed class
+        self.capped = 0  # summit elements keyed weak (see keyed)
 
-    def key(self, c: garside.NormalForm) -> str:
-        """The key text of class c, keying it when it is not yet keyed."""
-        text = self.keys.get(c)
-        if text is None:
-            text, weak = _class_key(self.words.pop(c), c)
-            self.capped += weak
-            self.keys[c] = text
-            self.by_key[text] = c
-        return text
-
-    def find(self, w: BraidWord, s: garside.NormalForm, text: str | None = None):
-        """The class of w, whose summit element is s, added when new; ``text``
-        is w's key when known."""
+    def find(self, w: BraidWord, s: garside.NormalForm) -> garside.NormalForm:
+        """The class of w, whose summit element is s, added when new."""
         c = self.ids.get(s)
-        if c is not None:
-            return c
-        bucket = _bucket(s)
-        other = self.buckets.setdefault(bucket, s)
-        if other is not s:  # the bucket holds another class: compare keys
-            if other is not None:
-                self.key(other)
-            if text is None:
-                text, weak = _class_key(w, s)
-                self.capped += weak
-            c = self.by_key.get(text)
-            if c is None:
-                self.buckets[bucket] = None
         if c is None:
-            c = s
-            if text is None:
-                self.words[s] = w
-            else:
-                self.keys[s] = text
-                self.by_key[text] = s
-        self.ids[s] = c
+            bucket = _bucket(s)
+            if bucket not in self.buckets:
+                self.buckets[bucket] = (w, s)
+                c = s
+            else:  # the bucket holds another class: compare keys
+                if (lone := self.buckets[bucket]) is not None:
+                    self.buckets[bucket] = None
+                    self.keyed(*lone)
+                c = self.keyed(w, s)
+            self.ids[s] = c
         return c
 
-    def sort(self, neighbors: list[tuple[garside.NormalForm, MoveStep]]) -> list:
-        """New siblings in the order of their classes' key text.  Distinct
-        ``B{n}{D^{inf} |`` prefixes end inside both texts, so they decide it;
-        classes that tie on the prefix are keyed."""
-        if len(neighbors) > 1:
-            first: dict[tuple[int, int], garside.NormalForm] = {}
-            for c, _ in neighbors:
-                d = first.setdefault((c.n, c.delta_power), c)
-                if d is not c:
-                    self.key(d)
-                    self.key(c)
-            neighbors.sort(key=self._sort_text)
-        return neighbors
+    def keyed(self, w: BraidWord, s: garside.NormalForm) -> garside.NormalForm:
+        """The keyed class with the key of w, whose summit element is s; s,
+        keyed, when there is none.
 
-    def _sort_text(self, neighbor: tuple[garside.NormalForm, MoveStep]) -> str:
-        c = neighbor[0]
-        return self.keys.get(c) or f"B{c.n}{{D^{c.delta_power} |"
+        The key is the super summit set: the cached key of s's class, or
+        else a closure.  Past ``MAX_SUMMIT_SET`` members it is the weak
+        ``"nf:"`` form, the normal form of s, counted in ``capped``.  Equal
+        summit elements are conjugate, but conjugates reaching different
+        summit elements become different classes.
+        """
+        key = garside._key_cache.get(s)
+        if key is None:
+            try:
+                key = garside.super_summit_set(w)
+            except garside.SuperSummitCapError:
+                self.capped += 1
+                return self.by_key.setdefault("nf:" + str(w.n) + ":" + s.serialize(), s)
+        return self.by_key.setdefault(str(key), s)
 
 
 def _prebuilt(site):
@@ -238,10 +198,11 @@ def _sites(w: BraidWord, bounds: SearchBounds) -> list:
 def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> SearchResult:
     """Search for a certified move sequence from source to target's class.
 
-    Breadth first over classes (see :class:`_Classes`), ending on the
-    target's; a weak node (see :func:`_class_key`) reaches the target only
-    through an equal summit element, since its class is capped and so is
-    the target's.
+    Breadth first over classes (see :class:`_Classes`), the two ends found
+    as any node is, ending on the target's class; a node's new siblings
+    enter the frontier in site order.  A weak node (see
+    :meth:`_Classes.keyed`) reaches the target only through an equal summit
+    element, since its class is capped and so is the target's.
     """
     source = _word(source.n, free_reduce(source.letters))
     target = _word(target.n, free_reduce(target.letters))
@@ -256,33 +217,35 @@ def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> Searc
                 f"more than max_word_length = {bounds.max_word_length}"
             )
 
-    # Ends in one bucket are keyed, equal summit elements included, and a
-    # search between two words of one class stops here on key equality.
-    target_summit = garside._word_summit(target)[0]
-    src_summit = garside._word_summit(source)[0]
-    target_key = src_key = None
-    capped = 0
-    if src_summit == target_summit or _bucket(src_summit) == _bucket(target_summit):
-        target_key, target_weak = _class_key(target, target_summit)
-        src_key, src_weak = _class_key(source, src_summit)
-        capped = int(src_weak) + int(target_weak)
-        if src_key == target_key:
-            return SearchResult("found", SearchStats(0, 1, 0, capped), MoveSequence(source))
-    classes = _Classes(capped)
-    goal = classes.find(target, target_summit, target_key)
-    start = classes.find(source, src_summit, src_key)
+    classes = _Classes()
+    goal = classes.find(target, garside._word_summit(target)[0])
+    start = classes.find(source, garside._word_summit(source)[0])
     dedup_hits = 0
     nodes_expanded = 0
     frontier_peak = 1
     # parents[class] = (parent class, MoveStep) for path reconstruction
     parents: dict[garside.NormalForm, tuple] = {start: (None, None)}
+
+    def done(end: garside.NormalForm | None = None) -> SearchResult:
+        """The result: found when the search reached class ``end``."""
+        stats = SearchStats(nodes_expanded, frontier_peak, dedup_hits, classes.capped)
+        if end is None:
+            return SearchResult("exhausted", stats)
+        steps = []
+        parent, step = parents[end]
+        while parent is not None:
+            steps.append(step)
+            parent, step = parents[parent]
+        return SearchResult("found", stats, MoveSequence(source, tuple(reversed(steps))))
+
+    if start is goal:
+        return done(start)
     frontier = [(start, source)]
     while frontier:
         frontier_peak = max(frontier_peak, len(frontier))
         next_frontier: list[tuple[garside.NormalForm, BraidWord]] = []
         for c, w in frontier:
             nodes_expanded += 1
-            neighbors = []
             for site in _sites(w, bounds):
                 result = site.apply(w)
                 if len(result.letters) > bounds.max_word_length:
@@ -291,32 +254,14 @@ def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> Searc
                 if nc in parents:
                     dedup_hits += 1
                     continue
-                neighbors.append((nc, MoveStep(*site.move(), result)))
-            for nc, step in classes.sort(neighbors):
-                if nc in parents:
-                    dedup_hits += 1
-                    continue
-                parents[nc] = (c, step)
+                parents[nc] = (c, MoveStep(*site.move(), result))
                 if nc is goal:
-                    stats = SearchStats(nodes_expanded, frontier_peak, dedup_hits, classes.capped)
-                    return SearchResult("found", stats, _path(source, parents, nc))
+                    return done(nc)
                 if len(parents) >= bounds.max_nodes:
-                    stats = SearchStats(nodes_expanded, frontier_peak, dedup_hits, classes.capped)
-                    return SearchResult("exhausted", stats)
-                next_frontier.append((nc, step.result))
+                    return done()
+                next_frontier.append((nc, result))
         frontier = next_frontier
-    stats = SearchStats(nodes_expanded, frontier_peak, dedup_hits, classes.capped)
-    return SearchResult("exhausted", stats)
-
-
-def _path(source: BraidWord, parents: dict, end) -> MoveSequence:
-    """The moves from source to class ``end``, read back through ``parents``."""
-    steps = []
-    parent, step = parents[end]
-    while parent is not None:
-        steps.append(step)
-        parent, step = parents[parent]
-    return MoveSequence(source, tuple(reversed(steps)))
+    return done()
 
 
 # Largest strand count whose n! − 1 simple elements are enumerated (8! − 1 = 40 319).
