@@ -377,9 +377,7 @@ def test_each_applied_site_gives_the_replayed_word():
 
 
 # sha256 of the sequences, outcomes and statistics of the corpus below.
-# Any change to a drawn move, a found path or a count moves it.  Re-recorded
-# when the search's siblings moved from key-text order to site order: the
-# scrambles, and each search's outcome and sequence length, were unchanged.
+# Any change to a drawn move, a found path or a count moves it.
 PINNED_CORPUS_SHA256 = "82ea91c642f0fc0484bf2ec820eb881fdbaf55fe3a53466db891d9ccd215e310"
 
 
