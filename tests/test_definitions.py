@@ -5,7 +5,10 @@ definition counts as used when its name appears as a variable, an
 attribute, an import alias or an identifier string anywhere.  So it is
 coarse: an unrelated local variable of the same name hides a dead
 definition.  A second check installs the benchmark's tracer, which fails
-when a name it patches is gone.
+when a name it patches is gone, and a third runs it to see that the
+search's move finders are the ones it times.  Every name a library module
+imports is used in that module, but for the re-exports of ``__init__.py``
+and the one name the tracer looks up where it is imported.
 """
 
 import ast
@@ -73,3 +76,61 @@ def test_tracer_patches_resolve():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip()
+
+
+def test_tracer_times_the_search_move_finders():
+    # perfbench/tracing.py times the move finders where search looks them up;
+    # one search and one scramble record a span of each finder they run.
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "import tracing\n"
+        "from braidkit import moves, search\n"
+        "from braidkit.words import parse_braid_word\n"
+        "tracer = tracing.Tracer(); tracing.install(tracer); tracer.enabled = True\n"
+        "source = parse_braid_word('s1 s2 s1 s2^-1', 3)\n"
+        "assert moves.find_exchange_decompositions(source)\n"
+        "target = parse_braid_word('s1^5', 2)\n"
+        "tracer.op = 0\n"
+        "result = search.connect(source, target, search.SearchBounds(4, 8, 20))\n"
+        "assert result.stats.nodes_expanded >= 2, result\n"
+        "tracer.op = 1\n"
+        "search.scramble(source, 1, 0)\n"
+        "for op in (0, 1):\n"
+        "    print(*sorted({name for name, *_, o in tracer.spans if o == op}))\n"
+        "print(tracer.counts['moves.destab_hits'])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    *ops, hits = out.stdout.split("\n")[:-1]
+    for op, names in enumerate(ops):
+        assert {"moves.destab", "moves.exchange"} <= set(names.split()), (op, names)
+    assert int(hits) > 0  # a destabilization of source's stabilization
+
+
+# (module, name): imported but not called there, because perfbench/tracing.py
+# patches the name on that module
+_TRACER_ONLY_IMPORTS = {("search", "apply_move")}
+
+
+def test_every_import_is_used():
+    unused = []
+    for path, tree in _trees(ROOT, "src/braidkit"):
+        if path.name == "__init__.py":  # re-exports
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used and (path.stem, name) not in _TRACER_ONLY_IMPORTS
+        ]
+    assert unused == []

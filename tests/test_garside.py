@@ -552,6 +552,14 @@ class TestAreConjugate:
         with pytest.raises(ValueError):
             are_conjugate(BraidWord(2, (1,)), BraidWord(3, (1,)))
 
+    def test_strand_mismatch_message(self):
+        u, v = BraidWord(2, (1,)), BraidWord(3, (1, -2))
+        for a, b in ((u, v), (v, u)):
+            for want_witness in (False, True):
+                with pytest.raises(ValueError) as err:
+                    are_conjugate(a, b, want_witness=want_witness)
+                assert str(err.value) == f"strand-count mismatch: {a.n} vs {b.n}"
+
     def test_soundness_and_witness_validity(self):
         rng = random.Random(14)
         for _ in range(100):
