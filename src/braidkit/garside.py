@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .words import BraidWord, ResourceLimitError, _word, exponent_sum, free_reduce
+from .words import BraidWord, ResourceLimitError, _require_same_strands, _word, exponent_sum, free_reduce
 
 # A permutation is the tuple of 1-based images of 1 … n.
 Perm = tuple[int, ...]
@@ -562,8 +562,7 @@ def are_conjugate(u: BraidWord, v: BraidWord, want_witness: bool = False):
     :data:`MAX_SUMMIT_SET` members, however large the set; a False answer
     closes the whole set and past the cap raises :class:`SuperSummitCapError`.
     """
-    if u.n != v.n:
-        raise ValueError(f"strand-count mismatch: {u.n} vs {v.n}")
+    _require_same_strands(u, v)
     no = (False, None) if want_witness else False
     if exponent_sum(u) != exponent_sum(v):
         return no

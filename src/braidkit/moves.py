@@ -5,10 +5,10 @@ Markov stabilization appends σₙ^{±1} on a new strand; destabilization
 removes it.  The exchange move rewrites P·σₙ₋₁·Q·σₙ₋₁⁻¹ into
 P·σₙ₋₁⁻¹·Q·σₙ₋₁ (P, Q away from the last strand), and the 3-braid flype
 rewrites σ₁ᵖ·σ₂ʳ·σ₁^q·σ₂^ε into σ₁ᵖ·σ₂^ε·σ₁^q·σ₂ʳ.  Each schema has one
-matcher at a given rotation and one private finder of the rotations (of
-the cyclic reduction, for a destabilization) where it matches, as closed
-braids are conjugacy classes; sites are built only there.  A site (a
-matched schema, a stabilization or a conjugation) names its ``kind``,
+matcher at a given rotation and one public finder, which runs it only at
+the rotations (of the cyclic reduction, for a destabilization) where it
+can match, as closed braids are conjugacy classes.  A site (a matched
+schema, a stabilization or a conjugation) names its ``kind``,
 gives its result with ``site.apply(w)`` on the word it was matched on,
 and encodes itself with ``site.move()`` as the ``(kind, params)`` that
 :func:`apply_move` replays.  The search, ``scramble`` and the ``move``
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import garside
 from .words import (
@@ -127,12 +128,13 @@ def cyclic_free_reduce(w: BraidWord) -> tuple[BraidWord, BraidWord]:
     return _word(w.n, u), _word(w.n, g)
 
 
-@dataclass(frozen=True)
-class DestabResult:
+class DestabResult(NamedTuple):
     """A destabilization of a word.
 
     ``rotate(conjugate(input, conjugator), rotation)`` equals
-    ``word + σₙ₋₁^{sign}`` letter for letter.
+    ``word + σₙ₋₁^{sign}`` letter for letter.  A named tuple, as are the
+    other matched sites, so that building, hashing and comparing one runs
+    in C: the search builds every site of every node it expands.
     """
 
     word: BraidWord  # the destabilized word on n-1 strands
@@ -163,16 +165,6 @@ def _destab_at(n: int, u: tuple[int, ...], g: tuple[int, ...], r: int) -> Destab
     return DestabResult(_word(n - 1, ls[:-1]), 1 if ls[-1] > 0 else -1, _word(n, g), r)
 
 
-def _destab_place(w: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
-    """By :func:`try_destabilize`'s rule, the ``(u, g, r)`` where :func:`_destab_at`
-    destabilizes w: its cyclic reduction's letters and the rotation ending in u's σₙ₋₁."""
-    u, g = _cyclic_reduction(w.letters)
-    top = w.n - 1
-    if u.count(top) + u.count(-top) != 1:
-        return None
-    return u, g, ((u.index(top) if top in u else u.index(-top)) + 1) % len(u)
-
-
 def try_destabilize(w: BraidWord) -> DestabResult | None:
     """Read w as P·σₙ₋₁^{±1}, P on n−1 strands, up to cyclic reduction.
 
@@ -186,13 +178,16 @@ def try_destabilize(w: BraidWord) -> DestabResult | None:
     """
     if w.n < 2:
         raise ValueError("destabilization needs at least 2 strands")
-    place = _destab_place(w)
-    return None if place is None else _destab_at(w.n, *place)
+    u, g = _cyclic_reduction(w.letters)
+    top = w.n - 1
+    if u.count(top) + u.count(-top) != 1:
+        return None
+    return _destab_at(w.n, u, g, ((u.index(top) if top in u else u.index(-top)) + 1) % len(u))
 
 
-@dataclass(frozen=True)
-class ExchangeDecomposition:
-    """A reading of some cyclic permutation of w as P·σₙ₋₁^s·Q·σₙ₋₁^{−s}."""
+class ExchangeDecomposition(NamedTuple):
+    """A reading of some cyclic permutation of w as P·σₙ₋₁^s·Q·σₙ₋₁^{−s};
+    a named tuple, as :class:`DestabResult` is."""
 
     rotation: int
     p_len: int
@@ -222,23 +217,19 @@ def _exchange_at(w: BraidWord, r: int) -> ExchangeDecomposition | None:
     return ExchangeDecomposition(r, ls.index(-ls[-1]), -1 if ls[-1] > 0 else 1)
 
 
-def _exchange_rotations(w: BraidWord) -> list[int]:
-    """The rotations where :func:`_exchange_at` matches w, ascending: when w
-    holds two σₙ₋₁ letters and they are opposite, one ending in each."""
+def find_exchange_decompositions(w: BraidWord) -> list[ExchangeDecomposition]:
+    """All exchange-move sites of a word (cyclic scans included), by rotation:
+    when w holds two σₙ₋₁ letters and they are opposite, one ending in each."""
     top, ls = w.n - 1, w.letters
     if w.n < 3 or ls.count(top) != 1 or ls.count(-top) != 1:
         return []
-    return sorted([(ls.index(top) + 1) % len(ls), (ls.index(-top) + 1) % len(ls)])
+    rotations = sorted([(ls.index(top) + 1) % len(ls), (ls.index(-top) + 1) % len(ls)])
+    return [_exchange_at(w, r) for r in rotations]
 
 
-def find_exchange_decompositions(w: BraidWord) -> list[ExchangeDecomposition]:
-    """All exchange-move sites of a word (cyclic scans included)."""
-    return [_exchange_at(w, r) for r in _exchange_rotations(w)]
-
-
-@dataclass(frozen=True)
-class FlypeData:
-    """A match of a 3-braid word against σ₁ᵖ·σ₂ʳ·σ₁^q·σ₂^ε (cyclically)."""
+class FlypeData(NamedTuple):
+    """A match of a 3-braid word against σ₁ᵖ·σ₂ʳ·σ₁^q·σ₂^ε (cyclically);
+    a named tuple, as :class:`DestabResult` is."""
 
     rotation: int
     p: int
@@ -269,8 +260,8 @@ def _flype_at(w: BraidWord, r0: int) -> FlypeData | None:
     return FlypeData(r0, p, r, q, eps)
 
 
-def _flype_starts(w: BraidWord) -> list[int]:
-    """The rotations where :func:`_flype_at` may match a 3-braid word, in O(L).
+def find_flype_decompositions(w: BraidWord) -> list[FlypeData]:
+    """All cyclic matches of a 3-braid word against the flype schema, in O(L).
 
     A match at rotation r starts with a σ₁ letter and ends with a σ₂ letter,
     so |w[r]| = 1 and |w[r−1]| = 2 (cyclically).  Read by generator, a
@@ -281,12 +272,7 @@ def _flype_starts(w: BraidWord) -> list[int]:
         return []
     ls = w.letters
     starts = [r0 for r0 in range(len(ls)) if abs(ls[r0]) == 1 and abs(ls[r0 - 1]) == 2]
-    return starts if len(starts) == 2 else []
-
-
-def find_flype_decompositions(w: BraidWord) -> list[FlypeData]:
-    """All cyclic matches of a 3-braid word against the flype schema."""
-    return [f for r0 in _flype_starts(w) if (f := _flype_at(w, r0))]
+    return [f for r0 in starts if (f := _flype_at(w, r0))] if len(starts) == 2 else []
 
 
 def match_flype_3braid(w: BraidWord) -> FlypeData | None:

@@ -24,13 +24,12 @@ same super summit set, so a weak node's class is capped on every word, the
 target's included: a weak node reaches the target only through an equal
 summit element, and a capped class may be missed.
 
-One scan, :func:`_places`, finds where a word's move sites are; a flype
-site is built by the match that finds it, and the others only when taken:
-the search takes every site there, and :func:`scramble` only the one it
-draws, its conjugation sites built once per strand count.  Both apply
-each site they have just built (``site.apply``) and encode only the moves
-they record (``site.move()``); :func:`moves.apply_move` re-matches a
-recorded site and is the replay path.
+One scan, :func:`_sites`, builds a word's move sites with the public
+finders of :mod:`moves`: the search expands every site there, and
+:func:`scramble` adds one drawn conjugation site (built once per strand
+count) and draws one of them.  Both apply each site they take
+(``site.apply``) and encode only the moves they record (``site.move()``);
+:func:`moves.apply_move` re-matches a recorded site and is the replay path.
 
 A ``found`` result carries a replayable :class:`MoveSequence`; an
 ``exhausted`` result means the bounded graph was used up, which is
@@ -43,16 +42,16 @@ import functools
 import random
 from dataclasses import dataclass
 
-from . import garside, moves
+from . import garside
 from .moves import (
     Conjugation,
     MoveSequence,
     MoveStep,
     Stabilization,
     apply_move,  # not called here: perfbench/tracing.py looks it up on this module
-    find_exchange_decompositions,  # not called here, likewise
-    find_flype_decompositions,  # not called here, likewise
-    try_destabilize,  # not called here, likewise
+    find_exchange_decompositions,
+    find_flype_decompositions,
+    try_destabilize,
 )
 from .transverse import TRANSVERSE_MOVE_KINDS
 from .words import BraidWord, ResourceLimitError, _word, free_reduce
@@ -159,40 +158,28 @@ class _Classes:
         return self.by_key.setdefault(str(key), s)
 
 
-def _prebuilt(site):
-    """A place's build when the scan has built its site already."""
-    return site
-
-
-_STABILIZATIONS = tuple((Stabilization(sign).kind, Stabilization, sign) for sign in (1, -1))
-
-
-def _places(w: BraidWord, bounds: SearchBounds) -> list[tuple]:
-    """Where w's move sites are, in site order: destabilization, exchanges,
-    flypes and the two stabilizations when there is room.  A place is
-    ``(kind, build, *args)``, and ``build(*args)`` is its site, built by the
-    schema's matcher.  The transverse move set keeps the kinds in
-    ``TRANSVERSE_MOVE_KINDS``; it holds no flype, so the flype finder is
-    not run for it."""
-    transverse = bounds.move_set == TRANSVERSE
-    places: list[tuple] = []
-    # a rotation r ends in letter r − 1, whose sign names the destab or flype kind
-    if (d := moves._destab_place(w)) is not None:
-        places.append(("destab+" if d[0][d[2] - 1] > 0 else "destab-", moves._destab_at, w.n, *d))
-    places += [("exchange", moves._exchange_at, w, r) for r in moves._exchange_rotations(w)]
-    if not transverse:
-        places += [(f.kind, _prebuilt, f) for f in moves.find_flype_decompositions(w)]
-    if w.n < bounds.max_strands and len(w.letters) + 1 <= bounds.max_word_length:
-        places += _STABILIZATIONS
-    if transverse:
-        return [place for place in places if place[0] in TRANSVERSE_MOVE_KINDS]
-    return places
+_STABILIZATIONS = (Stabilization(1), Stabilization(-1))
 
 
 def _sites(w: BraidWord, bounds: SearchBounds) -> list:
-    """Every move site of w in :func:`_places` order: each names its ``kind``,
-    gives its result by ``site.apply(w)`` and its params by ``site.move()``."""
-    return [build(*args) for _, build, *args in _places(w, bounds)]
+    """Every move site of w, in site order: destabilization, exchanges,
+    flypes and the two stabilizations when there is room.  Each names its
+    ``kind``, gives its result by ``site.apply(w)`` and its params by
+    ``site.move()``.  The transverse move set keeps the kinds in
+    ``TRANSVERSE_MOVE_KINDS``; it holds no flype, so the flype finder is
+    not run for it."""
+    transverse = bounds.move_set == TRANSVERSE
+    sites: list = []
+    if w.n > 1 and (d := try_destabilize(w)) is not None:
+        sites.append(d)
+    sites += find_exchange_decompositions(w)
+    if not transverse:
+        sites += find_flype_decompositions(w)
+    if w.n < bounds.max_strands and len(w.letters) + 1 <= bounds.max_word_length:
+        sites += _STABILIZATIONS
+    if transverse:
+        return [site for site in sites if site.kind in TRANSVERSE_MOVE_KINDS]
+    return sites
 
 
 def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> SearchResult:
@@ -316,7 +303,8 @@ def scramble(
 ) -> tuple[BraidWord, MoveSequence]:
     """Apply k seeded random legal moves; returns the result and the ground truth.
 
-    A step draws one of the word's move places and builds only its site.
+    A step draws one of the word's move sites (:func:`_sites` and one drawn
+    conjugation site).
     Conjugation counts as a move here (it is one of the closed-braid moves),
     realized by a random permutation-braid conjugator, so a word above
     ``search.MAX_SIMPLE_STRANDS`` strands raises ``ResourceLimitError``.  A
@@ -334,17 +322,16 @@ def scramble(
     cur = w
     steps = []
     for _ in range(k):
-        places = _places(cur, bounds)
+        sites = _sites(cur, bounds)
         # the words table is where MAX_SIMPLE_STRANDS is checked; the sites
         # table alone would keep answering after the bound is lowered
         if _simple_conjugator_words(cur.n):
-            places.append((Conjugation.kind, _prebuilt, rng.choice(_conjugation_sites(cur.n))))
-        if not places:
+            sites.append(rng.choice(_conjugation_sites(cur.n)))
+        if not sites:
             raise ValueError(
                 f"no legal move on {cur.n} strand(s) with max_strands = {bounds.max_strands}"
             )
-        _, build, *args = rng.choice(places)
-        site = build(*args)
+        site = rng.choice(sites)
         result = site.apply(cur)
         steps.append(MoveStep(*site.move(), result))
         cur = result
