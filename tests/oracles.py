@@ -13,9 +13,10 @@ move finders try only the rotations their place rule names (after the only
 letter); :func:`destab_rotation_scan`, :func:`exchange_rotation_scan` and
 :func:`flype_rotation_scan` try every rotation.  The flype matcher reads
 a word's runs; :func:`built_flype_sites` writes every short schema word
-from its exponents instead.  ``search.scramble`` builds only the site it
-draws; :func:`scramble_all_sites` builds every site of each step and then
-draws one of them.  ``search.connect`` closes a super summit set only when
+from its exponents instead.  ``search.scramble`` draws a conjugation site
+from a table built once per strand count; :func:`scramble_all_sites`
+builds the drawn conjugation site anew at each step, and otherwise draws
+as ``scramble`` does.  ``search.connect`` closes a super summit set only when
 a cheaper test cannot tell two nodes apart; :func:`eager_connect` keys
 every node by its super summit set.  The bracket transfer carries each state as one
 Kronecker-packed int; :func:`dict_transfer_bracket` carries an exponent →
@@ -149,8 +150,8 @@ def built_flype_sites(max_len: int) -> dict:
 
 
 def scramble_all_sites(w, k, seed, move_set=search.TOPOLOGICAL, max_strands=None):
-    """``search.scramble`` by building every site of a step (``search._sites``
-    and one drawn conjugation) and drawing one of them with ``rng.choice``."""
+    """``search.scramble``, with the drawn conjugation site of each step built
+    anew from its word rather than taken from ``search._conjugation_sites``."""
     if k < 0:
         raise ValueError("k must be >= 0")
     rng = random.Random(seed)
