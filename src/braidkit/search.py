@@ -25,7 +25,7 @@ target's included: a weak node reaches the target only through an equal
 summit element, and a capped class may be missed.
 
 One scan, :func:`_sites`, builds a word's move sites with the public
-finders of :mod:`moves`: the search expands every site there, and
+finders of :mod:`moves`: the search takes every site there, and
 :func:`scramble` adds one drawn conjugation site (built once per strand
 count) and draws one of them.  Both apply each site they take
 (``site.apply``) and encode only the moves they record (``site.move()``);
@@ -323,8 +323,8 @@ def scramble(
     steps = []
     for _ in range(k):
         sites = _sites(cur, bounds)
-        # the words table is where MAX_SIMPLE_STRANDS is checked; the sites
-        # table alone would keep answering after the bound is lowered
+        # the words table is where MAX_SIMPLE_STRANDS is checked; the
+        # conjugation sites table alone would keep answering after the bound is lowered
         if _simple_conjugator_words(cur.n):
             sites.append(rng.choice(_conjugation_sites(cur.n)))
         if not sites:
