@@ -25,7 +25,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from . import garside, invariants, moves, search, transverse, words
 from .transverse import InternalConsistencyError
@@ -135,7 +135,7 @@ def _cmd_search(args):
         move_set=search.TRANSVERSE if args.transverse else search.TOPOLOGICAL,
     )
     result = search.connect(u, v, bounds)
-    payload = {"outcome": result.outcome, "stats": asdict(result.stats)}
+    payload = {"outcome": result.outcome, "stats": result.stats._asdict()}
     lines = [f"{result.outcome} (expanded {result.stats.nodes_expanded} nodes)"]
     if result.sequence is not None:
         payload["sequence"] = moves.sequence_to_json(result.sequence)
@@ -155,8 +155,11 @@ def _cmd_template(args):
     report = invariants.template_soundness_check(template, args.trials, args.max_len, args.seed)
     lines = [f"template {report.template}: {report.trials} trials, {len(report.failures)} failures"]
     lines += [f"  trial {f.trial}: {f.mismatch} mismatch ({f.detail})" for f in report.failures]
-    # asdict turns each failure's words into {"n", "letters"}, their word_to_json form
-    return (0 if report.ok else 1), asdict(report), "\n".join(lines)
+    failures = [
+        {**f._asdict(), "left": words.word_to_json(f.left), "right": words.word_to_json(f.right)}
+        for f in report.failures
+    ]
+    return (0 if report.ok else 1), {**report._asdict(), "failures": failures}, "\n".join(lines)
 
 
 def _cmd_winding(args):
@@ -173,14 +176,12 @@ def _cmd_winding(args):
     return 0, payload, "\n".join(lines)
 
 
-@dataclass
-class _Check:
+class _Check(NamedTuple):
     label: str
     anchor: str
     passed: bool
     detail: str
-    # The check's own wall time, rounded to ms; left out of equality.
-    seconds: float = field(compare=False)
+    seconds: float  # the check's own wall time, rounded to ms
 
 
 def verify_paper(seed: int = 0) -> list[_Check]:
@@ -300,7 +301,7 @@ def _cmd_verify_paper(args):
     checks = verify_paper(seed=args.seed if args.seed is not None else 0)
     elapsed = time.perf_counter() - t0
     ok = all(c.passed for c in checks)
-    payload = {"checks": [asdict(c) for c in checks], "all_passed": ok,
+    payload = {"checks": [c._asdict() for c in checks], "all_passed": ok,
                "seconds": round(elapsed, 3)}
     lines = []
     for c in checks:
@@ -378,9 +379,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("word1")
     p.add_argument("word2")
     p.add_argument("--transverse", action="store_true", help="transverse move set only")
-    p.add_argument("--max-strands", type=int, default=search.SearchBounds.max_strands)
-    p.add_argument("--max-length", type=int, default=search.SearchBounds.max_word_length)
-    p.add_argument("--max-nodes", type=int, default=search.SearchBounds.max_nodes)
+    defaults = search.SearchBounds._field_defaults
+    p.add_argument("--max-strands", type=int, default=defaults["max_strands"])
+    p.add_argument("--max-length", type=int, default=defaults["max_word_length"])
+    p.add_argument("--max-nodes", type=int, default=defaults["max_nodes"])
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("template", parents=[seeded], help="template tools")

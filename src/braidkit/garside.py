@@ -48,8 +48,7 @@ only for a witness of ``are_conjugate`` and for ``NormalForm.as_word``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .words import BraidWord, ResourceLimitError, _require_same_strands, _word, exponent_sum, free_reduce
@@ -201,8 +200,7 @@ class NormalForm(NamedTuple):
         return _factors_word(self.n, delta + [(f, 1) for f in self.factors])
 
 
-@dataclass(frozen=True)
-class ConjugacyKey:
+class ConjugacyKey(NamedTuple):
     """The full super summit set, as the normal-form serializations of its members.
 
     Members share inf and canonical length, and the entries are ordered by
@@ -217,13 +215,8 @@ class ConjugacyKey:
     n: int
     entries: tuple[str, ...]
 
-    @cached_property
-    def _text(self) -> str:
-        # stored in the instance __dict__, outside the fields that eq, hash and repr read
-        return f"B{self.n}{{" + " ; ".join(self.entries) + "}"
-
     def __str__(self) -> str:
-        return self._text
+        return f"B{self.n}{{" + " ; ".join(self.entries) + "}"
 
 
 @lru_cache(maxsize=_TABLE_SIZE)

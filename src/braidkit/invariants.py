@@ -40,8 +40,8 @@ reference the tests compare the bracket against.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 from .laurent import LaurentPolynomial, PolyMatrix, _pack, _read_digits, _width, table_determinant
 from .moves import instantiate_template, random_assignment
@@ -137,8 +137,7 @@ def burau_reduced(w: BraidWord) -> PolyMatrix:
     return PolyMatrix(tuple(tuple(LaurentPolynomial.from_dict(p) for p in row) for row in rows))
 
 
-@dataclass(frozen=True)
-class AlexanderResult:
+class AlexanderResult(NamedTuple):
     polynomial: LaurentPolynomial
     normalized: bool  # symmetric normalization applied (knot closures only)
 
@@ -393,8 +392,7 @@ def jones_text(p: LaurentPolynomial) -> str:
     return "[q^2 = t] " + p.text("q")
 
 
-@dataclass(frozen=True)
-class TemplateFailure:
+class TemplateFailure(NamedTuple):
     trial: int
     mismatch: str  # "components" | "jones" | "alexander"
     assignment: dict[str, list[int]]
@@ -403,11 +401,10 @@ class TemplateFailure:
     detail: str
 
 
-@dataclass(frozen=True)
-class TemplateReport:
+class TemplateReport(NamedTuple):
     template: str
     trials: int
-    failures: tuple[TemplateFailure, ...] = field(default=())
+    failures: tuple[TemplateFailure, ...] = ()
 
     @property
     def ok(self) -> bool:

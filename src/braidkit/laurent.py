@@ -21,27 +21,41 @@ each in time linear in the digits.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
-from .words import json_field
+from .words import _not_a_sequence, _validated_make, json_field
 
 
-@dataclass(frozen=True)
-class LaurentPolynomial:
+class _LaurentFields(NamedTuple):
+    terms: tuple[tuple[int, int], ...] = ()
+
+
+class LaurentPolynomial(_LaurentFields):
     """An integer Laurent polynomial, stored as sorted (exponent, coeff) pairs.
 
     Canonical form: zero coefficients are dropped and exponents are strictly
-    increasing, so equality and hashing are structural.
+    increasing, so equality and hashing are structural.  ``+`` and ``-``
+    take two polynomials; there is no ``*``.
     """
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
+
+    def __new__(cls, terms=()):
+        self = tuple.__new__(cls, (tuple(tuple(t) for t in terms),))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(tuple(t) for t in self.terms))
-        exps = [e for e, _ in self.terms]
-        if exps != sorted(exps) or len(set(exps)) != len(exps) or any(c == 0 for _, c in self.terms):
-            raise ValueError(f"terms not canonical: {self.terms!r}")
+        terms = self.terms
+        if not all(len(t) == 2 and type(t[0]) is int and type(t[1]) is int for t in terms):
+            raise ValueError(f"terms must be (exponent, coefficient) integer pairs: {terms!r}")
+        exps = [e for e, _ in terms]
+        if exps != sorted(exps) or len(set(exps)) != len(exps) or any(c == 0 for _, c in terms):
+            raise ValueError(f"terms not canonical: {terms!r}")
+
+    _make = _validated_make
+    __radd__ = __mul__ = __rmul__ = _not_a_sequence
 
     @staticmethod
     def from_dict(coeffs: dict[int, int]) -> "LaurentPolynomial":
@@ -78,6 +92,8 @@ class LaurentPolynomial:
         return self.terms[-1][0]
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
+        if not isinstance(other, LaurentPolynomial):
+            return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms:
             out[e] = out.get(e, 0) + c
@@ -121,17 +137,27 @@ class LaurentPolynomial:
         return LaurentPolynomial(terms)
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
-    """A square matrix over ℤ[t, t⁻¹]."""
-
+class _PolyMatrixFields(NamedTuple):
     rows: tuple[tuple[LaurentPolynomial, ...], ...]
 
+
+class PolyMatrix(_PolyMatrixFields):
+    """A square matrix over ℤ[t, t⁻¹]."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows):
+        self = tuple.__new__(cls, (tuple(tuple(r) for r in rows),))
+        self.__post_init__()
+        return self
+
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
         d = len(self.rows)
         if any(len(r) != d for r in self.rows):
             raise ValueError("matrix is not square")
+
+    _make = _validated_make
+    __add__ = __radd__ = __mul__ = __rmul__ = _not_a_sequence
 
     @property
     def dim(self) -> int:

@@ -30,7 +30,6 @@ exchange, flype+, flype-.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import garside
@@ -40,6 +39,7 @@ from .words import (
     ResourceLimitError,
     _require_same_strands,
     _runs,
+    _validated_make,
     _word,
     conjugate,
     free_reduce,
@@ -61,10 +61,6 @@ def stabilize(w: BraidWord, sign: int) -> BraidWord:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     return _word(w.n + 1, w.letters + (sign * w.n,))
-
-
-# The two sites below carry one value each and are plain classes: a frozen
-# dataclass costs about 0.8 ms to create, paid by every import.
 
 
 class Stabilization:
@@ -292,33 +288,41 @@ def apply_flype(data: FlypeData) -> BraidWord:
 # Block-strand diagrams and templates
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     pos: int  # 1-based diagram-strand position; crosses pos and pos+1
     sign: int
 
 
-@dataclass(frozen=True)
-class BlockSlot:
+class BlockSlot(NamedTuple):
     block: str
     pos: int = 1  # 1-based first diagram strand entering the block
 
 
-@dataclass(frozen=True)
-class BlockStrandDiagram:
+class _DiagramFields(NamedTuple):
+    strand_weights: tuple[int, ...]
+    items: tuple[Crossing | BlockSlot, ...]
+    block_arities: dict[str, int]
+
+
+class BlockStrandDiagram(_DiagramFields):
     """An ordered schema of crossings and block slots over weighted strands.
 
-    Weights summing to more than :data:`MAX_PARSED_LETTERS` strands raise
+    Without ``block_arities`` the diagram has no blocks.  Weights summing to
+    more than :data:`MAX_PARSED_LETTERS` strands raise
     :class:`ResourceLimitError` when the diagram is built.
     """
 
-    strand_weights: tuple[int, ...]
-    items: tuple[Crossing | BlockSlot, ...]
-    block_arities: dict[str, int] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, strand_weights, items, block_arities=None):
+        arities = {} if block_arities is None else block_arities
+        self = tuple.__new__(cls, (tuple(strand_weights), tuple(items), arities))
+        self.__post_init__()
+        return self
+
+    _make = _validated_make
 
     def __post_init__(self):
-        object.__setattr__(self, "strand_weights", tuple(self.strand_weights))
-        object.__setattr__(self, "items", tuple(self.items))
         k = len(self.strand_weights)
         if k < 1 or any(not isinstance(x, int) or x < 1 for x in self.strand_weights):
             raise ValueError("strand weights must be positive integers")
@@ -342,13 +346,23 @@ class BlockStrandDiagram:
                     raise ValueError(f"block {item.block!r} does not fit at {item.pos}")
 
 
-@dataclass(frozen=True)
-class Template:
-    """A pair of block-strand diagrams closing to the same link for every assignment."""
-
+class _TemplateFields(NamedTuple):
     name: str
     left: BlockStrandDiagram
     right: BlockStrandDiagram
+
+
+class Template(_TemplateFields):
+    """A pair of block-strand diagrams closing to the same link for every assignment."""
+
+    __slots__ = ()
+
+    def __new__(cls, name, left, right):
+        self = tuple.__new__(cls, (name, left, right))
+        self.__post_init__()
+        return self
+
+    _make = _validated_make
 
     def __post_init__(self):
         if self.left.block_arities != self.right.block_arities:
@@ -565,15 +579,13 @@ def builtin_templates() -> dict[str, Template]:
 # ---------------------------------------------------------------------------
 # Move sequences (certified chains of moves)
 
-@dataclass(frozen=True)
-class MoveStep:
+class MoveStep(NamedTuple):
     kind: str
     params: dict
     result: BraidWord
 
 
-@dataclass(frozen=True)
-class MoveSequence:
+class MoveSequence(NamedTuple):
     initial: BraidWord
     steps: tuple[MoveStep, ...] = ()
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import garside
 from .moves import (
@@ -54,29 +54,43 @@ from .moves import (
     try_destabilize,
 )
 from .transverse import TRANSVERSE_MOVE_KINDS
-from .words import BraidWord, ResourceLimitError, _word, free_reduce
+from .words import BraidWord, ResourceLimitError, _validated_make, _word, free_reduce
 
 TOPOLOGICAL = "topological"
 TRANSVERSE = "transverse"
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class _SearchBoundsFields(NamedTuple):
     max_strands: int = 5
     max_word_length: int = 24
     max_nodes: int = 100_000
     move_set: str = TOPOLOGICAL
 
+
+class SearchBounds(_SearchBoundsFields):
+    """The bounds of one search; the defaults are ``SearchBounds._field_defaults``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self
+
     def __post_init__(self):
         for name, floor in (("max_strands", 1), ("max_word_length", 0), ("max_nodes", 1)):
-            if getattr(self, name) < floor:
-                raise ValueError(f"{name} must be >= {floor}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {value}")
         if self.move_set not in (TOPOLOGICAL, TRANSVERSE):
             raise ValueError(f"unknown move set {self.move_set!r}")
 
+    _make = _validated_make
 
-@dataclass(frozen=True)
-class SearchStats:
+
+class SearchStats(NamedTuple):
     nodes_expanded: int
     frontier_peak: int
     dedup_hits: int
@@ -85,8 +99,7 @@ class SearchStats:
     weak_keys: int
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     outcome: str  # "found" | "exhausted"
     stats: SearchStats
     sequence: MoveSequence | None = None

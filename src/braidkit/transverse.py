@@ -18,7 +18,7 @@ Components are numbered as in :func:`braidkit.words.closure_components`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .moves import stabilize
 from .words import (
@@ -43,8 +43,7 @@ MAX_COMPONENT_PAIRS = 125_000
 TRANSVERSE_MOVE_KINDS = frozenset({"conjugation", "stab+", "destab+", "exchange"})
 
 
-@dataclass(frozen=True)
-class TransverseInvariants:
+class TransverseInvariants(NamedTuple):
     """β in total, per closure component, and pairwise linking numbers."""
 
     beta_total: int

@@ -16,18 +16,24 @@ position 1.  A permutation is a plain tuple of the images of 1 … n, the
 form :mod:`braidkit.garside` uses for its factors.
 
 ``BraidWord(n, letters)`` validates its input: the strand count and every
-letter.  Words built from outside input go through it (parsed text, JSON,
-replayed move parameters, template block words).  Words whose letters come
-from already valid words (the group operations here, the elementary moves,
-normal-form words, the search's reduced endpoints) or are drawn from the
-alphabet of n strands (:func:`random_word`) are built by the private
-:func:`_word`, which trusts its tuple and checks nothing.
+letter, each a plain ``int`` (a boolean is rejected, as the JSON readers
+reject it).  Words built from outside input go through it (parsed text,
+JSON, replayed move parameters, template block words).  Words whose
+letters come from already valid words (the group operations here, the
+elementary moves, normal-form words, the search's reduced endpoints) or
+are drawn from the alphabet of n strands (:func:`random_word`) are built
+by the private :func:`_word`, which trusts its tuple and checks nothing.
+
+Every value record of the library is a :class:`typing.NamedTuple`, so that
+building, hashing and comparing one runs in C; a record equals the plain
+tuple of its fields.  A record that validates its fields is a subclass of
+its field tuple whose constructor calls ``__post_init__`` on the new record.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class BraidSyntaxError(ValueError):
@@ -38,24 +44,47 @@ class ResourceLimitError(ValueError):
     """Raised before work whose size would exceed a documented bound."""
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    """A word in the Artin generators of the n-strand braid group.
+def _not_a_sequence(self, other):
+    """``+`` and ``*`` of a record that is not a sequence: not tuple
+    concatenation or repetition, but a TypeError."""
+    return NotImplemented
 
-    ``letters[k] == i`` encodes σᵢ, ``letters[k] == -i`` encodes σᵢ⁻¹, with
-    1 ≤ i ≤ n-1.  The empty word is the identity braid.
-    """
 
+# ``_replace`` builds through ``_make``; a validated record routes both
+# through its constructor, so a replaced field is checked as a new one is.
+_validated_make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class _BraidWordFields(NamedTuple):
     n: int
     letters: tuple[int, ...] = ()
 
+
+class BraidWord(_BraidWordFields):
+    """A word in the Artin generators of the n-strand braid group.
+
+    ``letters[k] == i`` encodes σᵢ, ``letters[k] == -i`` encodes σᵢ⁻¹, with
+    1 ≤ i ≤ n-1.  The empty word is the identity braid.  ``len`` is the
+    number of letters.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, letters=()):
+        self = tuple.__new__(cls, (n, tuple(letters)))
+        self.__post_init__()
+        return self
+
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"strand count must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "letters", tuple(self.letters))
+        n = self.n
+        if type(n) is not int or n < 1:
+            raise ValueError(f"strand count must be a positive integer, got {n!r}")
         for x in self.letters:
-            if not isinstance(x, int) or x == 0 or abs(x) >= self.n:
-                raise ValueError(f"letter {x!r} invalid for {self.n} strands")
+            if type(x) is not int or x == 0 or abs(x) >= n:
+                raise ValueError(f"letter {x!r} invalid for {n} strands")
+
+    _make = _validated_make
+    __add__ = __radd__ = __mul__ = __rmul__ = _not_a_sequence
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -64,8 +93,7 @@ class BraidWord:
         return f"BraidWord({self.n}, {format_word(self)!r})"
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
+class ComponentPartition(NamedTuple):
     """The strand cycles of a closure, with component ids 1 … c.
 
     Components are ordered by their least start position, so component 1
@@ -83,15 +111,14 @@ class ComponentPartition:
         return self.component_of[start_position - 1]
 
 
-@dataclass(frozen=True)
-class CrossingRecord:
+class CrossingRecord(NamedTuple):
     """One crossing of a word: the two strand start positions that meet, and its sign."""
 
     strands: tuple[int, int]  # sorted pair of start positions
     sign: int
 
 
-_TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
+_TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$", re.ASCII)
 
 # Most letters a parsed word may expand to; checked before the letters are
 # built, so a huge exponent is rejected without allocating it.
@@ -102,10 +129,11 @@ def parse_braid_word(text: str, n: int) -> BraidWord:
     """Parse a word like ``"s1^5 s2^4 s1^6 s2^-1"`` into a :class:`BraidWord`.
 
     The grammar is whitespace-separated tokens ``s<i>`` or ``s<i>^<k>`` with
-    integer k ≠ 0; negative k gives inverse letters.  No reduction is applied.
-    A word that would expand to more than :data:`MAX_PARSED_LETTERS` letters,
-    an exponent with more digits than that bound, or an index with more
-    digits than n, is rejected with :class:`BraidSyntaxError`.
+    integer k ≠ 0, in ASCII digits; negative k gives inverse letters.  No
+    reduction is applied.  A word that would expand to more than
+    :data:`MAX_PARSED_LETTERS` letters, an exponent with more digits than
+    that bound, or an index with more digits than n, is rejected with
+    :class:`BraidSyntaxError`.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"strand count must be a positive integer, got {n!r}")
@@ -168,10 +196,7 @@ def free_reduce(letters) -> tuple[int, ...]:
 def _word(n: int, letters: tuple[int, ...]) -> BraidWord:
     """A :class:`BraidWord` built without validation, from a tuple of letters
     already valid on n strands (taken from valid words)."""
-    w = object.__new__(BraidWord)
-    object.__setattr__(w, "n", n)
-    object.__setattr__(w, "letters", letters)
-    return w
+    return tuple.__new__(BraidWord, (n, letters))
 
 
 def random_word(rng, n: int, max_len: int) -> BraidWord:

@@ -34,6 +34,10 @@ class TestNormalize:
         code, _, err = run_capture(capsys, ["normalize", "-n", "3", "s9"])
         assert code == 2
 
+    def test_non_ascii_digits_exit_two(self, capsys):
+        code, out, err = run_capture(capsys, ["invariants", "-n", "2", "s١^٣"])
+        assert code == 2 and out == "" and "bad token" in err
+
     def test_huge_exponent_exit_two(self, capsys):
         code, _, err = run_capture(capsys, ["normalize", "-n", "2", "s1^1000000000"])
         assert code == 2 and "letters" in err

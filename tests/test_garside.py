@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import braidkit.garside as garside_module
+from braidkit import words
 from braidkit.garside import (
     SuperSummitCapError,
     _conjugate_nf,
@@ -171,7 +172,7 @@ class TestLeftNormalForm:
         w = BraidWord(200, tuple(range(1, 101)))
         with pytest.raises(ResourceLimitError, match="MAX_NORMAL_FORM_WORK"):
             are_conjugate(w, w, want_witness=True)  # its exponent sums read the letters
-        object.__setattr__(w, "letters", Untouched(w.letters))
+        w = words._word(200, Untouched(w.letters))
 
         def table_sizes():
             return {name: f.cache_info().currsize for name, f in vars(garside_module).items()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from braidkit import invariants
+from braidkit import invariants, words
 from braidkit.invariants import (
     AlexanderCapExceeded,
     CrossingCapExceeded,
@@ -236,8 +236,7 @@ class TestAlexander:
         assert alexander_polynomial(w) == expected
         monkeypatch.undo()
         assert issubclass(AlexanderCapExceeded, ResourceLimitError)
-        wide = BraidWord(1000)
-        object.__setattr__(wide, "letters", Untouched())
+        wide = words._word(1000, Untouched())
         with pytest.raises(AlexanderCapExceeded, match="MAX_ALEXANDER_WORK"):
             burau_reduced(wide)
         with pytest.raises(AlexanderCapExceeded, match="MAX_ALEXANDER_WORK"):
@@ -409,8 +408,7 @@ class TestBracketJones:
 
     def test_disjoint_crossings_rejected_before_any_step(self):
         # 24 letters on 24 disjoint strand pairs: 2^24 transfer states
-        w = BraidWord(49, tuple(range(1, 48, 2)))
-        object.__setattr__(w, "letters", Untouched(w.letters))
+        w = words._word(49, Untouched(range(1, 48, 2)))
         assert issubclass(CrossingCapExceeded, ResourceLimitError)
         for bracket in (jones_polynomial, kauffman_bracket):
             with pytest.raises(CrossingCapExceeded, match="MAX_BRACKET_WORK"):

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from dataclasses import asdict
 
 import pytest
 
@@ -387,7 +386,7 @@ def test_pinned_scramble_and_connect_corpus():
 
     def record(r):
         sequence = sequence_to_json(r.sequence) if r.sequence else None
-        h.update(json.dumps([r.outcome, asdict(r.stats), sequence]).encode())
+        h.update(json.dumps([r.outcome, r.stats._asdict(), sequence]).encode())
 
     for _ in range(400):
         n = rng.randint(1, 6)
@@ -430,6 +429,17 @@ def test_dedup_statistics_accumulate():
 def test_move_set_validation():
     with pytest.raises(ValueError):
         SearchBounds(move_set="sideways")
+
+
+def test_cli_search_defaults_are_the_bounds_defaults():
+    from braidkit.cli import _build_parser
+
+    args = _build_parser().parse_args(["search", "-n", "3", "", ""])
+    bounds = SearchBounds()
+    assert (args.max_strands, args.max_length, args.max_nodes) == (
+        bounds.max_strands, bounds.max_word_length, bounds.max_nodes
+    )
+    assert not args.transverse and bounds.move_set == TOPOLOGICAL
 
 
 @pytest.mark.parametrize(

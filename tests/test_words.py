@@ -6,6 +6,10 @@ from hypothesis import strategies as st
 
 from braidkit import garside, moves, words
 from braidkit.garside import _compose, _inverse
+from braidkit.invariants import AlexanderResult, TemplateReport
+from braidkit.laurent import LaurentPolynomial, PolyMatrix
+from braidkit.search import SearchBounds, SearchStats
+from braidkit.transverse import TransverseInvariants
 from braidkit.words import (
     BraidSyntaxError,
     BraidWord,
@@ -54,6 +58,12 @@ class TestParse:
     def test_bad_token(self):
         with pytest.raises(BraidSyntaxError):
             parse_braid_word("x2", 3)
+
+    @pytest.mark.parametrize("text", ["s١^٣", "s1^٣", "s١", "s1^-٣"])
+    def test_digits_are_ascii(self, text):
+        # \d would match the Arabic-Indic digits and read s١^٣ as s1^3
+        with pytest.raises(BraidSyntaxError):
+            parse_braid_word(text, 2)
 
     def test_huge_exponent_rejected_before_expansion(self):
         for text in ("s1^1000000000", "s1^-1000000000", f"s1^{words.MAX_PARSED_LETTERS + 1}"):
@@ -264,6 +274,86 @@ def test_json_round_trip():
 def test_json_booleans_are_not_integers(obj):
     with pytest.raises(ValueError):
         word_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BraidWord(True),
+        lambda: BraidWord(3, (True,)),
+        lambda: SearchBounds(max_nodes=True),
+        lambda: LaurentPolynomial(((0, True),)),
+    ],
+    ids=["strand count", "letter", "search bound", "coefficient"],
+)
+def test_validated_constructors_reject_booleans(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+# Each builds a fresh record; two calls give equal, distinct records.
+RECORDS = {
+    "BraidWord": lambda: BraidWord(3, (1, -2, 1)),
+    "ComponentPartition": lambda: closure_components(BraidWord(3, (1,))),
+    "CrossingRecord": lambda: crossing_records(BraidWord(3, (1,)))[0],
+    "LaurentPolynomial": lambda: LaurentPolynomial(((0, 1), (2, -1))),
+    "PolyMatrix": lambda: PolyMatrix(((LaurentPolynomial.one(),),)),
+    "ConjugacyKey": lambda: garside.ConjugacyKey(2, ("D^1 |",)),
+    "AlexanderResult": lambda: AlexanderResult(LaurentPolynomial.one(), True),
+    "TemplateReport": lambda: TemplateReport("exchange", 3),
+    "Crossing": lambda: moves.Crossing(2, -1),
+    "BlockSlot": lambda: moves.BlockSlot("P"),
+    "MoveSequence": lambda: moves.MoveSequence(BraidWord(2)),
+    "SearchBounds": lambda: SearchBounds(),
+    "SearchStats": lambda: SearchStats(1, 2, 3, 4),
+    "TransverseInvariants": lambda: TransverseInvariants(-1, (-1,), ()),
+}
+
+
+class TestRecords:
+    """Value records are named tuples: equal values hash equal, fields are read-only."""
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_equal_values_hash_equal_and_fields_are_read_only(self, name):
+        a, b = RECORDS[name](), RECORDS[name]()
+        assert a is not b and a == b and hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            setattr(a, a._fields[0], b[0])
+
+    def test_word_length_and_repr(self):
+        w = BraidWord(3, (1, -2, 1))
+        assert len(w) == 3 and len(BraidWord(3)) == 0
+        assert repr(w) == "BraidWord(3, 's1 s2^-1 s1')"
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (BraidWord(3, (1,)), BraidWord(3, (2,))),
+            (BraidWord(3, (1,)), 2),
+            (2, BraidWord(3, (1,))),
+            (LaurentPolynomial.one(), 2),
+            (2, LaurentPolynomial.one()),
+            (PolyMatrix(((LaurentPolynomial.one(),),)), 2),
+            (2, PolyMatrix(((LaurentPolynomial.one(),),))),
+        ],
+    )
+    def test_no_tuple_concatenation_or_repetition(self, x, y):
+        with pytest.raises(TypeError):
+            x + y
+        with pytest.raises(TypeError):
+            x * y
+
+    def test_polynomials_still_add(self):
+        p = LaurentPolynomial(((0, 1), (2, -1)))
+        assert p + p == LaurentPolynomial(((0, 2), (2, -2)))
+        assert p - p == LaurentPolynomial.zero()
+
+    def test_replace_validates(self):
+        assert BraidWord(3, (1,))._replace(letters=(2, -1)) == BraidWord(3, (2, -1))
+        with pytest.raises(ValueError, match="letter 5 invalid"):
+            BraidWord(3, (1,))._replace(letters=(5,))
+        with pytest.raises(ValueError, match="max_nodes must be >= 1"):
+            SearchBounds()._replace(max_nodes=0)
 
 
 @st.composite
