@@ -30,6 +30,7 @@ exchange, flype+, flype-.
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import garside
@@ -301,21 +302,22 @@ class BlockSlot(NamedTuple):
 class _DiagramFields(NamedTuple):
     strand_weights: tuple[int, ...]
     items: tuple[Crossing | BlockSlot, ...]
-    block_arities: dict[str, int]
+    block_arities: MappingProxyType[str, int]
 
 
 class BlockStrandDiagram(_DiagramFields):
     """An ordered schema of crossings and block slots over weighted strands.
 
-    Without ``block_arities`` the diagram has no blocks.  Weights summing to
-    more than :data:`MAX_PARSED_LETTERS` strands raise
+    Without ``block_arities`` the diagram has no blocks; the diagram keeps
+    a read-only copy of them, so the caller's map can change without it.
+    Weights summing to more than :data:`MAX_PARSED_LETTERS` strands raise
     :class:`ResourceLimitError` when the diagram is built.
     """
 
     __slots__ = ()
 
     def __new__(cls, strand_weights, items, block_arities=None):
-        arities = {} if block_arities is None else block_arities
+        arities = MappingProxyType(dict(block_arities or {}))
         self = tuple.__new__(cls, (tuple(strand_weights), tuple(items), arities))
         self.__post_init__()
         return self
@@ -494,7 +496,7 @@ def _diagram_from_json(items: list, weights: tuple[int, ...], arities: dict) -> 
             parsed.append(BlockSlot(*entry))
         else:
             raise ValueError(f"unknown template item {item!r}")
-    return BlockStrandDiagram(weights, tuple(parsed), dict(arities))
+    return BlockStrandDiagram(weights, tuple(parsed), arities)
 
 
 def template_to_json(t: Template) -> dict:

@@ -15,21 +15,22 @@ exact test first.  Every member of a super summit set has the same inf and
 canonical length, so nodes whose summit elements differ in strand count,
 inf or canonical length are different classes, and nodes with equal summit
 elements are one class.  Only when neither test decides are the two nodes
-keyed by their super summit sets, or, past ``garside.MAX_SUMMIT_SET``
-members, by the weak keys of their summit elements.  The source and the
+keyed by their super summit sets; past ``garside.MAX_SUMMIT_SET`` members
+a node's class is named by its summit element alone.  The source and the
 target are found the same way, so a search between two words of one class
 ends before any move.  A node's new siblings enter the frontier in site
 order, and the search ends on the target's class.  Conjugate words have the
-same super summit set, so a weak node's class is capped on every word, the
-target's included: a weak node reaches the target only through an equal
-summit element, and a capped class may be missed.
+same super summit set, so a capped node's class is capped on every word,
+the target's included: a capped node reaches the target only through an
+equal summit element, and a capped class may be missed.
 
 One scan, :func:`_sites`, builds a word's move sites with the public
 finders of :mod:`moves`: the search takes every site there, and
-:func:`scramble` adds one drawn conjugation site (built once per strand
-count) and draws one of them.  Both apply each site they take
-(``site.apply``) and encode only the moves they record (``site.move()``);
-:func:`moves.apply_move` re-matches a recorded site and is the replay path.
+:func:`scramble` adds one conjugation site drawn from
+:func:`_conjugation_sites` and draws one of them.  Both apply each site
+they take (``site.apply``) and encode only the moves they record
+(``site.move()``); :func:`moves.apply_move` re-matches a recorded site and
+is the replay path.
 
 A ``found`` result carries a replayable :class:`MoveSequence`; an
 ``exhausted`` result means the bounded graph was used up, which is
@@ -42,7 +43,7 @@ import functools
 import random
 from typing import NamedTuple
 
-from . import garside
+from . import garside, words
 from .moves import (
     Conjugation,
     MoveSequence,
@@ -94,8 +95,8 @@ class SearchStats(NamedTuple):
     nodes_expanded: int
     frontier_peak: int
     dedup_hits: int
-    # summit elements keyed and found capped, so keyed by the summit element
-    # only; ends with equal summit elements key nothing
+    # summit elements keyed and found capped, so naming their class alone;
+    # ends with equal summit elements key nothing
     weak_keys: int
 
 
@@ -122,7 +123,8 @@ class _Classes:
     new class, left unkeyed, when no other summit element has reached its
     bucket (strand count, inf, canonical length); otherwise it and the
     bucket's unkeyed class are keyed, so a bucket that two summit elements
-    have reached holds only keyed classes.
+    have reached holds only keyed classes.  A capped summit element has no
+    key: it names its own class, and only an equal summit element finds it.
     """
 
     __slots__ = ("ids", "buckets", "by_key", "capped")
@@ -132,8 +134,8 @@ class _Classes:
         # bucket -> (word, summit element) of its one class, unkeyed; None
         # once a second summit element reaches it
         self.buckets: dict[tuple[int, int, int], tuple | None] = {}
-        self.by_key: dict[str, garside.NormalForm] = {}  # key text -> keyed class
-        self.capped = 0  # summit elements keyed weak (see keyed)
+        self.by_key: dict[garside.ConjugacyKey, garside.NormalForm] = {}  # key -> class
+        self.capped = 0  # summit elements found capped (see keyed)
 
     def find(self, w: BraidWord, s: garside.NormalForm) -> garside.NormalForm:
         """The class of w, whose summit element is s, added when new."""
@@ -156,10 +158,10 @@ class _Classes:
         keyed, when there is none.
 
         The key is the super summit set: the cached key of s's class, or
-        else a closure.  Past ``MAX_SUMMIT_SET`` members it is the weak
-        ``"nf:"`` form, the normal form of s, counted in ``capped``.  Equal
-        summit elements are conjugate, but conjugates reaching different
-        summit elements become different classes.
+        else a closure.  Past ``MAX_SUMMIT_SET`` members there is no key: s
+        names its own class, counted in ``capped`` and stored nowhere, since
+        :meth:`find` keys each summit element at most once.  Conjugates
+        reaching different capped summit elements become different classes.
         """
         key = garside._key_cache.get(s)
         if key is None:
@@ -167,8 +169,8 @@ class _Classes:
                 key = garside.super_summit_set(w)
             except garside.SuperSummitCapError:
                 self.capped += 1
-                return self.by_key.setdefault("nf:" + str(w.n) + ":" + s.serialize(), s)
-        return self.by_key.setdefault(str(key), s)
+                return s
+        return self.by_key.setdefault(key, s)
 
 
 _STABILIZATIONS = (Stabilization(1), Stabilization(-1))
@@ -200,7 +202,7 @@ def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> Searc
 
     Breadth first over classes (see :class:`_Classes`), the two ends found
     as any node is, ending on the target's class; a node's new siblings
-    enter the frontier in site order.  A weak node (see
+    enter the frontier in site order.  A capped node (see
     :meth:`_Classes.keyed`) reaches the target only through an equal summit
     element, since its class is capped and so is the target's.
     """
@@ -269,10 +271,11 @@ MAX_SIMPLE_STRANDS = 8
 
 
 @functools.lru_cache(maxsize=8)
-def _simple_conjugator_words(n: int) -> tuple[BraidWord, ...]:
-    """Words of the n! − 1 nontrivial permutation braids, shortest first.
+def _conjugation_sites(n: int) -> tuple[Conjugation, ...]:
+    """A :class:`Conjugation` site by each of the n! − 1 nontrivial
+    permutation braids, shortest first.
 
-    The conjugators :func:`scramble` draws from, built once per strand
+    The conjugations :func:`scramble` draws from, built once per strand
     count; above :data:`MAX_SIMPLE_STRANDS` strands it raises
     :class:`ResourceLimitError` before building anything.
     """
@@ -297,14 +300,7 @@ def _simple_conjugator_words(n: int) -> tuple[BraidWord, ...]:
                         up[p] = (i,) + letters
         out += sorted(up.values())
         level = up
-    return tuple(_word(n, letters) for letters in out)
-
-
-@functools.lru_cache(maxsize=8)
-def _conjugation_sites(n: int) -> tuple[Conjugation, ...]:
-    """A :class:`Conjugation` site for each of :func:`_simple_conjugator_words`,
-    built once per strand count."""
-    return tuple(Conjugation(g) for g in _simple_conjugator_words(n))
+    return tuple(Conjugation(_word(n, letters)) for letters in out)
 
 
 def scramble(
@@ -316,8 +312,8 @@ def scramble(
 ) -> tuple[BraidWord, MoveSequence]:
     """Apply k seeded random legal moves; returns the result and the ground truth.
 
-    A step draws one of the word's move sites (:func:`_sites` and one drawn
-    conjugation site).
+    A step draws one of the word's move sites (:func:`_sites` and one
+    conjugation site drawn from :func:`_conjugation_sites`).
     Conjugation counts as a move here (it is one of the closed-braid moves),
     realized by a random permutation-braid conjugator, so a word above
     ``search.MAX_SIMPLE_STRANDS`` strands raises ``ResourceLimitError``.  A
@@ -329,17 +325,15 @@ def scramble(
     rng = random.Random(seed)
     bounds = SearchBounds(
         max_strands=max_strands if max_strands is not None else w.n + 2,
-        max_word_length=10_000,
+        max_word_length=words.MAX_PARSED_LETTERS,
         move_set=move_set,
     )
     cur = w
     steps = []
     for _ in range(k):
         sites = _sites(cur, bounds)
-        # the words table is where MAX_SIMPLE_STRANDS is checked; the
-        # conjugation sites table alone would keep answering after the bound is lowered
-        if _simple_conjugator_words(cur.n):
-            sites.append(rng.choice(_conjugation_sites(cur.n)))
+        if conjugations := _conjugation_sites(cur.n):
+            sites.append(rng.choice(conjugations))
         if not sites:
             raise ValueError(
                 f"no legal move on {cur.n} strand(s) with max_strands = {bounds.max_strands}"

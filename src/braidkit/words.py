@@ -119,6 +119,8 @@ class CrossingRecord(NamedTuple):
 
 
 _TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$", re.ASCII)
+# A token is a run of anything but ASCII whitespace; other whitespace makes it bad.
+_TOKENS = re.compile(r"[^ \t\n\r\f\v]+")
 
 # Most letters a parsed word may expand to; checked before the letters are
 # built, so a huge exponent is rejected without allocating it.
@@ -128,9 +130,9 @@ MAX_PARSED_LETTERS = 10_000
 def parse_braid_word(text: str, n: int) -> BraidWord:
     """Parse a word like ``"s1^5 s2^4 s1^6 s2^-1"`` into a :class:`BraidWord`.
 
-    The grammar is whitespace-separated tokens ``s<i>`` or ``s<i>^<k>`` with
-    integer k ≠ 0, in ASCII digits; negative k gives inverse letters.  No
-    reduction is applied.  A word that would expand to more than
+    The grammar is tokens ``s<i>`` or ``s<i>^<k>`` separated by ASCII
+    whitespace, with integer k ≠ 0 in ASCII digits; negative k gives inverse
+    letters.  No reduction is applied.  A word that would expand to more than
     :data:`MAX_PARSED_LETTERS` letters, an exponent with more digits than
     that bound, or an index with more digits than n, is rejected with
     :class:`BraidSyntaxError`.
@@ -141,7 +143,7 @@ def parse_braid_word(text: str, n: int) -> BraidWord:
     # A number with more digits than its bound is out of range; rejecting it
     # by length keeps int() off arbitrarily long digit strings.
     index_digits, power_digits = len(str(n)), len(str(MAX_PARSED_LETTERS))
-    for tok in text.split():
+    for tok in _TOKENS.findall(text):
         m = _TOKEN.match(tok)
         if m is None:
             raise BraidSyntaxError(f"bad token {tok!r}: expected s<i> or s<i>^<k>")

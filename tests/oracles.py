@@ -164,7 +164,7 @@ def scramble_all_sites(w, k, seed, move_set=search.TOPOLOGICAL, max_strands=None
     steps = []
     for _ in range(k):
         options = search._sites(cur, bounds)
-        simples = search._simple_conjugator_words(cur.n)
+        simples = [site.by for site in search._conjugation_sites(cur.n)]
         if simples:
             options.append(moves.Conjugation(rng.choice(simples)))
         if not options:

@@ -38,6 +38,10 @@ class TestNormalize:
         code, out, err = run_capture(capsys, ["invariants", "-n", "2", "s١^٣"])
         assert code == 2 and out == "" and "bad token" in err
 
+    def test_non_ascii_whitespace_exit_two(self, capsys):
+        code, out, err = run_capture(capsys, ["invariants", "-n", "2", "s1\u3000s1\x1cs1"])
+        assert code == 2 and out == "" and "bad token" in err
+
     def test_huge_exponent_exit_two(self, capsys):
         code, _, err = run_capture(capsys, ["normalize", "-n", "2", "s1^1000000000"])
         assert code == 2 and "letters" in err
@@ -457,18 +461,63 @@ def test_runs_as_a_module():
     assert cli("normalize", "-n", "2", "s9").returncode == 2
 
 
-def test_readme_commands_run(capsys):
-    """Every ``braidkit`` line of README's command-line block exits 0."""
+def _readme_commands() -> list[list[str]]:
+    """The argv of every ``braidkit`` line of README's command-line block."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line, comments=True) for line in block.splitlines()
-                if line.startswith("braidkit ")]
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.startswith("braidkit ")]
+
+
+def test_readme_commands_run(capsys):
+    """Every ``braidkit`` line of README's command-line block exits 0."""
     # replay needs a sequence file; test_replay_round_trip covers it
-    commands = [argv for argv in commands if "--replay" not in argv]
+    commands = [argv for argv in _readme_commands() if "--replay" not in argv]
     assert commands
     for argv in commands:
         code, _, err = run_capture(capsys, argv[1:])
         assert code == 0, (argv, err)
+
+
+def _records_in(obj, path: str = "payload") -> list[str]:
+    """Where a named tuple sits in a payload; json.dumps would write it as a list."""
+    if hasattr(obj, "_fields"):
+        return [path]
+    if isinstance(obj, dict):
+        return [p for key, value in obj.items() for p in _records_in(value, f"{path}[{key!r}]")]
+    if isinstance(obj, (list, tuple)):
+        return [p for i, value in enumerate(obj) for p in _records_in(value, f"{path}[{i}]")]
+    return []
+
+
+def test_no_record_reaches_a_payload(tmp_path, monkeypatch):
+    """Every payload is plain JSON data: README's commands, ``move --replay``,
+    a negative answer, an exhausted search and a template that fails."""
+    from braidkit import cli
+
+    def payload(argv):
+        args = cli._build_parser().parse_args(argv)
+        _, out, _ = args.func(args)
+        assert out is not None, argv
+        assert not _records_in(out), (argv, _records_in(out))
+        return out
+
+    monkeypatch.chdir(tmp_path)
+    commands = [argv[1:] for argv in _readme_commands()]
+    found = payload(next(argv for argv in commands if argv[0] == "search"))
+    (tmp_path / "sequence.json").write_text(json.dumps(found["sequence"]))
+    unsound = {"name": "unsound", "weights": [1, 1], "left": [{"x": [1, 1]}], "right": [],
+               "blocks": {}}
+    (tmp_path / "unsound.json").write_text(json.dumps(unsound))
+    assert ["move", "--replay", "sequence.json"] in commands
+    for argv in commands:
+        payload(argv)
+    assert payload(["conjugate", "-n", "3", TX_PLUS, TX_MINUS])["conjugate"] is False
+    exhausted = ["search", TX_PLUS, TX_MINUS, "-n", "3", "--transverse", "--max-strands", "4",
+                 "--max-nodes", "500"]
+    assert payload(exhausted)["outcome"] == "exhausted"
+    failed = ["template", "check", "unsound.json", "--trials", "3", "--max-len", "2", "--seed", "1"]
+    assert payload(failed)["failures"]
 
 
 def test_usage_error_exit_two(capsys):

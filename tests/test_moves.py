@@ -103,7 +103,7 @@ def depth_search_oracle(w: BraidWord) -> DestabResult | None:
         return found
     seen = {start.letters}
     frontier = [(start, g0)]
-    simples = search._simple_conjugator_words(w.n)
+    simples = [site.by for site in search._conjugation_sites(w.n)]
     for _ in range(2):
         next_frontier = []
         for cand, g in frontier:
@@ -176,7 +176,7 @@ class TestDestabilize:
         def no_simples(n):
             raise AssertionError("try_destabilize built the simple elements")
 
-        monkeypatch.setattr(search, "_simple_conjugator_words", no_simples)
+        monkeypatch.setattr(search, "_conjugation_sites", no_simples)
         assert try_destabilize(BraidWord(12, (1, 2))) is None
         assert try_destabilize(BraidWord(12, (1, 11))).word == BraidWord(11, (1,))
 
@@ -548,6 +548,21 @@ class TestTemplates:
         obj["left"][1] = {"b": slot}
         with pytest.raises(ValueError, match="block item"):
             template_from_json(obj)
+
+    def test_diagram_keeps_a_read_only_copy_of_its_arities(self):
+        # a change to the caller's map after validation must not reach the diagram
+        arities = {"P": 2}
+        d = BlockStrandDiagram((1, 1, 1), (BlockSlot("P"), Crossing(2, 1)), arities)
+        arities["P"] = 0
+        assert d.block_arities == {"P": 2}
+        assert expand_weights(d, {"P": BraidWord(2, (1,))}) == BraidWord(3, (1, 2))
+        with pytest.raises(TypeError):
+            d.block_arities["P"] = 0
+        # the shipped templates build both sides from one map
+        for t in (exchange_template(), flype_template(1)):
+            with pytest.raises(TypeError):
+                t.left.block_arities["P"] = 0
+            assert t.left.block_arities["P"] == t.right.block_arities["P"] == 2
 
     def test_mismatched_blocks_rejected(self):
         from braidkit.moves import Template

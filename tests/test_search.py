@@ -15,7 +15,6 @@ from oracles import (
 from braidkit.garside import are_conjugate
 from braidkit import garside, search
 from braidkit.moves import (
-    Conjugation,
     apply_move,
     find_exchange_decompositions,
     replay,
@@ -248,7 +247,7 @@ class TestScramble:
 
     def test_simple_enumeration_bounded(self, monkeypatch):
         monkeypatch.setattr(search, "MAX_SIMPLE_STRANDS", 3)
-        search._simple_conjugator_words.cache_clear()
+        search._conjugation_sites.cache_clear()
         with pytest.raises(ResourceLimitError, match="bound of 3 strands"):
             scramble(BraidWord(4, (1, 2, 1, 2)), 1, 0)
 
@@ -310,9 +309,10 @@ class TestScramble:
         }
 
 
-def test_simple_conjugator_words_match_the_bubble_sort_oracle():
+def test_conjugation_sites_match_the_bubble_sort_oracle():
     for n in range(1, 7):
-        assert search._simple_conjugator_words(n) == simple_conjugator_words(n)
+        by = tuple(site.by for site in search._conjugation_sites(n))
+        assert by == simple_conjugator_words(n)
 
 
 def _site_words(seed: int, count: int) -> list[BraidWord]:
@@ -362,7 +362,7 @@ def test_each_applied_site_gives_the_replayed_word():
     for w in words:
         for move_set in (TOPOLOGICAL, TRANSVERSE):
             sites = search._sites(w, SearchBounds(max_strands=7, move_set=move_set))
-            sites += [Conjugation(s) for s in search._simple_conjugator_words(w.n)[:3]]
+            sites += search._conjugation_sites(w.n)[:3]
             for site in sites:
                 kind, params = site.move()
                 assert kind == site.kind
@@ -414,10 +414,10 @@ def test_pinned_scramble_and_connect_corpus():
 def test_simple_conjugator_enumeration_bounded(monkeypatch):
     # Lowering the bound to 3 strands checks it without allocating n! words.
     monkeypatch.setattr(search, "MAX_SIMPLE_STRANDS", 3)
-    search._simple_conjugator_words.cache_clear()
-    assert len(search._simple_conjugator_words(3)) == 5
+    search._conjugation_sites.cache_clear()
+    assert len(search._conjugation_sites(3)) == 5
     with pytest.raises(ResourceLimitError, match="bound of 3 strands"):
-        search._simple_conjugator_words(4)
+        search._conjugation_sites(4)
 
 
 def test_dedup_statistics_accumulate():

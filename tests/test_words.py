@@ -65,6 +65,17 @@ class TestParse:
         with pytest.raises(BraidSyntaxError):
             parse_braid_word(text, 2)
 
+    @pytest.mark.parametrize(
+        "sep", ["\u3000", "\u2003", "\x85", "\xa0", "\x1c", "\x1d", "\x1e", "\x1f"]
+    )
+    def test_only_ascii_whitespace_separates(self, sep):
+        # str.split() would also split on these and read s1<sep>s1 as s1^2
+        with pytest.raises(BraidSyntaxError, match="bad token"):
+            parse_braid_word(f"s1{sep}s1", 2)
+
+    def test_every_ascii_whitespace_separates(self):
+        assert parse_braid_word(" s1\ts1\ns1\rs1\fs1\vs1 ", 2).letters == (1,) * 6
+
     def test_huge_exponent_rejected_before_expansion(self):
         for text in ("s1^1000000000", "s1^-1000000000", f"s1^{words.MAX_PARSED_LETTERS + 1}"):
             with pytest.raises(BraidSyntaxError):
