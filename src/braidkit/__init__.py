@@ -53,7 +53,6 @@ from .moves import (
 )
 from .search import SearchBounds, SearchResult, connect, scramble
 from .transverse import (
-    InternalConsistencyError,
     TransverseInvariants,
     component_invariants,
     is_transverse_move,
@@ -65,6 +64,7 @@ from .words import (
     BraidWord,
     ComponentPartition,
     CrossingRecord,
+    InternalConsistencyError,
     ResourceLimitError,
     closure_components,
     conjugate,

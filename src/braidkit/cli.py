@@ -28,8 +28,7 @@ import time
 from typing import NamedTuple
 
 from . import garside, invariants, moves, search, transverse, words
-from .transverse import InternalConsistencyError
-from .words import BraidSyntaxError, BraidWord
+from .words import BraidSyntaxError, BraidWord, InternalConsistencyError
 
 
 def _parse_word(text: str, n: int | None) -> BraidWord:

@@ -105,7 +105,7 @@ def _tau(p: Perm) -> Perm:
 
 
 def _divide_left(p: Perm, i: int) -> Perm:
-    """The permutation of σᵢ⁻¹·A when σᵢ left-divides A (swap entries i, i+1)."""
+    """The permutation of σᵢ⁻¹·A if σᵢ left-divides A, else of σᵢ·A: entries i, i+1 swapped."""
     q = list(p)
     q[i - 1], q[i] = q[i], q[i - 1]
     return tuple(q)
@@ -115,23 +115,19 @@ def _meet(u: Perm, v: Perm) -> Perm:
     """Greatest common left divisor of two permutation braids.
 
     Greedy extraction is exact here: any σᵢ dividing both residuals divides
-    the meet, and dividing it out reduces to the meet of the residuals.
+    the meet, and dividing it out reduces to the meet of the residuals.  The
+    loop leaves u as the residual m⁻¹·start of the meet m, so m = start·u⁻¹.
     """
-    n = len(u)
-    letters = []
+    start = u
     changed = True
     while changed:
         changed = False
-        for i in range(1, n):
+        for i in range(1, len(u)):
             if u[i - 1] > u[i] and v[i - 1] > v[i]:
-                letters.append(i)
                 u = _divide_left(u, i)
                 v = _divide_left(v, i)
                 changed = True
-    m = _identity(n)
-    for i in reversed(letters):
-        m = _divide_left(m, i)
-    return m
+    return _compose(start, _inverse(u))
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
@@ -273,10 +269,7 @@ def left_normal_form(w: BraidWord) -> NormalForm:
     raw: list[tuple[int, Perm]] = []  # (delta shift, factor permutation)
     delta = _delta_perm(n)
     for x in w.letters:
-        i = abs(x)
-        t = list(range(1, n + 1))
-        t[i - 1], t[i] = t[i], t[i - 1]
-        t = tuple(t)
+        t = _divide_left(_identity(n), abs(x))
         if x > 0:
             raw.append((0, t))
         else:

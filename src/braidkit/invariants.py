@@ -45,8 +45,7 @@ from typing import NamedTuple
 
 from .laurent import LaurentPolynomial, PolyMatrix, _pack, _read_digits, _width, table_determinant
 from .moves import instantiate_template, random_assignment
-from .transverse import InternalConsistencyError
-from .words import BraidWord, ResourceLimitError, closure_components, exponent_sum
+from .words import BraidWord, InternalConsistencyError, ResourceLimitError, closure_components, exponent_sum
 
 # Most work units min(Catalan(n), 2^L)·(L·(L+1) + n²) a bracket may take for
 # L letters on n strands: a 100-letter B8 word is 1.5·10⁷ units, 0.2–0.3 s

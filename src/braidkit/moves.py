@@ -64,13 +64,10 @@ def stabilize(w: BraidWord, sign: int) -> BraidWord:
     return _word(w.n + 1, w.letters + (sign * w.n,))
 
 
-class Stabilization:
+class Stabilization(NamedTuple):
     """The stabilization of sign ``sign``, a site on every word."""
 
-    __slots__ = ("sign",)
-
-    def __init__(self, sign: int):
-        self.sign = sign
+    sign: int
 
     @property
     def kind(self) -> str:
@@ -86,8 +83,9 @@ class Stabilization:
 class Conjugation:
     """Conjugation by ``by``, a word on the strands of the word it applies to.
 
-    The letters of by⁻¹ are stored with the site, so a site built once
-    applies with no reversal.
+    A slotted class, not a named tuple as the other sites are: it also keeps
+    the letters of by⁻¹, once for each of the n! − 1 cached sites, so that
+    a site built once applies with no reversal.
     """
 
     __slots__ = ("by", "inverse")
@@ -326,7 +324,7 @@ class BlockStrandDiagram(_DiagramFields):
 
     def __post_init__(self):
         k = len(self.strand_weights)
-        if k < 1 or any(not isinstance(x, int) or x < 1 for x in self.strand_weights):
+        if k < 1 or any(type(x) is not int or x < 1 for x in self.strand_weights):
             raise ValueError("strand weights must be positive integers")
         if sum(self.strand_weights) > MAX_PARSED_LETTERS:
             raise ResourceLimitError(
@@ -334,18 +332,20 @@ class BlockStrandDiagram(_DiagramFields):
                 f"MAX_PARSED_LETTERS = {MAX_PARSED_LETTERS} strands"
             )
         for block, arity in self.block_arities.items():
-            if arity < 1:
-                raise ValueError(f"block {block!r} has arity {arity}; it must be at least 1")
+            if type(block) is not str or type(arity) is not int or arity < 1:
+                raise ValueError(f"block {block!r} has arity {arity!r}; it must be a name of int arity >= 1")
         for item in self.items:
             if isinstance(item, Crossing):
-                if not 1 <= item.pos <= k - 1 or item.sign not in (1, -1):
+                if not (type(item.pos) is type(item.sign) is int and 0 < item.pos < k and abs(item.sign) == 1):
                     raise ValueError(f"bad crossing {item!r} for {k} diagram strands")
-            else:
-                arity = self.block_arities.get(item.block)
-                if arity is None:
-                    raise ValueError(f"block {item.block!r} missing from arity map")
-                if not 1 <= item.pos <= k - arity + 1:
-                    raise ValueError(f"block {item.block!r} does not fit at {item.pos}")
+                continue
+            if not isinstance(item, BlockSlot) or type(item.block) is not str or type(item.pos) is not int:
+                raise ValueError(f"bad diagram item {item!r}: want a Crossing, or a BlockSlot(str, int)")
+            arity = self.block_arities.get(item.block)
+            if arity is None:
+                raise ValueError(f"block {item.block!r} missing from arity map")
+            if not 1 <= item.pos <= k - arity + 1:
+                raise ValueError(f"block {item.block!r} does not fit at {item.pos}")
 
 
 class _TemplateFields(NamedTuple):
@@ -367,6 +367,8 @@ class Template(_TemplateFields):
     _make = _validated_make
 
     def __post_init__(self):
+        if type(self.name) is not str or not all(isinstance(d, BlockStrandDiagram) for d in self[1:]):
+            raise ValueError(f"template {self.name!r} needs a str name and two BlockStrandDiagrams")
         if self.left.block_arities != self.right.block_arities:
             raise ValueError("left and right diagrams must share block ids and arities")
 

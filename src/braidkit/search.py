@@ -295,7 +295,7 @@ def _conjugation_sites(n: int) -> tuple[Conjugation, ...]:
         for i in range(1, n):
             for q, letters in level.items():
                 if q[i - 1] < q[i]:
-                    p = q[: i - 1] + (q[i], q[i - 1]) + q[i + 1 :]
+                    p = garside._divide_left(q, i)
                     if p not in up:
                         up[p] = (i,) + letters
         out += sorted(up.values())

@@ -23,15 +23,12 @@ from typing import NamedTuple
 from .moves import stabilize
 from .words import (
     BraidWord,
+    InternalConsistencyError,
     ResourceLimitError,
     closure_components,
     crossing_records,
     exponent_sum,
 )
-
-
-class InternalConsistencyError(RuntimeError):
-    """A structural invariant of the computation failed (implementation bug)."""
 
 
 # Most component pairs c(c − 1)/2 whose linking numbers are listed: 500

@@ -28,6 +28,10 @@ Every value record of the library is a :class:`typing.NamedTuple`, so that
 building, hashing and comparing one runs in C; a record equals the plain
 tuple of its fields.  A record that validates its fields is a subclass of
 its field tuple whose constructor calls ``__post_init__`` on the new record.
+
+The library's three base errors are defined here: :class:`BraidSyntaxError`
+for bad word text, :class:`ResourceLimitError` for input past a documented
+bound, and :class:`InternalConsistencyError` for a failed internal invariant.
 """
 
 from __future__ import annotations
@@ -42,6 +46,10 @@ class BraidSyntaxError(ValueError):
 
 class ResourceLimitError(ValueError):
     """Raised before work whose size would exceed a documented bound."""
+
+
+class InternalConsistencyError(RuntimeError):
+    """A structural invariant of the computation failed (implementation bug)."""
 
 
 def _not_a_sequence(self, other):
@@ -137,7 +145,7 @@ def parse_braid_word(text: str, n: int) -> BraidWord:
     that bound, or an index with more digits than n, is rejected with
     :class:`BraidSyntaxError`.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"strand count must be a positive integer, got {n!r}")
     letters: list[int] = []
     # A number with more digits than its bound is out of range; rejecting it

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -760,3 +762,18 @@ def test_witness_and_word_letters_are_pinned():
         assert ok and g.letters == witness
         assert left_normal_form(u).as_word().letters == u_word
         assert left_normal_form(v).as_word().letters == v_word
+
+
+# sha256 of [left_normal_form(w).serialize(), super_summit_set(w).entries] over
+# the seeded words below.  Any change to a factor, a key member or their
+# order moves it.
+PINNED_FORMS_SHA256 = "5925e5077d3f8d8a3392b0842caaed75416972f1f42a2874c63fdc53841b6ba0"
+
+
+def test_normal_forms_and_keys_are_pinned():
+    rng = random.Random(32)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        w = random_word(rng, rng.randint(2, 5), 12)
+        digest.update(json.dumps([left_normal_form(w).serialize(), super_summit_set(w).entries]).encode())
+    assert digest.hexdigest() == PINNED_FORMS_SHA256

@@ -564,6 +564,28 @@ class TestTemplates:
                 t.left.block_arities["P"] = 0
             assert t.left.block_arities["P"] == t.right.block_arities["P"] == 2
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: BlockStrandDiagram((True, 1), (), {}),
+            lambda: BlockStrandDiagram((1, 1), (Crossing(1, True),), {}),
+            lambda: BlockStrandDiagram((1, 1), (Crossing(1.0, 1),), {}),
+            lambda: BlockStrandDiagram((1, 1), (BlockSlot("P"),), {"P": 2.0}),
+            lambda: BlockStrandDiagram((1, 1), (BlockSlot("P"),), {"P": True}),
+            lambda: BlockStrandDiagram((1, 1), (BlockSlot("P", True),), {"P": 1}),
+            lambda: BlockStrandDiagram((1, 1), (BlockSlot(3),), {3: 1}),
+            lambda: BlockStrandDiagram((1, 1), ((1, 1),), {}),
+            lambda: Template(7, destab_template(1).right, destab_template(1).right),
+            lambda: Template("destab+", destab_template(1).right, None),
+        ],
+        ids=["weight", "crossing sign", "crossing position", "float arity", "boolean arity",
+             "slot position", "block name", "other item", "template name", "template side"],
+    )
+    def test_template_records_check_field_types(self, build):
+        # as BraidWord does: an int field takes only an int, a name only a str
+        with pytest.raises(ValueError):
+            build()
+
     def test_mismatched_blocks_rejected(self):
         from braidkit.moves import Template
 

@@ -47,6 +47,10 @@ class TestParse:
         w = parse_braid_word("", 4)
         assert w.n == 4 and w.letters == ()
 
+    def test_boolean_strand_count_rejected(self):
+        with pytest.raises(ValueError, match="strand count"):
+            parse_braid_word("s1", True)
+
     def test_index_out_of_range(self):
         with pytest.raises(BraidSyntaxError):
             parse_braid_word("s3 s1", 3)
@@ -314,6 +318,7 @@ RECORDS = {
     "TemplateReport": lambda: TemplateReport("exchange", 3),
     "Crossing": lambda: moves.Crossing(2, -1),
     "BlockSlot": lambda: moves.BlockSlot("P"),
+    "Stabilization": lambda: moves.Stabilization(-1),
     "MoveSequence": lambda: moves.MoveSequence(BraidWord(2)),
     "SearchBounds": lambda: SearchBounds(),
     "SearchStats": lambda: SearchStats(1, 2, 3, 4),
