@@ -45,7 +45,14 @@ from typing import NamedTuple
 
 from .laurent import LaurentPolynomial, PolyMatrix, _pack, _read_digits, _width, table_determinant
 from .moves import instantiate_template, random_assignment
-from .words import BraidWord, InternalConsistencyError, ResourceLimitError, closure_components, exponent_sum
+from .words import (
+    BraidWord,
+    InternalConsistencyError,
+    ResourceLimitError,
+    _require_int,
+    closure_components,
+    exponent_sum,
+)
 
 # Most work units min(Catalan(n), 2^L)·(L·(L+1) + n²) a bracket may take for
 # L letters on n strands: a 100-letter B8 word is 1.5·10⁷ units, 0.2–0.3 s
@@ -424,7 +431,12 @@ def template_soundness_check(
     Alexander polynomials (up to units, which is exact for knot closures
     and the honest comparison for links).  Any counterexample is reported
     verbatim; an unsound template is expected to fail loudly here.
+    ``trials`` and ``seed`` must be ``int`` (``True`` is not), and so must
+    ``max_len``, as :func:`random_assignment` checks: anything else is a
+    ValueError naming the argument, raised before any draw.
     """
+    _require_int("trials", trials)
+    _require_int("seed", seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)

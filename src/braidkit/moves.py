@@ -38,6 +38,7 @@ from .words import (
     MAX_PARSED_LETTERS,
     BraidWord,
     ResourceLimitError,
+    _require_int,
     _require_same_strands,
     _runs,
     _validated_make,
@@ -150,14 +151,19 @@ class DestabResult(NamedTuple):
 
 
 def _destab_at(n: int, u: tuple[int, ...], g: tuple[int, ...], r: int) -> DestabResult | None:
-    """The destabilization of u = g⁻¹·w·g (letters) ending in its only σₙ₋₁ at rotation r."""
+    """The destabilization of u = g⁻¹·w·g (letters) ending in its only σₙ₋₁ at rotation r.
+
+    The rotation ends in u[r − 1]; the σₙ₋₁^{±1} letters are counted once,
+    on u, and the word is built once, as the rotation without that letter.
+    """
     if n < 2 or not 0 <= r < len(u):
         return None
     top = n - 1
-    ls = u[r:] + u[:r]
-    if abs(ls[-1]) != top or ls.count(top) + ls.count(-top) != 1:
+    last = u[r - 1]
+    if abs(last) != top or u.count(top) + u.count(-top) != 1:
         return None
-    return DestabResult(_word(n - 1, ls[:-1]), 1 if ls[-1] > 0 else -1, _word(n, g), r)
+    rest = u[r:] + u[: r - 1] if r else u[:-1]
+    return DestabResult(_word(n - 1, rest), 1 if last > 0 else -1, _word(n, g), r)
 
 
 def try_destabilize(w: BraidWord) -> DestabResult | None:
@@ -170,13 +176,19 @@ def try_destabilize(w: BraidWord) -> DestabResult | None:
     is a rotation of it (Lyndon & Schupp, Ch. I), which keeps that letter
     count: conjugating first finds nothing more.  So ``None`` is no proof
     that the closure cannot be destabilized.
+
+    Parity comes first: free and cyclic reduction cancel σₙ₋₁ letters only
+    in inverse pairs, so a word with an even number of σₙ₋₁^{±1} letters
+    gives ``None`` before any reduction.  Otherwise :func:`_destab_at`,
+    given the rotation of u that ends in a σₙ₋₁^{±1} letter, does the one
+    count.
     """
     if w.n < 2:
         raise ValueError("destabilization needs at least 2 strands")
-    u, g = _cyclic_reduction(w.letters)
     top = w.n - 1
-    if u.count(top) + u.count(-top) != 1:
+    if not (w.letters.count(top) + w.letters.count(-top)) % 2:
         return None
+    u, g = _cyclic_reduction(w.letters)
     return _destab_at(w.n, u, g, ((u.index(top) if top in u else u.index(-top)) + 1) % len(u))
 
 
@@ -452,10 +464,11 @@ def instantiate_template(t: Template, a: BraidingAssignment) -> tuple[BraidWord,
 def random_assignment(t: Template, max_len: int, rng) -> BraidingAssignment:
     """A seeded random assignment with block words of length ≤ max_len.
 
-    A max_len below 0 is a ValueError, and one above
-    :data:`MAX_PARSED_LETTERS` a :class:`ResourceLimitError`, both raised
-    before anything is drawn.
+    A max_len that is not an ``int`` (``True`` included) or is below 0 is
+    a ValueError, and one above :data:`MAX_PARSED_LETTERS` a
+    :class:`ResourceLimitError`, all raised before anything is drawn.
     """
+    _require_int("max_len", max_len)
     if max_len < 0:
         raise ValueError(f"block word length bound must be >= 0, got {max_len}")
     if max_len > MAX_PARSED_LETTERS:

@@ -55,7 +55,7 @@ from .moves import (
     try_destabilize,
 )
 from .transverse import TRANSVERSE_MOVE_KINDS
-from .words import BraidWord, ResourceLimitError, _validated_make, _word, free_reduce
+from .words import BraidWord, ResourceLimitError, _require_int, _validated_make, _word, free_reduce
 
 TOPOLOGICAL = "topological"
 TRANSVERSE = "transverse"
@@ -81,8 +81,7 @@ class SearchBounds(_SearchBoundsFields):
     def __post_init__(self):
         for name, floor in (("max_strands", 1), ("max_word_length", 0), ("max_nodes", 1)):
             value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _require_int(name, value)
             if value < floor:
                 raise ValueError(f"{name} must be >= {floor}, got {value}")
         if self.move_set not in (TOPOLOGICAL, TRANSVERSE):
@@ -173,27 +172,32 @@ class _Classes:
         return self.by_key.setdefault(key, s)
 
 
-_STABILIZATIONS = (Stabilization(1), Stabilization(-1))
+# The stabilizations each move set takes, in site order.
+_STABILIZATIONS = {TOPOLOGICAL: (Stabilization(1), Stabilization(-1))}
+_STABILIZATIONS[TRANSVERSE] = tuple(
+    site for site in _STABILIZATIONS[TOPOLOGICAL] if site.kind in TRANSVERSE_MOVE_KINDS
+)
 
 
 def _sites(w: BraidWord, bounds: SearchBounds) -> list:
     """Every move site of w, in site order: destabilization, exchanges,
     flypes and the two stabilizations when there is room.  Each names its
     ``kind``, gives its result by ``site.apply(w)`` and its params by
-    ``site.move()``.  The transverse move set keeps the kinds in
-    ``TRANSVERSE_MOVE_KINDS``; it holds no flype, so the flype finder is
-    not run for it."""
+    ``site.move()``.  The transverse move set takes the kinds in
+    ``TRANSVERSE_MOVE_KINDS``, chosen as the sites are built rather than
+    filtered afterwards: a destabilization is kept only when its kind is
+    one, exchanges are in both sets, only those stabilizations are taken,
+    and the flype finder is not run, since the set holds no flype."""
     transverse = bounds.move_set == TRANSVERSE
     sites: list = []
     if w.n > 1 and (d := try_destabilize(w)) is not None:
-        sites.append(d)
+        if not transverse or d.kind in TRANSVERSE_MOVE_KINDS:
+            sites.append(d)
     sites += find_exchange_decompositions(w)
     if not transverse:
         sites += find_flype_decompositions(w)
     if w.n < bounds.max_strands and len(w.letters) + 1 <= bounds.max_word_length:
-        sites += _STABILIZATIONS
-    if transverse:
-        return [site for site in sites if site.kind in TRANSVERSE_MOVE_KINDS]
+        sites += _STABILIZATIONS[bounds.move_set]
     return sites
 
 
@@ -319,15 +323,24 @@ def scramble(
     ``search.MAX_SIMPLE_STRANDS`` strands raises ``ResourceLimitError``.  A
     step with no legal move (one strand, no room to stabilize) raises
     ``ValueError`` before its draw.
+
+    ``k`` and ``seed`` must be ``int`` (``True`` is not, and there is no
+    unseeded run): anything else is a ``ValueError`` naming the argument.
+    Every argument is checked first; k = 0 then draws nothing and returns
+    w with no steps.
     """
+    _require_int("k", k)
+    _require_int("seed", seed)
     if k < 0:
         raise ValueError("k must be >= 0")
-    rng = random.Random(seed)
     bounds = SearchBounds(
         max_strands=max_strands if max_strands is not None else w.n + 2,
         max_word_length=words.MAX_PARSED_LETTERS,
         move_set=move_set,
     )
+    if not k:
+        return w, MoveSequence(w)
+    rng = random.Random(seed)
     cur = w
     steps = []
     for _ in range(k):

@@ -215,8 +215,14 @@ def random_word(rng, n: int, max_len: int) -> BraidWord:
     if n < 2:
         return BraidWord(n)
     length = rng.randint(0, max_len)
-    alphabet = [i for i in range(1 - n, n) if i != 0]
-    return _word(n, tuple(rng.choice(alphabet) for _ in range(length)))
+    alphabet = (*range(1 - n, 0), *range(1, n))
+    return _word(n, tuple([rng.choice(alphabet) for _ in range(length)]))
+
+
+def _require_int(name: str, value) -> None:
+    """A ValueError naming the argument unless value is an ``int`` (a bool is not)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_same_strands(u: BraidWord, v: BraidWord) -> None:

@@ -561,6 +561,23 @@ class TestTemplateSoundness:
         report = template_soundness_check(builtin_templates()["exchange"], 25, 5, seed=101)
         assert report.ok and report.trials == 25
 
+    @pytest.mark.parametrize(
+        "trials, max_len, seed, message",
+        [
+            (True, 3, 0, "trials must be an integer, got True"),
+            (2.0, 3, 0, "trials must be an integer, got 2.0"),
+            (1, 3, None, "seed must be an integer, got None"),
+            (1, 3, 1.5, "seed must be an integer, got 1.5"),
+            (1, 3, "abc", "seed must be an integer, got 'abc'"),
+            (1, True, 0, "max_len must be an integer, got True"),
+        ],
+    )
+    def test_counts_and_seed_must_be_ints(self, monkeypatch, trials, max_len, seed, message):
+        monkeypatch.setattr(invariants, "instantiate_template", None)  # no trial may start
+        with pytest.raises(ValueError) as err:
+            template_soundness_check(builtin_templates()["exchange"], trials, max_len, seed)
+        assert str(err.value) == message
+
     def test_negative_flype_clean(self):
         report = template_soundness_check(builtin_templates()["flype-"], 15, 4, seed=102)
         assert report.ok

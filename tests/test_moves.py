@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import built_flype_sites, flype_rotation_scan
+from oracles import built_flype_sites, destab_rotation_scan, flype_rotation_scan
 from braidkit.garside import are_conjugate, left_normal_form, super_summit_set
 from braidkit.invariants import jones_polynomial
 from braidkit import moves, search
@@ -196,6 +196,39 @@ class TestDestabilize:
             assert got == depth_search_oracle(w)
             found += got is not None
         assert found >= 100
+
+    def test_parity_rule_on_cancelling_top_letters(self):
+        """Free and cyclic reduction cancel σₙ₋₁ letters only in inverse
+        pairs, so an even σₙ₋₁^{±1} count never destabilizes.  Seeded B2–B6
+        words, half with one σₙ₋₁^{±1} among lower letters, get σₙ₋₁^{±1}
+        pairs inserted inside and wrapped round the ends."""
+        rng = random.Random(53)
+        odd_hits = even_uncancelled = 0
+        for _ in range(600):
+            n = rng.randint(2, 6)
+            top = n - 1
+            letters = list(random_word(rng, n, 8).letters)
+            if rng.random() < 0.5:
+                letters = [x for x in letters if abs(x) != top]
+                letters.insert(rng.randint(0, len(letters)), rng.choice((top, -top)))
+            for _ in range(rng.randint(1, 3)):
+                x = rng.choice((top, -top))
+                if rng.random() < 0.5:
+                    i = rng.randint(0, len(letters))
+                    letters[i:i] = [x, -x]
+                else:
+                    letters = [x, *letters, -x]
+            w = BraidWord(n, tuple(letters))
+            got = try_destabilize(w)
+            assert got == next(iter(destab_rotation_scan(w)), None), w
+            count = letters.count(top) + letters.count(-top)
+            if count % 2 == 0:
+                assert got is None, w
+                u = cyclic_free_reduce(w)[0].letters
+                even_uncancelled += top in u or -top in u
+            else:
+                odd_hits += count >= 3 and got is not None
+        assert odd_hits > 0 and even_uncancelled > 0, (odd_hits, even_uncancelled)
 
     def test_witness_replays(self):
         rng = random.Random(51)
@@ -469,6 +502,13 @@ class TestInstanceBounds:
         t = exchange_template()
         peak = _peak_bytes(lambda: random_assignment(t, max_len, None), error, match)
         assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("max_len", [True, 2.0, "3"])
+    def test_block_word_length_must_be_an_int(self, max_len):
+        # rng=None: any draw would fail with AttributeError instead
+        with pytest.raises(ValueError) as err:
+            random_assignment(exchange_template(), max_len, None)
+        assert str(err.value) == f"max_len must be an integer, got {max_len!r}"
 
     def test_block_arity_below_one(self):
         obj = {

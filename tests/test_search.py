@@ -15,6 +15,7 @@ from oracles import (
 from braidkit.garside import are_conjugate
 from braidkit import garside, search
 from braidkit.moves import (
+    MoveSequence,
     apply_move,
     find_exchange_decompositions,
     replay,
@@ -283,6 +284,30 @@ class TestScramble:
             scramble(BraidWord(3, (1, 2)), k, 5, **kwargs)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "k, seed, message",
+        [
+            (True, 0, "k must be an integer, got True"),
+            (2.0, 0, "k must be an integer, got 2.0"),
+            ("1", 0, "k must be an integer, got '1'"),
+            (1, None, "seed must be an integer, got None"),
+            (1, 1.5, "seed must be an integer, got 1.5"),
+            (1, "abc", "seed must be an integer, got 'abc'"),
+            (0, False, "seed must be an integer, got False"),
+        ],
+    )
+    def test_count_and_seed_must_be_ints(self, monkeypatch, k, seed, message):
+        monkeypatch.setattr(search, "random", None)  # making a generator would fail
+        with pytest.raises(ValueError) as err:
+            scramble(BraidWord(3, (1, 2)), k, seed)
+        assert str(err.value) == message
+
+    def test_zero_moves_make_no_generator(self, monkeypatch):
+        monkeypatch.setattr(search, "random", None)
+        w = BraidWord(3, (1, 2, -1))
+        for move_set in (TOPOLOGICAL, TRANSVERSE):
+            assert scramble(w, 0, 7, move_set) == (w, MoveSequence(w, ()))
+
     def test_same_draws_as_building_every_site(self):
         """scramble against the oracle that builds every site and then draws:
         the same word and sequence, or the same error with the same message."""
@@ -409,6 +434,22 @@ def test_pinned_scramble_and_connect_corpus():
     tx_minus = parse_braid_word("s1^5 s2^-1 s1^6 s2^4", 3)
     record(connect(tx_plus, tx_minus, SearchBounds(4, 24, 1000)))
     assert h.hexdigest() == PINNED_CORPUS_SHA256
+
+
+# sha256 of the transverse scrambles of verify-paper's check (g) at seeds 0
+# and 1, drawn as the check draws them.
+PINNED_BETA_SCRAMBLES_SHA256 = "70b543aba7f61b5499891452cbc64b3390d2f9a148b452652bd840ed631740d8"
+
+
+def test_pinned_beta_invariance_scrambles():
+    h = hashlib.sha256()
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        for _ in range(1000):
+            w = random_word(rng, rng.randint(2, 4), 12)
+            _, seq = scramble(w, rng.randint(0, 6), rng.randrange(1 << 30), move_set=TRANSVERSE)
+            h.update(json.dumps(sequence_to_json(seq)).encode())
+    assert h.hexdigest() == PINNED_BETA_SCRAMBLES_SHA256
 
 
 def test_simple_conjugator_enumeration_bounded(monkeypatch):
