@@ -296,12 +296,13 @@ def verify_paper(seed: int = 0) -> list[_Check]:
 
 
 def _cmd_verify_paper(args):
+    seed = args.seed if args.seed is not None else 0
     t0 = time.perf_counter()
-    checks = verify_paper(seed=args.seed if args.seed is not None else 0)
+    checks = verify_paper(seed=seed)
     elapsed = time.perf_counter() - t0
     ok = all(c.passed for c in checks)
     payload = {"checks": [c._asdict() for c in checks], "all_passed": ok,
-               "seconds": round(elapsed, 3)}
+               "seconds": round(elapsed, 3), "seed": seed}
     lines = []
     for c in checks:
         lines += [f"[{'PASS' if c.passed else 'FAIL'}] {c.label}", f"       {c.anchor}",

@@ -693,14 +693,6 @@ def sequence_from_json(obj: dict) -> MoveSequence:
 MAX_WINDING_BLOCK_WORDS = 10_000
 
 
-def _block_words(n: int, max_len: int):
-    """All words on n strands of length ≤ max_len, by (length, letters)."""
-    alphabet = [i for i in range(1 - n, n) if i != 0]
-    for length in range(max_len + 1):
-        for tup in itertools.product(alphabet, repeat=length):
-            yield BraidWord(n, tup)
-
-
 def winding_iterates(P: BraidWord, Q: BraidWord, k: int) -> list[BraidWord]:
     """Wind w₀ = P·σₙ₋₁·Q·σₙ₋₁⁻¹ through k exchange moves, preferring new
     conjugacy classes.
@@ -708,22 +700,22 @@ def winding_iterates(P: BraidWord, Q: BraidWord, k: int) -> list[BraidWord]:
     A single exchange toggle is an involution up to conjugacy, so iterating
     it at the word level only alternates between at most two classes.  The
     winding pictures instead re-braid the moving block each time it passes
-    the axis strand.  Here each step searches the representations
-    P·σₙ₋₁^s·V·σₙ₋₁^{−s} of the current conjugacy class, with V ranging
-    over words on n−1 strands no longer than the longer of P and Q (at
-    least 1), and applies the exchange whose result leaves every class seen
-    so far; when no fresh class is exposed it falls back to a plain toggle.
+    the axis strand.  Here each step tries the representations
+    P·σₙ₋₁^s·V·σₙ₋₁^{−s} of the current class, s = 1 first, V over the words
+    on n−1 strands of at most max(|P|, |Q|, 1) letters, shortest first, and
+    applies the first exchange that leaves every class seen so far; failing
+    that, the first that leaves the current class, or else repeats the word.
     Each step is a conjugation followed by one exchange move, so every
-    iterate closes to the same link.  When max(k, 1) times the blocks V per
-    sign exceeds :data:`MAX_WINDING_BLOCK_WORDS`, :class:`ResourceLimitError`
-    is raised before any step is taken.
+    iterate closes to the same link.  ``k`` must be an ``int`` (``True`` is
+    not); when max(k, 1) times the blocks V per sign exceeds
+    :data:`MAX_WINDING_BLOCK_WORDS`, :class:`ResourceLimitError` is raised
+    before any step is taken.
     """
     if P.n != Q.n:
         raise ValueError("P and Q must live in the same braid group")
+    _require_int("k", k)
     if k < 0:
         raise ValueError("iteration count must be >= 0")
-    n = P.n + 1
-    top = n - 1
     vmax = max(len(P), len(Q), 1)
     steps = max(k, 1)
     blocks, layer = 0, 1
@@ -734,37 +726,30 @@ def winding_iterates(P: BraidWord, Q: BraidWord, k: int) -> list[BraidWord]:
                 f"{steps} winding step(s) over blocks of up to {vmax} letters on {P.n} strands "
                 f"try more than {MAX_WINDING_BLOCK_WORDS} block words (MAX_WINDING_BLOCK_WORDS)"
             )
-    w0 = BraidWord(n, free_reduce(P.letters + (top,) + Q.letters + (-top,)))
-    out = [w0]
+
+    def exchange(s: int, v: tuple[int, ...]) -> BraidWord:
+        return _word(P.n + 1, free_reduce(P.letters + (s * P.n,) + v + (-s * P.n,)))
+
+    w0 = exchange(1, Q.letters)
     if not w0.letters:
-        return out + [w0] * k
-    seen_keys = {garside.super_summit_set(w0)}
+        return [w0] * (k + 1)
+    alphabet = [i for i in range(1 - P.n, P.n) if i != 0]
+    vs = [v for length in range(vmax + 1) for v in itertools.product(alphabet, repeat=length)]
+    out, seen_keys = [w0], {garside.super_summit_set(w0)}
     for _ in range(k):
-        cur = out[-1]
-        cur_key = garside.super_summit_set(cur)
-        chosen = None
+        cur_key = garside.super_summit_set(out[-1])
         fallback = None
-        for s in (1, -1):
-            for v in _block_words(n - 1, vmax):
-                site = BraidWord(
-                    n, free_reduce(P.letters + (s * top,) + v.letters + (-s * top,))
-                )
-                if garside.super_summit_set(site) != cur_key:
-                    continue
-                toggled = BraidWord(
-                    n, free_reduce(P.letters + (-s * top,) + v.letters + (s * top,))
-                )
-                tk = garside.super_summit_set(toggled)
-                if tk not in seen_keys:
-                    chosen = (toggled, tk)
-                    break
-                if fallback is None and tk != cur_key:
-                    fallback = toggled
-            if chosen:
+        for s, v in itertools.product((1, -1), vs):
+            if garside.super_summit_set(exchange(s, v)) != cur_key:
+                continue
+            toggled = exchange(-s, v)
+            key = garside.super_summit_set(toggled)
+            if key not in seen_keys:
+                out.append(toggled)
+                seen_keys.add(key)
                 break
-        if chosen:
-            out.append(chosen[0])
-            seen_keys.add(chosen[1])
+            if fallback is None and key != cur_key:
+                fallback = toggled
         else:
-            out.append(fallback if fallback is not None else cur)
+            out.append(out[-1] if fallback is None else fallback)
     return out

@@ -151,6 +151,7 @@ def parse_braid_word(text: str, n: int) -> BraidWord:
     # A number with more digits than its bound is out of range; rejecting it
     # by length keeps int() off arbitrarily long digit strings.
     index_digits, power_digits = len(str(n)), len(str(MAX_PARSED_LETTERS))
+    too_long = f"word expands to more than MAX_PARSED_LETTERS = {MAX_PARSED_LETTERS} letters"
     for tok in _TOKENS.findall(text):
         m = _TOKEN.match(tok)
         if m is None:
@@ -159,7 +160,7 @@ def parse_braid_word(text: str, n: int) -> BraidWord:
         if len(index.lstrip("0")) > index_digits:
             raise BraidSyntaxError(f"index of {len(index)} digits invalid for n={n}")
         if power is not None and len(power.lstrip("-0")) > power_digits:
-            raise BraidSyntaxError(f"word expands to more than {MAX_PARSED_LETTERS} letters")
+            raise BraidSyntaxError(too_long)
         i = int(index)
         k = int(power) if power is not None else 1
         if k == 0:
@@ -167,7 +168,7 @@ def parse_braid_word(text: str, n: int) -> BraidWord:
         if i < 1 or i >= n:
             raise BraidSyntaxError(f"index {i} invalid for n={n}")
         if len(letters) + abs(k) > MAX_PARSED_LETTERS:
-            raise BraidSyntaxError(f"word expands to more than {MAX_PARSED_LETTERS} letters")
+            raise BraidSyntaxError(too_long)
         letters.extend([i if k > 0 else -i] * abs(k))
     return BraidWord(n, tuple(letters))
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from braidkit import garside, invariants
+from braidkit import cli, garside, invariants
 from braidkit.cli import run, verify_paper
 from braidkit.laurent import LaurentPolynomial
 from braidkit.moves import sequence_from_json
@@ -493,7 +493,6 @@ def _records_in(obj, path: str = "payload") -> list[str]:
 def test_no_record_reaches_a_payload(tmp_path, monkeypatch):
     """Every payload is plain JSON data: README's commands, ``move --replay``,
     a negative answer, an exhausted search and a template that fails."""
-    from braidkit import cli
 
     def payload(argv):
         args = cli._build_parser().parse_args(argv)
@@ -553,6 +552,15 @@ def test_verify_paper_json(capsys):
     assert payload["all_passed"] is True
     assert len(payload["checks"]) == 9
     assert all(c["seconds"] >= 0 for c in payload["checks"])
+
+
+@pytest.mark.parametrize("options, seed", [([], 0), (["--seed", "3"], 3)])
+def test_verify_paper_json_records_its_seed(capsys, monkeypatch, options, seed):
+    drawn = []
+    monkeypatch.setattr(cli, "verify_paper", lambda seed: drawn.append(seed) or [])
+    code, out, _ = run_capture(capsys, ["verify-paper", "--json", *options])
+    assert code == 0 and drawn == [seed]
+    assert json.loads(out)["seed"] == seed
 
 
 PAPER_CHECKS = [
@@ -644,7 +652,7 @@ TRANSCRIPT_CALLS = [
     ["move", "flype", "s1^2 s2 s1 s2^-1", "-n", "3", "--index", "2"],
     ["move", "destab", "s2 s1", "-n", "3", "--index", "-1"],
 ]
-TRANSCRIPT_SHA256 = "3e4ba0a05474712b0b70d2a6a30b85272b7776301eacba39ae306fee9d95103b"
+TRANSCRIPT_SHA256 = "37b4d88215647249f038bda2095f472bda26fc0e852c3c338cc080f2f889c569"
 
 
 def test_golden_transcript(capsys, tmp_path, monkeypatch):

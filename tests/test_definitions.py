@@ -1,15 +1,18 @@
 """Every function, class and method in ``src/braidkit`` is used somewhere.
 
 The check is by name only, over ``src``, ``tests`` and ``perfbench``: a
-definition counts as used when its name appears as a variable, an
-attribute, an import alias or an identifier string anywhere.  So it is
-coarse: an unrelated local variable of the same name hides a dead
-definition.  A second check installs the benchmark's tracer, which fails
-when a name it patches is gone, and a third runs it to see that the
-search's move finders are the ones it times.  Every name a library module
-imports is used in that module, but for the re-exports of ``__init__.py``
-and the one name the tracer looks up where it is imported.  Importing the
-library and its command line loads neither ``dataclasses`` nor ``inspect``.
+function or class counts as used when its name appears as a variable, an
+attribute, an import alias or an identifier string anywhere; a method
+defined in a class body only when some file reads it as an attribute or
+names it in an identifier string, so a local variable of the same name does
+not hide a dead method.  It is still coarse: an unrelated attribute or
+variable of the same name hides a dead definition.  A second check
+installs the benchmark's tracer, which fails when a name it patches is
+gone, and a third runs it to see that the search's move finders are the
+ones it times.  Every name a library module imports is used in that
+module, but for the re-exports of ``__init__.py`` and the one name the
+tracer looks up where it is imported.  Importing the library and its
+command line loads neither ``dataclasses`` nor ``inspect``.
 """
 
 import ast
@@ -26,34 +29,43 @@ def _trees(root: Path, *dirs: str):
             yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _referenced(tree: ast.AST) -> set[str]:
-    names = set()
+def _referenced(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """Every name a tree references, and those among them it reads as an
+    attribute or writes as an identifier string."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.rsplit(".", 1)[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
-                names.add(node.value)
-    return names
+                attributes.add(node.value)
+    return names | attributes, attributes
 
 
 def unreferenced(root: Path = ROOT) -> list[str]:
     """``path:line name`` of each non-dunder definition in src/braidkit never referenced."""
-    used = set()
+    used, attributes = set(), set()
     for _, tree in _trees(root, "src", "tests", "perfbench"):
-        used |= _referenced(tree)
+        tree_used, tree_attributes = _referenced(tree)
+        used |= tree_used
+        attributes |= tree_attributes
     out = []
     for path, tree in _trees(root, "src/braidkit"):
+        methods = {
+            id(node)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
-            if node.name not in used:
+            if node.name not in (attributes if id(node) in methods else used):
                 out.append(f"{path.relative_to(root)}:{node.lineno} {node.name}")
     return out
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -770,7 +771,32 @@ class TestSiteMoves:
                 apply_move(w, kind, params)
 
 
+# sha256 of (P, Q, k, iterates or exception type and message) over 250 seeded
+# cases on B1-B4: words of at most 3 letters, k from -1 to 3, P and Q on
+# different strand counts about one case in ten.  The block budget is 255, the
+# 3 steps over 85 blocks a 3-letter B3 case needs; a 3-letter word on B4 (259
+# blocks) exceeds it.  Any change to an iterate, their order or a message
+# moves it.
+PINNED_WINDING_SHA256 = "a6b9a233c6510656a2c30b798651860163e0cfaf5ff3627d985b6554ad7b796f"
+
+
 class TestWinding:
+    def test_pinned_winding(self, monkeypatch):
+        monkeypatch.setattr(moves, "MAX_WINDING_BLOCK_WORDS", 255)
+        rng = random.Random(34)
+        digest = hashlib.sha256()
+        for _ in range(250):
+            n = rng.randint(1, 4)
+            P = random_word(rng, n, 3)
+            Q = random_word(rng, n if rng.random() < 0.9 else rng.randint(1, 4), 3)
+            k = rng.randint(-1, 3)
+            try:
+                outcome = [w.letters for w in winding_iterates(P, Q, k)]
+            except ValueError as exc:
+                outcome = [type(exc).__name__, str(exc)]
+            digest.update(json.dumps([P, Q, k, outcome]).encode())
+        assert digest.hexdigest() == PINNED_WINDING_SHA256
+
     def test_trivial_assignment(self):
         iterates = winding_iterates(BraidWord(3), BraidWord(3), 3)
         assert all(w.letters == () for w in iterates)
@@ -806,6 +832,15 @@ class TestWinding:
         assert len(winding_iterates(P, Q, 3)) == 4
         monkeypatch.setattr(moves, "MAX_WINDING_BLOCK_WORDS", 340)
         assert len(winding_iterates(P, Q, 4)) == 5
+
+    @pytest.mark.parametrize("k", [True, False, 2.0, "1", None])
+    def test_step_count_must_be_an_int(self, monkeypatch, k):
+        monkeypatch.setattr(moves, "garside", None)  # taking a step would fail
+        P = BraidWord(3, (-1, -1, -2))
+        Q = BraidWord(3, (-1, -2, -2))
+        with pytest.raises(ValueError) as err:
+            winding_iterates(P, Q, k)
+        assert str(err.value) == f"k must be an integer, got {k!r}"
 
     def test_pinned_sample_reaches_three_classes(self):
         P = BraidWord(3, (-1, -1, -2))

@@ -103,6 +103,13 @@ class TestParse:
         with pytest.raises(BraidSyntaxError):
             parse_braid_word("s1^2 s1^-2 s1", 2)
 
+    @pytest.mark.parametrize("text", ["s1^1000000000", "s1^6000 s1^-5000"])
+    def test_letter_bound_names_its_constant(self, text):
+        # an exponent with more digits than the bound; a sum past the bound
+        with pytest.raises(BraidSyntaxError) as err:
+            parse_braid_word(text, 2)
+        assert str(err.value) == "word expands to more than MAX_PARSED_LETTERS = 10000 letters"
+
     def test_format_round_trip(self):
         rng = random.Random(0)
         for _ in range(50):
