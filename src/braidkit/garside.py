@@ -19,6 +19,22 @@ itself and carries the minimal simple elements of x to those of its twin
 expanded; the other maps its conjugates over through τ.  A conjugacy
 decision closes the set only until it reaches the other element's summit.
 
+Class identity is decided here, cheapest test first.  Every member of a
+super summit set has one bucket (strand count, inf, canonical length), so
+words whose summit elements lie in different buckets are not conjugate,
+and words reaching one summit element are.  ``are_conjugate`` compares
+exponent sums and buckets, then closes u's set until v's summit element
+turns up.  A ``ClassTable`` names each class it meets by the first summit
+element seen in it: a summit element seen before names its class at once,
+and a new one alone in its bucket is a new class, left unkeyed.  Once a
+second summit element reaches a bucket, every class there is keyed by its
+super summit set, the cached key of its summit element or else a closure.
+Past ``MAX_SUMMIT_SET`` members a summit element has no key: it names its
+own class, counted in ``capped``, and only an equal summit element finds
+it again.  Conjugate words have one set, so a capped class is capped on
+every word, and conjugates reaching different capped summit elements are
+different classes.
+
 Canonical factors are represented by their permutations, never by words;
 left-weightedness and lattice meets are tested on inversion sets.  The
 convention for a permutation braid's permutation: the strand starting at
@@ -33,12 +49,12 @@ permutation, and the identity and Δ permutations are tables keyed by the
 strand count, each bounded by ``_TABLE_SIZE`` entries; no answer depends on
 what they hold.  One more table of that size, ``_word_summit``, maps a word
 to the summit element that cycling and decycling reach from its normal
-form, and to the simple factors conjugating the word there: keys and both
-forms of ``are_conjugate`` summit words only through it, and a repeat skips
-all three steps.  It stores summit elements and conjugators, never keys, so
-the key cache and its cap behave as without it.  Cycling trajectories,
-summit closures and the key cache key normal forms by value and serialize
-only what they hand out.
+form, and to the simple factors conjugating the word there: keys, the
+class table and both forms of ``are_conjugate`` summit words only through
+it, and a repeat skips all three steps.  It stores summit elements and
+conjugators, never keys, so the key cache and its cap behave as without
+it.  Cycling trajectories, summit closures and the key cache key normal
+forms by value and serialize only what they hand out.
 
 Conjugators stay simple elements: a cycling or decycling step yields the
 signed simple factor it conjugates by, and a summit closure records each
@@ -533,6 +549,56 @@ def super_summit_set(w: BraidWord) -> ConjugacyKey:
     return key
 
 
+def _bucket(summit: NormalForm) -> tuple[int, int, int]:
+    """(strand count, inf, canonical length): shared by a whole super summit set."""
+    return summit.n, summit.delta_power, len(summit.factors)
+
+
+class ClassTable:
+    """The conjugacy classes met so far, each named by the first summit
+    element seen in it; the module docstring gives the rules."""
+
+    __slots__ = ("ids", "buckets", "by_key", "capped")
+
+    def __init__(self):
+        self.ids: dict[NormalForm, NormalForm] = {}  # summit element -> class
+        # bucket -> (word, summit element) of its one class, unkeyed; None
+        # once a second summit element reaches it
+        self.buckets: dict[tuple[int, int, int], tuple | None] = {}
+        self.by_key: dict[ConjugacyKey, NormalForm] = {}  # key -> class
+        self.capped = 0  # summit elements found capped
+
+    def find(self, w: BraidWord) -> NormalForm:
+        """The class of w, added when new."""
+        s = _word_summit(w)[0]
+        c = self.ids.get(s)
+        if c is None:
+            bucket = _bucket(s)
+            if bucket not in self.buckets:
+                self.buckets[bucket] = (w, s)
+                c = s
+            else:  # the bucket holds another class: compare keys
+                if (lone := self.buckets[bucket]) is not None:
+                    self.buckets[bucket] = None
+                    self._keyed(*lone)
+                c = self._keyed(w, s)
+            self.ids[s] = c
+        return c
+
+    def _keyed(self, w: BraidWord, s: NormalForm) -> NormalForm:
+        """The keyed class with the key of w, whose summit element is s; s,
+        keyed, when there is none, and s, counted and stored nowhere, when
+        w is capped: :meth:`find` keys each summit element at most once."""
+        key = _key_cache.get(s)
+        if key is None:
+            try:
+                key = super_summit_set(w)
+            except SuperSummitCapError:
+                self.capped += 1
+                return s
+        return self.by_key.setdefault(key, s)
+
+
 def are_conjugate(u: BraidWord, v: BraidWord, want_witness: bool = False):
     """Decide conjugacy in Bₙ via super summit sets.
 
@@ -540,10 +606,10 @@ def are_conjugate(u: BraidWord, v: BraidWord, want_witness: bool = False):
     witness g (a :class:`BraidWord`, possibly empty) satisfies g⁻¹·u·g = v as
     group elements whenever the answer is True.
 
-    Both forms take the same steps.  Unequal exponent sums or summit levels
-    (inf, canonical length) answer False with no closure; otherwise u's
-    super summit set is closed breadth first until v's summit element is
-    recorded, and a witness read from that closure.  So a conjugate pair
+    Both forms take the same steps.  Unequal exponent sums or summit
+    buckets answer False with no closure; otherwise u's super summit set is
+    closed breadth first until v's summit element is recorded, and a
+    witness read from that closure.  So a conjugate pair
     answers True when v's summit element is among the first
     :data:`MAX_SUMMIT_SET` members, however large the set; a False answer
     closes the whole set and past the cap raises :class:`SuperSummitCapError`.
@@ -554,7 +620,7 @@ def are_conjugate(u: BraidWord, v: BraidWord, want_witness: bool = False):
         return no
     su, gu = _word_summit(u)
     sv, gv = _word_summit(v)
-    if (su.inf, su.canonical_length) != (sv.inf, sv.canonical_length):
+    if _bucket(su) != _bucket(sv):
         return no
     members = _summit_closure(su, sv)
     if sv not in members:

@@ -705,9 +705,11 @@ def winding_iterates(P: BraidWord, Q: BraidWord, k: int) -> list[BraidWord]:
     on n−1 strands of at most max(|P|, |Q|, 1) letters, shortest first, and
     applies the first exchange that leaves every class seen so far; failing
     that, the first that leaves the current class, or else repeats the word.
-    Each step is a conjugation followed by one exchange move, so every
-    iterate closes to the same link.  ``k`` must be an ``int`` (``True`` is
-    not); when max(k, 1) times the blocks V per sign exceeds
+    ``garside.are_conjugate`` tells a candidate in the current class, so one
+    whose own super summit set passes the cap is skipped.  Each step is a
+    conjugation followed by one exchange move, so every iterate closes to
+    the same link.  ``k`` must be an ``int`` (``True`` is not); when
+    max(k, 1) times the blocks V per sign exceeds
     :data:`MAX_WINDING_BLOCK_WORDS`, :class:`ResourceLimitError` is raised
     before any step is taken.
     """
@@ -740,7 +742,7 @@ def winding_iterates(P: BraidWord, Q: BraidWord, k: int) -> list[BraidWord]:
         cur_key = garside.super_summit_set(out[-1])
         fallback = None
         for s, v in itertools.product((1, -1), vs):
-            if garside.super_summit_set(exchange(s, v)) != cur_key:
+            if not garside.are_conjugate(out[-1], exchange(s, v)):
                 continue
             toggled = exchange(-s, v)
             key = garside.super_summit_set(toggled)

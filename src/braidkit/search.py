@@ -10,19 +10,11 @@ from the transverse set: their transverse legality is not a given, and the
 negative flype in particular changes the transverse type of the pinned
 examples.
 
-A node is a conjugacy class, told apart from the others by the cheapest
-exact test first.  Every member of a super summit set has the same inf and
-canonical length, so nodes whose summit elements differ in strand count,
-inf or canonical length are different classes, and nodes with equal summit
-elements are one class.  Only when neither test decides are the two nodes
-keyed by their super summit sets; past ``garside.MAX_SUMMIT_SET`` members
-a node's class is named by its summit element alone.  The source and the
-target are found the same way, so a search between two words of one class
-ends before any move.  A node's new siblings enter the frontier in site
-order, and the search ends on the target's class.  Conjugate words have the
-same super summit set, so a capped node's class is capped on every word,
-the target's included: a capped node reaches the target only through an
-equal summit element, and a capped class may be missed.
+A node is a conjugacy class as a :class:`garside.ClassTable` names it;
+:mod:`garside` describes class identity.  The source and the target are
+found as any node is, so a search between two words of one class ends
+before any move.  A node's new siblings enter the frontier in site order,
+and the search ends on the target's class.
 
 One scan, :func:`_sites`, builds a word's move sites with the public
 finders of :mod:`moves`: the search takes every site there, and
@@ -109,69 +101,6 @@ class SearchResult(NamedTuple):
         return self.outcome == "found"
 
 
-def _bucket(summit: garside.NormalForm) -> tuple[int, int, int]:
-    """(strand count, inf, canonical length): shared by a whole super summit set."""
-    return summit.n, summit.delta_power, len(summit.factors)
-
-
-class _Classes:
-    """The classes a search has met, each named by the first summit element
-    seen in it.
-
-    A summit element seen before names its class at once.  A new one is a
-    new class, left unkeyed, when no other summit element has reached its
-    bucket (strand count, inf, canonical length); otherwise it and the
-    bucket's unkeyed class are keyed, so a bucket that two summit elements
-    have reached holds only keyed classes.  A capped summit element has no
-    key: it names its own class, and only an equal summit element finds it.
-    """
-
-    __slots__ = ("ids", "buckets", "by_key", "capped")
-
-    def __init__(self):
-        self.ids: dict[garside.NormalForm, garside.NormalForm] = {}  # summit element -> class
-        # bucket -> (word, summit element) of its one class, unkeyed; None
-        # once a second summit element reaches it
-        self.buckets: dict[tuple[int, int, int], tuple | None] = {}
-        self.by_key: dict[garside.ConjugacyKey, garside.NormalForm] = {}  # key -> class
-        self.capped = 0  # summit elements found capped (see keyed)
-
-    def find(self, w: BraidWord, s: garside.NormalForm) -> garside.NormalForm:
-        """The class of w, whose summit element is s, added when new."""
-        c = self.ids.get(s)
-        if c is None:
-            bucket = _bucket(s)
-            if bucket not in self.buckets:
-                self.buckets[bucket] = (w, s)
-                c = s
-            else:  # the bucket holds another class: compare keys
-                if (lone := self.buckets[bucket]) is not None:
-                    self.buckets[bucket] = None
-                    self.keyed(*lone)
-                c = self.keyed(w, s)
-            self.ids[s] = c
-        return c
-
-    def keyed(self, w: BraidWord, s: garside.NormalForm) -> garside.NormalForm:
-        """The keyed class with the key of w, whose summit element is s; s,
-        keyed, when there is none.
-
-        The key is the super summit set: the cached key of s's class, or
-        else a closure.  Past ``MAX_SUMMIT_SET`` members there is no key: s
-        names its own class, counted in ``capped`` and stored nowhere, since
-        :meth:`find` keys each summit element at most once.  Conjugates
-        reaching different capped summit elements become different classes.
-        """
-        key = garside._key_cache.get(s)
-        if key is None:
-            try:
-                key = garside.super_summit_set(w)
-            except garside.SuperSummitCapError:
-                self.capped += 1
-                return s
-        return self.by_key.setdefault(key, s)
-
-
 # The stabilizations each move set takes, in site order.
 _STABILIZATIONS = {TOPOLOGICAL: (Stabilization(1), Stabilization(-1))}
 _STABILIZATIONS[TRANSVERSE] = tuple(
@@ -204,11 +133,9 @@ def _sites(w: BraidWord, bounds: SearchBounds) -> list:
 def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> SearchResult:
     """Search for a certified move sequence from source to target's class.
 
-    Breadth first over classes (see :class:`_Classes`), the two ends found
-    as any node is, ending on the target's class; a node's new siblings
-    enter the frontier in site order.  A capped node (see
-    :meth:`_Classes.keyed`) reaches the target only through an equal summit
-    element, since its class is capped and so is the target's.
+    Breadth first over the classes of a :class:`garside.ClassTable`, the
+    two ends found as any node is, ending on the target's class; a node's
+    new siblings enter the frontier in site order.
     """
     source = _word(source.n, free_reduce(source.letters))
     target = _word(target.n, free_reduce(target.letters))
@@ -223,9 +150,9 @@ def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> Searc
                 f"more than max_word_length = {bounds.max_word_length}"
             )
 
-    classes = _Classes()
-    goal = classes.find(target, garside._word_summit(target)[0])
-    start = classes.find(source, garside._word_summit(source)[0])
+    classes = garside.ClassTable()
+    goal = classes.find(target)
+    start = classes.find(source)
     dedup_hits = 0
     nodes_expanded = 0
     frontier_peak = 1
@@ -256,7 +183,7 @@ def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> Searc
                 result = site.apply(w)
                 if len(result.letters) > bounds.max_word_length:
                     continue
-                nc = classes.find(result, garside._word_summit(result)[0])
+                nc = classes.find(result)
                 if nc in parents:
                     dedup_hits += 1
                     continue

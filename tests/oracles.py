@@ -22,6 +22,8 @@ every node by its super summit set.  The bracket transfer carries each state as 
 Kronecker-packed int; :func:`dict_transfer_bracket` carries an exponent →
 coefficient table instead.  The Burau product carries each entry as one
 Kronecker-packed int; :func:`dict_burau_columns` carries a table instead.
+``garside`` decides equality by normal forms; :func:`handle_reduce` decides
+it by rewriting words alone.
 """
 
 import itertools
@@ -331,3 +333,37 @@ def dict_burau_columns(w: BraidWord) -> list[list[dict[int, int]]]:
             new.append({e: c for e, c in entry.items() if c})
         cols[j] = new
     return cols
+
+
+def handle_reduce(letters) -> tuple[int, ...]:
+    """Dehornoy's handle reduction (Adv. Math. 125, 1997): a word that is
+    empty exactly when the braid of ``letters`` is trivial.
+
+    A σᵢ-handle is σᵢ^e·u·σᵢ^{−e} with only letters of index > i in u.  The
+    one that ends leftmost holds no other handle, so it is permitted;
+    reducing it drops its ends and replaces each σᵢ₊₁^d in u by
+    σᵢ₊₁^{−e}·σᵢ^d·σᵢ₊₁^e.  With no handle left, the letters of least index
+    all have one sign, so a nonempty word is not trivial.  Shares no code
+    with ``garside``.  No bound.
+    """
+    w = list(letters)
+    while True:
+        # last[i]: position of the latest σᵢ letter with no lower index since
+        last = [None] * (max(map(abs, w), default=0) + 1)
+        for q, x in enumerate(w):
+            i = abs(x)
+            p = last[i]
+            if p is not None and w[p] == -x:
+                break
+            last[i] = q
+            last[i + 1 :] = [None] * (len(last) - i - 1)
+        else:
+            return tuple(w)
+        e = 1 if w[p] > 0 else -1
+        inner = []
+        for y in w[p + 1 : q]:
+            if abs(y) == i + 1:
+                inner += [-e * (i + 1), i if y > 0 else -i, e * (i + 1)]
+            else:
+                inner.append(y)
+        w[p : q + 1] = inner

@@ -22,7 +22,7 @@ from braidkit.garside import (
     left_normal_form,
     super_summit_set,
 )
-from oracles import plain_summit_closure
+from oracles import handle_reduce, plain_summit_closure
 from braidkit.words import (
     BraidWord,
     ResourceLimitError,
@@ -625,6 +625,79 @@ class TestAreConjugate:
                 continue
             checked += 1
             assert not are_conjugate(u, v)
+
+
+class TestClassTable:
+    @staticmethod
+    def corpus():
+        """Seeded B2–B4 words, each base word with two conjugates and a rotation."""
+        rng = random.Random(35)
+        out = []
+        for _ in range(20):
+            n = rng.randint(2, 4)
+            w = random_word(rng, n, 8)
+            out += [w, conjugate(w, random_word(rng, n, 4)), conjugate(w, random_word(rng, n, 4))]
+            out.append(BraidWord(n, w.letters[1:] + w.letters[:1]))
+        return out
+
+    def test_classes_are_keys(self, monkeypatch):
+        cache: dict = {}
+        monkeypatch.setattr(garside_module, "_key_cache", cache)
+        keyed = [(w, super_summit_set(w)) for w in self.corpus()]
+        joined = 0  # same class, different summit elements
+        for order in (keyed, keyed[::-1]):
+            cache.clear()
+            table = garside_module.ClassTable()
+            found = [(w, table.find(w), key) for w, key in order]
+            for (u, cu, ku), (v, cv, kv) in itertools.combinations(found, 2):
+                assert (cu is cv) == (ku == kv), (u, v)
+                joined += cu is cv and _word_summit(u)[0] != _word_summit(v)[0]
+            assert table.capped == 0
+        assert joined > 0
+
+    def test_capped_word_names_its_own_class(self, monkeypatch):
+        # TX+ and its rotation reach different summit elements of one
+        # bucket, and their super summit set has 28 members.
+        monkeypatch.setattr(garside_module, "_key_cache", {})
+        monkeypatch.setattr(garside_module, "MAX_SUMMIT_SET", 2)
+        tx_plus = parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3)
+        rotated = BraidWord(3, tx_plus.letters[1:] + tx_plus.letters[:1])
+        table = garside_module.ClassTable()
+        assert table.find(tx_plus) == _word_summit(tx_plus)[0]
+        assert table.capped == 0
+        assert table.find(rotated) == _word_summit(rotated)[0] != table.find(tx_plus)
+        assert table.capped == 2
+
+
+class TestHandleReduction:
+    """``tests/oracles.handle_reduce`` decides equality with no normal form."""
+
+    def test_agrees_with_normal_form_equality(self):
+        rng = random.Random(36)
+        answers = {True: 0, False: 0}
+        for _ in range(400):
+            n = rng.randint(2, 5)
+            u = random_word(rng, n, 10)
+            if rng.random() < 0.5:
+                v = u
+                for _ in range(rng.randint(1, 6)):
+                    v = random_rewrite(rng, v)
+            else:
+                v = random_word(rng, n, 10)
+            equal = handle_reduce(multiply(u, invert(v)).letters) == ()
+            assert equal == (left_normal_form(u) == left_normal_form(v)), (u, v)
+            answers[equal] += 1
+        assert min(answers.values()) > 100, answers
+
+    def test_conjugacy_witnesses_reduce_to_the_empty_word(self):
+        rng = random.Random(37)
+        for _ in range(100):
+            n = rng.randint(2, 5)
+            u = random_word(rng, n, 12)
+            v = conjugate(u, random_word(rng, n, 8))
+            ok, g = are_conjugate(u, v, want_witness=True)
+            assert ok
+            assert handle_reduce(invert(g).letters + u.letters + g.letters + invert(v).letters) == ()
 
 
 def test_permutation_braid_word_length_is_inversions():

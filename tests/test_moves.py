@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import built_flype_sites, destab_rotation_scan, flype_rotation_scan
-from braidkit.garside import are_conjugate, left_normal_form, super_summit_set
+from braidkit.garside import SuperSummitCapError, are_conjugate, left_normal_form, super_summit_set
 from braidkit.invariants import jones_polynomial
-from braidkit import moves, search
+from braidkit import garside, moves, search
 from braidkit.moves import (
     BlockSlot,
     BlockStrandDiagram,
@@ -832,6 +832,22 @@ class TestWinding:
         assert len(winding_iterates(P, Q, 3)) == 4
         monkeypatch.setattr(moves, "MAX_WINDING_BLOCK_WORDS", 340)
         assert len(winding_iterates(P, Q, 4)) == 5
+
+    def test_capped_candidate_does_not_end_the_walk(self, monkeypatch):
+        # Both iterates' super summit sets have 4 members; the candidate
+        # s1^-1 s3 s2 s3^-1 has 24, so under a cap of 4 it cannot be in the
+        # current class and is skipped, while a capped iterate still raises.
+        P, Q = BraidWord(3, (-1,)), BraidWord(3, (-2,))
+        expected = winding_iterates(P, Q, 1)
+        monkeypatch.setattr(garside, "_key_cache", {})
+        monkeypatch.setattr(garside, "MAX_SUMMIT_SET", 4)
+        with pytest.raises(SuperSummitCapError):
+            super_summit_set(BraidWord(4, (-1, 3, 2, -3)))
+        assert winding_iterates(P, Q, 1) == expected
+        monkeypatch.setattr(garside, "_key_cache", {})
+        monkeypatch.setattr(garside, "MAX_SUMMIT_SET", 3)
+        with pytest.raises(SuperSummitCapError):
+            winding_iterates(P, Q, 1)
 
     @pytest.mark.parametrize("k", [True, False, 2.0, "1", None])
     def test_step_count_must_be_an_int(self, monkeypatch, k):
