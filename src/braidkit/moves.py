@@ -177,8 +177,10 @@ def try_destabilize(w: BraidWord) -> DestabResult | None:
     count: conjugating first finds nothing more.  So ``None`` is no proof
     that the closure cannot be destabilized.
 
-    Parity comes first: free and cyclic reduction cancel σₙ₋₁ letters only
-    in inverse pairs, so a word with an even number of σₙ₋₁^{±1} letters
+    The sign rule comes first.  Free and cyclic reduction cancel σₙ₋₁
+    letters only in inverse pairs, so the difference #σₙ₋₁ − #σₙ₋₁⁻¹ is
+    the same in w as in u.  When u has one such letter, the difference is
+    ±1 and is the sign of the destabilization, so any other difference
     gives ``None`` before any reduction.  Otherwise :func:`_destab_at`,
     given the rotation of u that ends in a σₙ₋₁^{±1} letter, does the one
     count.
@@ -186,7 +188,7 @@ def try_destabilize(w: BraidWord) -> DestabResult | None:
     if w.n < 2:
         raise ValueError("destabilization needs at least 2 strands")
     top = w.n - 1
-    if not (w.letters.count(top) + w.letters.count(-top)) % 2:
+    if abs(w.letters.count(top) - w.letters.count(-top)) != 1:
         return None
     u, g = _cyclic_reduction(w.letters)
     return _destab_at(w.n, u, g, ((u.index(top) if top in u else u.index(-top)) + 1) % len(u))

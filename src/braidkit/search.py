@@ -16,11 +16,12 @@ found as any node is, so a search between two words of one class ends
 before any move.  A node's new siblings enter the frontier in site order,
 and the search ends on the target's class.
 
-One scan, :func:`_sites`, builds a word's move sites with the public
-finders of :mod:`moves`: the search takes every site there, and
-:func:`scramble` adds one conjugation site drawn from
-:func:`_conjugation_sites` and draws one of them.  Both apply each site
-they take (``site.apply``) and encode only the moves they record
+One table, :func:`_site_groups`, holds the site order (destabilization,
+exchanges, flypes, stabilizations) and sizes each group before building
+it with the public finders of :mod:`moves`.  The search (:func:`_sites`)
+builds every group; :func:`scramble` adds a drawn conjugation site last,
+draws an index and builds only the group that holds it.  Both apply each
+site they take (``site.apply``) and encode only the moves they record
 (``site.move()``); :func:`moves.apply_move` re-matches a recorded site and
 is the replay path.
 
@@ -53,6 +54,18 @@ TOPOLOGICAL = "topological"
 TRANSVERSE = "transverse"
 
 
+def _require_at_least(name: str, value, floor: int) -> None:
+    """A ValueError naming the bound unless value is an ``int`` of at least floor."""
+    _require_int(name, value)
+    if value < floor:
+        raise ValueError(f"{name} must be >= {floor}, got {value}")
+
+
+def _require_move_set(move_set) -> None:
+    if move_set not in (TOPOLOGICAL, TRANSVERSE):
+        raise ValueError(f"unknown move set {move_set!r}")
+
+
 class _SearchBoundsFields(NamedTuple):
     max_strands: int = 5
     max_word_length: int = 24
@@ -72,12 +85,8 @@ class SearchBounds(_SearchBoundsFields):
 
     def __post_init__(self):
         for name, floor in (("max_strands", 1), ("max_word_length", 0), ("max_nodes", 1)):
-            value = getattr(self, name)
-            _require_int(name, value)
-            if value < floor:
-                raise ValueError(f"{name} must be >= {floor}, got {value}")
-        if self.move_set not in (TOPOLOGICAL, TRANSVERSE):
-            raise ValueError(f"unknown move set {self.move_set!r}")
+            _require_at_least(name, getattr(self, name), floor)
+        _require_move_set(self.move_set)
 
     _make = _validated_make
 
@@ -101,33 +110,53 @@ class SearchResult(NamedTuple):
         return self.outcome == "found"
 
 
-# The stabilizations each move set takes, in site order.
+# The stabilizations each move set takes, in site order, and the signs of
+# the destabilizations it takes.
 _STABILIZATIONS = {TOPOLOGICAL: (Stabilization(1), Stabilization(-1))}
 _STABILIZATIONS[TRANSVERSE] = tuple(
     site for site in _STABILIZATIONS[TOPOLOGICAL] if site.kind in TRANSVERSE_MOVE_KINDS
 )
+_DESTAB_SIGNS = {TOPOLOGICAL: (1, -1)}
+_DESTAB_SIGNS[TRANSVERSE] = tuple(
+    sign for sign in (1, -1) if ("destab+" if sign > 0 else "destab-") in TRANSVERSE_MOVE_KINDS
+)
+
+
+def _site_groups(w: BraidWord, bounds: _SearchBoundsFields) -> list:
+    """The move sites of w in site order, as groups: the destabilization,
+    the exchanges, the flypes, and the stabilizations when there is room.
+    A group is its size and a function that builds its sites.
+
+    The σₙ₋₁ letter counts give most sizes with nothing built.  A
+    destabilization needs #σₙ₋₁ − #σₙ₋₁⁻¹ = ±1 and has that sign
+    (:func:`moves.try_destabilize`); the reduction runs only when there are
+    three or more such letters.  There are two exchanges exactly when each
+    count is 1 on three or more strands.
+    """
+    n, ls = w.n, w.letters
+    up, down = ls.count(n - 1), ls.count(1 - n)
+    groups: list = []
+    if n > 1 and up - down in _DESTAB_SIGNS[bounds.move_set]:
+        if up + down == 1:
+            groups.append((1, lambda: [try_destabilize(w)]))
+        elif (d := try_destabilize(w)) is not None:
+            groups.append((1, lambda: [d]))
+    if n > 2 and up == down == 1:
+        groups.append((2, lambda: find_exchange_decompositions(w)))
+    if n == 3 and bounds.move_set == TOPOLOGICAL and (flypes := find_flype_decompositions(w)):
+        groups.append((len(flypes), lambda: flypes))
+    if n < bounds.max_strands and len(ls) < bounds.max_word_length:
+        stabilizations = _STABILIZATIONS[bounds.move_set]
+        groups.append((len(stabilizations), lambda: stabilizations))
+    return groups
 
 
 def _sites(w: BraidWord, bounds: SearchBounds) -> list:
-    """Every move site of w, in site order: destabilization, exchanges,
-    flypes and the two stabilizations when there is room.  Each names its
-    ``kind``, gives its result by ``site.apply(w)`` and its params by
-    ``site.move()``.  The transverse move set takes the kinds in
-    ``TRANSVERSE_MOVE_KINDS``, chosen as the sites are built rather than
-    filtered afterwards: a destabilization is kept only when its kind is
-    one, exchanges are in both sets, only those stabilizations are taken,
-    and the flype finder is not run, since the set holds no flype."""
-    transverse = bounds.move_set == TRANSVERSE
-    sites: list = []
-    if w.n > 1 and (d := try_destabilize(w)) is not None:
-        if not transverse or d.kind in TRANSVERSE_MOVE_KINDS:
-            sites.append(d)
-    sites += find_exchange_decompositions(w)
-    if not transverse:
-        sites += find_flype_decompositions(w)
-    if w.n < bounds.max_strands and len(w.letters) + 1 <= bounds.max_word_length:
-        sites += _STABILIZATIONS[bounds.move_set]
-    return sites
+    """Every move site of w, in site order (:func:`_site_groups`).  Each
+    names its ``kind``, gives its result by ``site.apply(w)`` and its
+    params by ``site.move()``; the transverse move set takes only the
+    kinds in ``TRANSVERSE_MOVE_KINDS``."""
+    return [site for _, build in _site_groups(w, bounds) for site in build()]
 
 
 def connect(source: BraidWord, target: BraidWord, bounds: SearchBounds) -> SearchResult:
@@ -243,8 +272,10 @@ def scramble(
 ) -> tuple[BraidWord, MoveSequence]:
     """Apply k seeded random legal moves; returns the result and the ground truth.
 
-    A step draws one of the word's move sites (:func:`_sites` and one
-    conjugation site drawn from :func:`_conjugation_sites`).
+    A step counts the word's sites (:func:`_site_groups`, then one
+    conjugation site drawn from :func:`_conjugation_sites`), draws an index
+    with ``rng.choice`` over a range of that length, which draws as over
+    the built list, and builds only the group that holds it.
     Conjugation counts as a move here (it is one of the closed-braid moves),
     realized by a random permutation-braid conjugator, so a word above
     ``search.MAX_SIMPLE_STRANDS`` strands raises ``ResourceLimitError``.  A
@@ -260,25 +291,35 @@ def scramble(
     _require_int("seed", seed)
     if k < 0:
         raise ValueError("k must be >= 0")
-    bounds = SearchBounds(
-        max_strands=max_strands if max_strands is not None else w.n + 2,
-        max_word_length=words.MAX_PARSED_LETTERS,
-        move_set=move_set,
-    )
+    if max_strands is None:
+        max_strands = w.n + 2
+    _require_at_least("max_strands", max_strands, 1)
+    _require_move_set(move_set)
     if not k:
         return w, MoveSequence(w)
+    # validated above, so the plain fields skip the checks of SearchBounds
+    bounds = _SearchBoundsFields(max_strands, words.MAX_PARSED_LETTERS, move_set=move_set)
     rng = random.Random(seed)
     cur = w
     steps = []
     for _ in range(k):
-        sites = _sites(cur, bounds)
+        groups = _site_groups(cur, bounds)
         if conjugations := _conjugation_sites(cur.n):
-            sites.append(rng.choice(conjugations))
-        if not sites:
+            conjugation = rng.choice(conjugations)
+            groups.append((1, lambda: [conjugation]))
+        count = 0
+        for size, _ in groups:
+            count += size
+        if not count:
             raise ValueError(
                 f"no legal move on {cur.n} strand(s) with max_strands = {bounds.max_strands}"
             )
-        site = rng.choice(sites)
+        i = rng.choice(range(count))
+        for size, build in groups:
+            if i < size:
+                break
+            i -= size
+        site = build()[i]
         result = site.apply(cur)
         steps.append(MoveStep(*site.move(), result))
         cur = result

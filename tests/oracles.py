@@ -13,11 +13,11 @@ move finders try only the rotations their place rule names (after the only
 letter); :func:`destab_rotation_scan`, :func:`exchange_rotation_scan` and
 :func:`flype_rotation_scan` try every rotation.  The flype matcher reads
 a word's runs; :func:`built_flype_sites` writes every short schema word
-from its exponents instead.  ``search.scramble`` draws a conjugation site
-from a table built once per strand count; :func:`scramble_all_sites`
-builds the drawn conjugation site anew at each step, and otherwise draws
-as ``scramble`` does.  ``search.connect`` closes a super summit set only when
-a cheaper test cannot tell two nodes apart; :func:`eager_connect` keys
+from its exponents instead.  ``search.scramble`` counts a word's move sites
+and builds only the one it draws; :func:`scramble_all_sites` builds every
+site with the public finders of ``moves``, the drawn conjugation site
+anew, and draws from the list.  ``search.connect`` closes a super summit
+set only when a cheaper test cannot tell two nodes apart; :func:`eager_connect` keys
 every node by its super summit set.  The bracket transfer carries each state as one
 Kronecker-packed int; :func:`dict_transfer_bracket` carries an exponent →
 coefficient table instead.  The Burau product carries each entry as one
@@ -32,7 +32,8 @@ from math import comb
 
 from braidkit import garside, moves, search
 from braidkit.laurent import LaurentPolynomial, PolyMatrix
-from braidkit.words import BraidWord, free_reduce
+from braidkit.transverse import TRANSVERSE_MOVE_KINDS
+from braidkit.words import MAX_PARSED_LETTERS, BraidWord, free_reduce
 
 
 def poly_mul(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
@@ -152,27 +153,33 @@ def built_flype_sites(max_len: int) -> dict:
 
 
 def scramble_all_sites(w, k, seed, move_set=search.TOPOLOGICAL, max_strands=None):
-    """``search.scramble``, with the drawn conjugation site of each step built
-    anew from its word rather than taken from ``search._conjugation_sites``."""
+    """``search.scramble`` by building every site of a step and drawing one.
+
+    The sites come from the public finders, in the order destabilization,
+    exchanges, flypes, then the two stabilizations while there is room;
+    the transverse set keeps the kinds in ``TRANSVERSE_MOVE_KINDS``.  A
+    conjugation by a drawn permutation braid, built anew, comes last."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    max_strands = w.n + 2 if max_strands is None else max_strands
     rng = random.Random(seed)
-    bounds = search.SearchBounds(
-        max_strands=max_strands if max_strands is not None else w.n + 2,
-        max_word_length=10_000,
-        move_set=move_set,
-    )
     cur = w
     steps = []
     for _ in range(k):
-        options = search._sites(cur, bounds)
+        options = [moves.try_destabilize(cur)] if cur.n > 1 else []
+        options += moves.find_exchange_decompositions(cur)
+        options += moves.find_flype_decompositions(cur)
+        if cur.n < max_strands and len(cur.letters) < MAX_PARSED_LETTERS:
+            options += [moves.Stabilization(1), moves.Stabilization(-1)]
+        options = [
+            site for site in options
+            if site is not None and (move_set == search.TOPOLOGICAL or site.kind in TRANSVERSE_MOVE_KINDS)
+        ]
         simples = [site.by for site in search._conjugation_sites(cur.n)]
         if simples:
             options.append(moves.Conjugation(rng.choice(simples)))
         if not options:
-            raise ValueError(
-                f"no legal move on {cur.n} strand(s) with max_strands = {bounds.max_strands}"
-            )
+            raise ValueError(f"no legal move on {cur.n} strand(s) with max_strands = {max_strands}")
         site = rng.choice(options)
         result = site.apply(cur)
         steps.append(moves.MoveStep(*site.move(), result))

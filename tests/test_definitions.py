@@ -92,8 +92,11 @@ def test_tracer_patches_resolve():
 
 
 def test_tracer_times_the_search_move_finders():
-    # perfbench/tracing.py times the move finders where search looks them up;
-    # one search and one scramble record a span of each finder they run.
+    # perfbench/tracing.py times the move finders where search looks them up.
+    # One search records a span of each finder it runs.  A scramble step
+    # builds only the site it draws: it records the finder of that site, and
+    # on these words, whose σₙ₋₁ letters size every group, no destabilization
+    # or exchange span when it draws a conjugation or a stabilization.
     code = (
         "import sys; sys.path[:0] = sys.argv[1:]\n"
         "import tracing\n"
@@ -106,21 +109,32 @@ def test_tracer_times_the_search_move_finders():
         "tracer.op = 0\n"
         "result = search.connect(source, target, search.SearchBounds(4, 8, 20))\n"
         "assert result.stats.nodes_expanded >= 2, result\n"
-        "tracer.op = 1\n"
-        "search.scramble(source, 1, 0)\n"
-        "for op in (0, 1):\n"
-        "    print(*sorted({name for name, *_, o in tracer.spans if o == op}))\n"
+        "print(*sorted({name for name, *_, o in tracer.spans if o == 0}))\n"
         "print(tracer.counts['moves.destab_hits'])\n"
+        "stabilized = parse_braid_word('s1 s2 s1 s2^-1 s3', 4)\n"
+        "for op, (w, seed) in enumerate(((w, seed) for w in (source, stabilized)\n"
+        "                                for seed in range(12)), start=1):\n"
+        "    tracer.op = op\n"
+        "    kind = search.scramble(w, 1, seed, search.TRANSVERSE)[1].steps[0].kind\n"
+        "    print(kind, *sorted({name for name, *_, o in tracer.spans if o == op}))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "perfbench")],
         capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    *ops, hits = out.stdout.split("\n")[:-1]
-    for op, names in enumerate(ops):
-        assert {"moves.destab", "moves.exchange"} <= set(names.split()), (op, names)
+    names, hits, *steps = out.stdout.split("\n")[:-1]
+    assert {"moves.destab", "moves.exchange"} <= set(names.split()), names
     assert int(hits) > 0  # a destabilization of source's stabilization
+    finders = {"destab+": "moves.destab", "exchange": "moves.exchange"}
+    for step in steps:
+        kind, *names = step.split()
+        if kind in finders:
+            assert finders[kind] in names, step
+        else:
+            assert kind in ("conjugation", "stab+"), step
+            assert not {"moves.destab", "moves.exchange"} & set(names), step
+    assert {step.split()[0] for step in steps} == {"conjugation", "destab+", "exchange", "stab+"}
 
 
 # (module, name): imported but not called there, because perfbench/tracing.py

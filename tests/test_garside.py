@@ -627,6 +627,46 @@ class TestAreConjugate:
             assert not are_conjugate(u, v)
 
 
+def flype_pair(a: int, b: int, c: int) -> tuple[BraidWord, BraidWord]:
+    """W₊ = σ₁ᵃσ₂ᵇσ₁ᶜσ₂⁻¹ and W₋ = σ₁ᵃσ₂⁻¹σ₁ᶜσ₂ᵇ on B3; TX± = W±(5, 4, 6)."""
+    def run(i: int, k: int) -> tuple[int, ...]:
+        return (i if k > 0 else -i,) * abs(k)
+
+    return (BraidWord(3, run(1, a) + run(2, b) + run(1, c) + (-2,)),
+            BraidWord(3, run(1, a) + (-2,) + run(1, c) + run(2, b)))
+
+
+def flype_pair_is_conjugate(a: int, b: int, c: int) -> bool:
+    """The closed form found by fitting the grid |a|, |b|, |c| ≤ 9 (not yet
+    proved for every exponent): W₊ ~ W₋ exactly when a = c, |b| = 1,
+    b = a + 1, b = c + 1, a ∈ {−1, −2} or c ∈ {−1, −2}."""
+    return a == c or abs(b) == 1 or b in (a + 1, c + 1) or a in (-1, -2) or c in (-1, -2)
+
+
+def flype_pair_mismatches(m: int) -> tuple[int, list[tuple[int, int, int]]]:
+    """How many nonzero triples with |a|, |b|, |c| ≤ m give a conjugate flype
+    pair by ``are_conjugate``, and the triples where the closed form says
+    otherwise."""
+    exponents = [k for k in range(-m, m + 1) if k]
+    conjugate, mismatches = 0, []
+    for a, b, c in itertools.product(exponents, repeat=3):
+        answer = are_conjugate(*flype_pair(a, b, c))
+        conjugate += answer
+        if answer != flype_pair_is_conjugate(a, b, c):
+            mismatches.append((a, b, c))
+    return conjugate, mismatches
+
+
+def test_flype_pair_closed_form():
+    """The closed form against ``are_conjugate`` on all 1 728 nonzero triples
+    with |a|, |b|, |c| ≤ 6; the CI checks the 13 824 up to 12."""
+    assert flype_pair(5, 4, 6) == (
+        parse_braid_word("s1^5 s2^4 s1^6 s2^-1", 3), parse_braid_word("s1^5 s2^-1 s1^6 s2^4", 3)
+    )
+    assert not flype_pair_is_conjugate(5, 4, 6)
+    assert flype_pair_mismatches(6) == (990, [])
+
+
 class TestClassTable:
     @staticmethod
     def corpus():

@@ -159,6 +159,27 @@ class TestCyclicFreeReduce:
         assert v in {rotate(u, r) for r in range(max(len(u), 1))}
 
 
+def cancelling_top_letter_words():
+    """Seeded B2–B6 words, half with one σₙ₋₁^{±1} among lower letters,
+    with σₙ₋₁^{±1} pairs inserted inside and wrapped round the ends."""
+    rng = random.Random(53)
+    for _ in range(600):
+        n = rng.randint(2, 6)
+        top = n - 1
+        letters = list(random_word(rng, n, 8).letters)
+        if rng.random() < 0.5:
+            letters = [x for x in letters if abs(x) != top]
+            letters.insert(rng.randint(0, len(letters)), rng.choice((top, -top)))
+        for _ in range(rng.randint(1, 3)):
+            x = rng.choice((top, -top))
+            if rng.random() < 0.5:
+                i = rng.randint(0, len(letters))
+                letters[i:i] = [x, -x]
+            else:
+                letters = [x, *letters, -x]
+        yield BraidWord(n, tuple(letters))
+
+
 class TestDestabilize:
     def test_literal_match(self):
         found = try_destabilize(BraidWord(3, (1, 2)))
@@ -200,26 +221,10 @@ class TestDestabilize:
 
     def test_parity_rule_on_cancelling_top_letters(self):
         """Free and cyclic reduction cancel σₙ₋₁ letters only in inverse
-        pairs, so an even σₙ₋₁^{±1} count never destabilizes.  Seeded B2–B6
-        words, half with one σₙ₋₁^{±1} among lower letters, get σₙ₋₁^{±1}
-        pairs inserted inside and wrapped round the ends."""
-        rng = random.Random(53)
+        pairs, so an even σₙ₋₁^{±1} count never destabilizes."""
         odd_hits = even_uncancelled = 0
-        for _ in range(600):
-            n = rng.randint(2, 6)
-            top = n - 1
-            letters = list(random_word(rng, n, 8).letters)
-            if rng.random() < 0.5:
-                letters = [x for x in letters if abs(x) != top]
-                letters.insert(rng.randint(0, len(letters)), rng.choice((top, -top)))
-            for _ in range(rng.randint(1, 3)):
-                x = rng.choice((top, -top))
-                if rng.random() < 0.5:
-                    i = rng.randint(0, len(letters))
-                    letters[i:i] = [x, -x]
-                else:
-                    letters = [x, *letters, -x]
-            w = BraidWord(n, tuple(letters))
+        for w in cancelling_top_letter_words():
+            letters, top = w.letters, w.n - 1
             got = try_destabilize(w)
             assert got == next(iter(destab_rotation_scan(w)), None), w
             count = letters.count(top) + letters.count(-top)
@@ -230,6 +235,22 @@ class TestDestabilize:
             else:
                 odd_hits += count >= 3 and got is not None
         assert odd_hits > 0 and even_uncancelled > 0, (odd_hits, even_uncancelled)
+
+    def test_sign_rule_on_cancelling_top_letters(self):
+        """Reduction keeps #σₙ₋₁ − #σₙ₋₁⁻¹, so a word destabilizes only when
+        that difference is ±1, and its destabilization has that sign."""
+        far = hits = 0
+        for w in cancelling_top_letter_words():
+            top = w.n - 1
+            difference = w.letters.count(top) - w.letters.count(-top)
+            got = try_destabilize(w)
+            if abs(difference) >= 3:
+                assert got is None and not destab_rotation_scan(w), w
+                far += 1
+            elif got is not None:
+                assert got.sign == difference, w
+                hits += 1
+        assert far > 0 and hits > 0, (far, hits)
 
     def test_witness_replays(self):
         rng = random.Random(51)

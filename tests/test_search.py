@@ -400,6 +400,27 @@ def test_each_applied_site_gives_the_replayed_word():
     assert conjugated_destabs > 0
 
 
+def test_one_move_controls_are_found():
+    """A control corpus for the search: "exhausted" is evidence only if the
+    search finds paths known to exist.  Each seeded B2–B5 word w takes one
+    scramble step under each move set, and connect(result, w) must be found,
+    within one expansion, for every conjugation, stab±, destab± and exchange.
+    Flypes are left out, since the inverse of a flype is not always a site."""
+    rng = random.Random(36)
+    kinds = set()
+    for _ in range(200):
+        w = random_word(rng, rng.randint(2, 5), 8)
+        for move_set in (TOPOLOGICAL, TRANSVERSE):
+            result, seq = scramble(w, 1, rng.randrange(1 << 30), move_set)
+            kind = seq.steps[0].kind
+            if kind.startswith("flype"):
+                continue
+            r = connect(result, w, SearchBounds(6, 40, 1000, move_set))
+            assert r.found and r.stats.nodes_expanded <= 1, (w, kind, move_set, r.stats)
+            kinds.add(kind)
+    assert kinds == {"conjugation", "stab+", "stab-", "destab+", "destab-", "exchange"}
+
+
 # sha256 of the sequences, outcomes and statistics of the corpus below.
 # Any change to a drawn move, a found path or a count moves it.
 PINNED_CORPUS_SHA256 = "82ea91c642f0fc0484bf2ec820eb881fdbaf55fe3a53466db891d9ccd215e310"
